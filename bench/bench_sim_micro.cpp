@@ -19,7 +19,7 @@
  * iteration — the fig-grid shape, where each measurement builds its
  * own streams — so repeated intervals hit the run-level ReplayStore
  * (sim/replay.h). The `*_nomemo` variants re-run the same shape with
- * replay and snapshots disabled, timing the full live path; the ratio
+ * replay disabled, timing the full live path; the ratio
  * between the two is the replay win.
  *
  * The committed BENCH_sim.json at the repository root is the perf
@@ -195,8 +195,8 @@ main(int argc, char **argv)
     // can sleep independently).
     benchMachine(report, "cmp_pair", 50'000, 500, Shape::kCmpPair);
 
-    // The same headline shapes with the replay + snapshot stores
-    // disabled: the full live path, every iteration re-simulated.
+    // The same headline shapes with replay disabled: the full live
+    // path, every iteration re-simulated.
     // memo-on / nomemo on the pair shape is the replay win the docs
     // quote (docs/PERFORMANCE.md).
     {

@@ -315,59 +315,6 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
     std::printf("\npaper: SMiTe %.2f%% vs PMU %.2f%% average error\n",
                 paper_smite, paper_pmu);
 
-    // Replay audit: re-derive every test-set measurement in a fresh
-    // Lab with no disk cache. Its machine runs replay the run-level
-    // snapshots recorded by the fan-out above (machine.replay.hits in
-    // the metrics snapshot counts them), and a replayed run is
-    // contractually bit-equal to a live one — so this line is
-    // byte-identical with SMITE_SIM_MEMO=0, where the audit simply
-    // re-simulates.
-    {
-        core::Lab audit(lab.machine().config(), benchWarmupCycles(),
-                        benchMeasureCycles());
-        audit.characterizeAll(test, mode);
-        audit.measureAllPairs(test, mode);
-        double max_diff = 0;
-        int audited = 0, audit_skipped = 0;
-        for (const auto &victim : test) {
-            for (const auto &aggressor : test) {
-                if (victim.name == aggressor.name)
-                    continue;
-                try {
-                    const double replayed =
-                        audit.pairDegradation(victim, aggressor, mode);
-                    const double original =
-                        lab.pairDegradation(victim, aggressor, mode);
-                    max_diff = std::max(
-                        max_diff, std::abs(replayed - original));
-                    ++audited;
-                } catch (const fault::MeasurementError &err) {
-                    ++audit_skipped;
-                    obs::IncidentLog::global().record(
-                        "replay audit: skipped pair " + victim.name +
-                        "|" + aggressor.name + ": " + err.what());
-                }
-            }
-        }
-        std::printf("replay audit: %d test pairs re-derived in a "
-                    "fresh lab, max |replayed - live| = %.17g\n",
-                    audited, max_diff);
-        if (audit_skipped > 0) {
-            std::printf("(%d audit pair%s skipped after measurement "
-                        "failures)\n",
-                        audit_skipped, audit_skipped == 1 ? "" : "s");
-        }
-        ReportScope::recordResult("replay_audit_pairs",
-                                  obs::json::Value(audited));
-        ReportScope::recordResult("replay_audit_max_diff",
-                                  obs::json::Value(max_diff));
-        if (audit_skipped > 0) {
-            ReportScope::recordResult(
-                "replay_audit_skipped",
-                obs::json::Value(audit_skipped));
-        }
-    }
-
     ReportScope::recordResult("mode", obs::json::Value(
                                           core::modeName(mode)));
     ReportScope::recordResult("per_benchmark",

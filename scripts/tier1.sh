@@ -14,6 +14,11 @@ cmake -B build -S .
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+# Benchmark self-check: perfbench/ still builds against the library,
+# emits every metric BENCHMARK.json declares with its unit, and
+# reproduces its tiny seed-0 reference digests.
+python3 perfbench/selfcheck.py
+
 # Data-race check: the parallel engine's tests under TSan.
 cmake -B build-tsan -S . -DSMITE_TSAN=ON
 cmake --build build-tsan -j"$JOBS" --target test_parallel
@@ -125,11 +130,11 @@ rm -rf "$DET_A" "$DET_B"
 echo "determinism: ok"
 
 # --- Replay byte-identity gate --------------------------------------
-# The run-level replay stores (sim/replay.h) claim byte-identity: a
-# figure harness with interval memoization + warm-state snapshots on
-# (the default) must produce stdout byte-identical to the same run
-# with SMITE_SIM_MEMO=0 (both stores off, every interval simulated
-# live). Fresh directories so neither run sees a shared disk cache.
+# The run-level ReplayStore (sim/replay.h) claims byte-identity: a
+# figure harness with interval memoization on (the default) must
+# produce stdout byte-identical to the same run with SMITE_SIM_MEMO=0
+# (every interval simulated live). Fresh directories so neither run
+# sees a shared disk cache.
 MEMO_ON="$(mktemp -d)"
 MEMO_OFF="$(mktemp -d)"
 (

@@ -1,7 +1,6 @@
 #include "core/disk_cache.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -25,20 +24,8 @@ hashKey(std::string_view s)
     return h;
 }
 
-int
-defaultShardCount()
-{
-    const char *env = std::getenv("SMITE_CACHE_SHARDS");
-    if (env != nullptr) {
-        const int n = std::atoi(env);
-        if (n >= 1)
-            return n;
-        std::fprintf(stderr,
-                     "smite: SMITE_CACHE_SHARDS='%s' invalid, using 4\n",
-                     env);
-    }
-    return 4;
-}
+/** Shard files per cache: `<base>.shard0` .. `<base>.shard3`. */
+constexpr int kShardCount = 4;
 
 /**
  * Create @p path containing only the version header, via a temp file
@@ -105,13 +92,12 @@ ShardedDiskCache::shardPath(const std::string &base, int index)
 }
 
 void
-ShardedDiskCache::open(const std::string &base, int shards)
+ShardedDiskCache::open(const std::string &base)
 {
     base_ = base;
-    const int n = shards >= 1 ? shards : defaultShardCount();
     shards_.clear();
-    shards_.reserve(static_cast<std::size_t>(n));
-    for (int k = 0; k < n; ++k) {
+    shards_.reserve(kShardCount);
+    for (int k = 0; k < kShardCount; ++k) {
         auto shard = std::make_unique<Shard>();
         shard->path = shardPath(base, k);
         shards_.push_back(std::move(shard));

@@ -60,12 +60,11 @@ class ShardedDiskCache
     ShardedDiskCache &operator=(const ShardedDiskCache &) = delete;
 
     /**
-     * Configure the cache rooted at @p base. @p shards <= 0 reads
-     * the SMITE_CACHE_SHARDS environment variable (default 4, min 1).
+     * Configure the cache rooted at @p base, sharded over four files.
      * Opening performs no writes: shard files are created lazily,
      * header first, on the first append that hashes to them.
      */
-    void open(const std::string &base, int shards = 0);
+    void open(const std::string &base);
 
     /** True once open() has been called with a non-empty base. */
     bool enabled() const { return !base_.empty(); }

@@ -247,8 +247,8 @@ class Lab
      * any measurements already recorded there. Several experiment
      * harnesses share co-location measurements this way instead of
      * re-simulating them. Records are sharded across
-     * `<path>.shard0..N-1` by key hash (SMITE_CACHE_SHARDS files,
-     * default 4, each with its own writer lock); a legacy single
+     * `<path>.shard0..3` by key hash (each file with its own writer
+     * lock); a legacy single
      * file at @p path itself is still preloaded. Each file is a
      * plain text key/value log headed by a version line; delete the
      * files to invalidate. Corrupt or truncated lines are skipped

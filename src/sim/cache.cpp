@@ -1,6 +1,5 @@
 #include "sim/cache.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -189,7 +188,6 @@ SetAssocCache::access(Addr line, bool write)
         return result;
     }
     const std::uint64_t set = setIndex(line);
-    touchSet(set);
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
     const Addr *tags = tags_.data() + base;
     const int assoc = assoc_;
@@ -251,7 +249,6 @@ SetAssocCache::insertAbsent(Addr line)
 {
     AccessResult result;
     const std::uint64_t set = setIndex(line);
-    touchSet(set);
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
     const Addr *tags = tags_.data() + base;
     const int assoc = assoc_;
@@ -316,7 +313,6 @@ SetAssocCache::insertAbsentRange(Addr line, std::uint64_t count)
     for (std::uint64_t k = 0; k < count; ++k) {
         const Addr l = line + k;
         const std::uint64_t set = l & setMask_;
-        touchSet(set);
         const std::uint8_t fill = fillWays_[set];
         // fill < assoc implies the prefix invariant holds (kNoPrefix
         // exceeds any real associativity) and way `fill` is empty, so
@@ -344,21 +340,13 @@ SetAssocCache::probe(Addr line) const
 {
     const std::uint64_t set = setIndex(line);
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    const Addr *tags = tags_.data() + base;
-    // A probe is non-mutating, so an unmaterialized set is answered
-    // straight out of the snapshot instead of being copied in.
-    if (snapshot_ &&
-        (snapPending_[set >> 6] >> (set & 63) & 1) != 0) {
-        tags = snapshot_->tags.data() + base;
-    }
-    return findWay(tags, line, assoc_) >= 0;
+    return findWay(tags_.data() + base, line, assoc_) >= 0;
 }
 
 bool
 SetAssocCache::invalidate(Addr line)
 {
     const std::uint64_t set = setIndex(line);
-    touchSet(set);
     const std::size_t base = static_cast<std::size_t>(set) * assoc_;
     const int w = findWay(tags_.data() + base, line, assoc_);
     if (w < 0)
@@ -386,95 +374,6 @@ SetAssocCache::flush()
     useClock_ = 0;
     lastLine_ = kNoTag;
     lastIdx_ = 0;
-    snapshot_.reset();
-    snapPending_.clear();
-}
-
-std::size_t
-SetAssocCache::Snapshot::bytes() const
-{
-    return tags.size() * sizeof(Addr) +
-           lastUse.size() * sizeof(std::uint64_t) +
-           dirty.size() + fillWays.size() +
-           // touched + everMaterialized bitmaps (same word count).
-           2 * touched.size() * sizeof(std::uint64_t);
-}
-
-std::shared_ptr<const SetAssocCache::Snapshot>
-SetAssocCache::captureSnapshot() const
-{
-    auto snap = std::make_shared<Snapshot>();
-    snap->tags = tags_;
-    snap->lastUse = lastUse_;
-    snap->dirty = dirty_;
-    snap->fillWays = fillWays_;
-    snap->useClock = useClock_;
-    snap->lastLine = lastLine_;
-    snap->lastIdx = lastIdx_;
-    // A set differs from fresh iff it holds a valid tag or its fill
-    // counter moved (invalidate can empty a set's tags while leaving
-    // the counter perturbed).
-    const std::uint8_t fresh_fill =
-        assoc_ < kNoPrefix ? std::uint8_t{0} : kNoPrefix;
-    snap->touched.assign((numSets_ + 63) / 64, 0);
-    // Value-initialized: no set has been materialized by any adopter.
-    snap->everMaterialized =
-        std::make_unique<std::atomic<std::uint64_t>[]>((numSets_ + 63) /
-                                                       64);
-    for (std::uint64_t set = 0; set < numSets_; ++set) {
-        const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-        bool touched = fillWays_[set] != fresh_fill;
-        for (int w = 0; !touched && w < assoc_; ++w)
-            touched = tags_[base + w] != kNoTag;
-        if (touched)
-            snap->touched[set >> 6] |= std::uint64_t{1} << (set & 63);
-    }
-    return snap;
-}
-
-void
-SetAssocCache::adoptSnapshot(std::shared_ptr<const Snapshot> snapshot)
-{
-    assert(useClock_ == 0 && snapshot_ == nullptr &&
-           "adoptSnapshot requires a fresh array");
-    assert(snapshot->tags.size() == tags_.size() &&
-           "snapshot geometry mismatch");
-    snapshot_ = std::move(snapshot);
-    // Eager part: the per-set fill counters (the insert fast path
-    // reads them before any row), the touched bitmap, and the scalar
-    // clock/memo state. The lastLine_ fast path in access() writes
-    // dirty_[lastIdx_] without going through touchSet(), so the set
-    // the memo points into is the one row restored up front.
-    fillWays_ = snapshot_->fillWays;
-    snapPending_ = snapshot_->touched;
-    useClock_ = snapshot_->useClock;
-    lastLine_ = snapshot_->lastLine;
-    lastIdx_ = snapshot_->lastIdx;
-    restoredBytes_ = 0;
-    firstTouchBytes_ = 0;
-    if (lastLine_ != kNoTag)
-        materializeSet(lastIdx_ / static_cast<std::size_t>(assoc_));
-}
-
-void
-SetAssocCache::materializeSet(std::uint64_t set)
-{
-    const std::size_t word = set >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (set & 63);
-    if ((snapPending_[word] & bit) == 0)
-        return;
-    snapPending_[word] &= ~bit;
-    const std::size_t base = static_cast<std::size_t>(set) * assoc_;
-    const std::size_t n = static_cast<std::size_t>(assoc_);
-    std::copy_n(snapshot_->tags.begin() + base, n, tags_.begin() + base);
-    std::copy_n(snapshot_->lastUse.begin() + base, n,
-                lastUse_.begin() + base);
-    std::copy_n(snapshot_->dirty.begin() + base, n, dirty_.begin() + base);
-    const std::uint64_t bytes =
-        n * (sizeof(Addr) + sizeof(std::uint64_t) + 1);
-    restoredBytes_ += bytes;
-    if (snapshot_->claimFirstTouch(set))
-        firstTouchBytes_ += bytes;
 }
 
 } // namespace smite::sim

@@ -18,9 +18,7 @@
 #ifndef SMITE_SIM_CACHE_H
 #define SMITE_SIM_CACHE_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,80 +86,6 @@ class SetAssocCache
     bool probe(Addr line) const;
 
     /**
-     * Immutable image of the whole array, shared between runs.
-     *
-     * A snapshot is taken once after prewarm and then *adopted* by any
-     * number of later fresh arrays of the same geometry (same config):
-     * adoption copies only the tiny per-set fill counters and a
-     * touched-set bitmap up front, and each touched set's tag/stamp/
-     * dirty rows lazily on first access. A short run that touches a
-     * fraction of an 8MB L3 therefore restores a fraction of its
-     * bytes — the answer to the old "restoring a snapshot moves the
-     * same bytes as prewarming" objection (docs/PERFORMANCE.md).
-     */
-    struct Snapshot {
-        std::vector<Addr> tags;
-        std::vector<std::uint64_t> lastUse;
-        std::vector<std::uint8_t> dirty;
-        std::vector<std::uint8_t> fillWays;
-        /** Bitmap (64 sets per word) of sets that differ from fresh. */
-        std::vector<std::uint64_t> touched;
-        std::uint64_t useClock = 0;
-        Addr lastLine = 0;
-        std::size_t lastIdx = 0;
-
-        /** Total heap bytes held by the image. */
-        std::size_t bytes() const;
-
-        /**
-         * Claim set @p set's first materialization across *all*
-         * adopters of this image. snapshotRestoredBytes() sums every
-         * adoption's copies, so over N adopters it can legitimately
-         * exceed the image size; the first-touch claim is what makes
-         * the unique-bytes split (machine.snapshot.
-         * bytes_materialized_unique) a true subset of bytes_captured.
-         * Atomic because parallel labs adopt one image concurrently.
-         * @return true exactly once per set per image
-         */
-        bool
-        claimFirstTouch(std::uint64_t set) const
-        {
-            const std::uint64_t bit = std::uint64_t{1} << (set & 63);
-            return (everMaterialized[set >> 6].fetch_or(
-                        bit, std::memory_order_relaxed) &
-                    bit) == 0;
-        }
-
-        /** First-touch claims, one bit per set (64 sets per word). */
-        mutable std::unique_ptr<std::atomic<std::uint64_t>[]>
-            everMaterialized;
-    };
-
-    /** Capture the current state as a shared immutable snapshot. */
-    std::shared_ptr<const Snapshot> captureSnapshot() const;
-
-    /**
-     * Adopt a snapshot into this (required: freshly constructed or
-     * flushed) array. State afterwards is observably identical to the
-     * array the snapshot was captured from; rows materialize lazily.
-     */
-    void adoptSnapshot(std::shared_ptr<const Snapshot> snapshot);
-
-    /** Bytes lazily materialized since the last adoptSnapshot(). */
-    std::uint64_t snapshotRestoredBytes() const { return restoredBytes_; }
-
-    /**
-     * Subset of snapshotRestoredBytes() whose sets this adoption was
-     * the *first* (across all adopters of the image) to materialize.
-     * Summed over every adoption of one snapshot this never exceeds
-     * the image's captured bytes.
-     */
-    std::uint64_t snapshotFirstTouchBytes() const
-    {
-        return firstTouchBytes_;
-    }
-
-    /**
      * Drop one line if present (back-invalidation from an inclusive
      * outer level). The dirty bit is discarded with it; the write-
      * back traffic is accounted by the caller.
@@ -192,21 +116,6 @@ class SetAssocCache
     setIndex(Addr line) const
     {
         return setsPow2_ ? (line & setMask_) : (line % numSets_);
-    }
-
-    /** Copy set @p set's rows out of the adopted snapshot (once). */
-    void materializeSet(std::uint64_t set);
-
-    /**
-     * Pre-mutation hook: with a snapshot adopted, make sure @p set's
-     * rows are materialized before anything reads or writes them. One
-     * predictable null check when no snapshot is live.
-     */
-    void
-    touchSet(std::uint64_t set)
-    {
-        if (snapshot_)
-            materializeSet(set);
     }
 
     CacheConfig config_;
@@ -248,18 +157,6 @@ class SetAssocCache
      * flush).
      */
     std::vector<std::uint8_t> fillWays_;
-
-    /**
-     * Adopted warm-state snapshot, if any. While set, snapPending_
-     * flags the touched sets whose tag/stamp/dirty rows still live
-     * only in the snapshot; every mutating path materializes a set
-     * before touching it, and probe() reads pending rows straight out
-     * of the snapshot. Cleared by flush().
-     */
-    std::shared_ptr<const Snapshot> snapshot_;
-    std::vector<std::uint64_t> snapPending_;
-    std::uint64_t restoredBytes_ = 0;
-    std::uint64_t firstTouchBytes_ = 0;
 };
 
 } // namespace smite::sim

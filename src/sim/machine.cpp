@@ -33,9 +33,7 @@ codeBase(size_t i)
 /**
  * Split the L3 capacity between the placements' hot data sets in
  * proportion to @p weights (water-filling, capped at each stream's
- * hot footprint). The result — lines granted per placement — fully
- * determines the pass-1 functional warmup, which is why it doubles as
- * the warm-state snapshot key (see runLive).
+ * hot footprint). Returns the lines granted per placement.
  */
 std::vector<std::uint64_t>
 computeBudgets(const MachineConfig &config,
@@ -154,7 +152,7 @@ prewarmCode(MemorySystem &mem, const MachineConfig &config,
 
 ReplayEntry
 Machine::runLive(const std::vector<Placement> &placements, Cycle warmup,
-                 Cycle measure, bool snapshots) const
+                 Cycle measure) const
 {
     MemorySystem mem(config_);
 
@@ -279,39 +277,10 @@ Machine::runLive(const std::vector<Placement> &placements, Cycle warmup,
         weights[i] =
             std::sqrt(placements[i].source->residencyWeight());
     }
-    std::vector<std::uint64_t> budgets =
-        computeBudgets(config_, placements, weights);
-
-    // The pass-1 warm state is a pure function of (L3 geometry, line
-    // budgets, code line counts) — the insertion order is fixed chunk
-    // interleaving over fixed address slices. Same-shape runs
-    // therefore share one immutable post-prewarm L3 image instead of
-    // each re-filling megabytes of arrays; the adopting run restores
-    // touched sets copy-on-read (SetAssocCache::Snapshot).
-    bool adopted = false;
-    if (snapshots) {
-        ReplayKey skey;
-        skey.reserve(2 + 2 * placements.size());
-        skey.push_back(configDigest(config_));
-        skey.push_back(placements.size());
-        for (size_t i = 0; i < placements.size(); ++i) {
-            skey.push_back(budgets[i]);
-            skey.push_back(codeLineCount(config_, placements[i]));
-        }
-        std::shared_ptr<const SetAssocCache::Snapshot> snap =
-            SnapshotStore::global().find(skey);
-        if (snap != nullptr) {
-            mem.adoptL3Snapshot(std::move(snap));
-            adopted = true;
-        } else {
-            prewarmData(mem, placements.size(), budgets, /*fresh=*/true);
-            prewarmCode(mem, config_, placements, /*fresh=*/true);
-            SnapshotStore::global().insert(skey, mem.captureL3Snapshot());
-        }
-    } else {
-        prewarmData(mem, placements.size(), budgets, /*fresh=*/true);
-        prewarmCode(mem, config_, placements, /*fresh=*/true);
-    }
+    prewarmData(mem, placements.size(),
+                computeBudgets(config_, placements, weights),
+                /*fresh=*/true);
+    prewarmCode(mem, config_, placements, /*fresh=*/true);
     const Cycle half_warmup = warmup / 2;
     tick_for(0, half_warmup);
 
@@ -343,15 +312,6 @@ Machine::runLive(const std::vector<Placement> &placements, Cycle warmup,
         entry.results[i] = counters_of(i) - at_warmup[i];
     entry.idleSkipped = idle_skipped;
     entry.wakeEvents = wake_events;
-
-    if (adopted) {
-        static obs::Counter &restored = obs::Registry::global().counter(
-            "machine.snapshot.bytes_restored");
-        static obs::Counter &unique = obs::Registry::global().counter(
-            "machine.snapshot.bytes_materialized_unique");
-        restored.add(mem.l3SnapshotRestoredBytes());
-        unique.add(mem.l3SnapshotFirstTouchBytes());
-    }
     return entry;
 }
 
@@ -366,10 +326,8 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     // Replay eligibility: every placed source must carry a stream
     // identity, and the reference tick loop opts out (it exists to
     // re-derive outcomes from scratch, never to replay them). The
-    // kill-switch disables both stores (docs/ROBUSTNESS.md).
-    const bool stores_on = replayEnabled() && !referenceTicking_;
-    bool memo = stores_on;
-    bool snapshots = stores_on;
+    // kill-switch disables replay (docs/ROBUSTNESS.md).
+    bool memo = replayEnabled() && !referenceTicking_;
     ReplayKey key;
     if (memo) {
         key.reserve(4 + 3 * placements.size());
@@ -391,7 +349,7 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     }
 
     // `sim.replay` chaos site: a fired check sends this run down the
-    // live path, both stores bypassed. Live and replayed outcomes are
+    // live path, bypassing the store. Live and replayed outcomes are
     // byte-identical by contract, so arming the site must not change
     // any result — exactly what the chaos-determinism test asserts.
     // Keyed on the replay key, so the decision is independent of call
@@ -403,26 +361,15 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
         if (faults.shouldInject("sim.replay",
                                 std::to_string(key_digest.value()))) {
             memo = false;
-            snapshots = false;
         }
     }
 
     ReplayEntry entry;
     if (memo) {
-        bool computed = false;
-        const ReplayEntry &stored = replayStore().getOrCompute(key, [&] {
-            computed = true;
-            return runLive(placements, warmup, measure, snapshots);
-        });
-        if (!computed) {
-            static obs::Counter &restored =
-                obs::Registry::global().counter(
-                    "machine.replay.bytes_restored");
-            restored.add(stored.results.size() * sizeof(CounterBlock));
-        }
-        entry = stored;
+        entry = replayStore().getOrCompute(
+            key, [&] { return runLive(placements, warmup, measure); });
     } else {
-        entry = runLive(placements, warmup, measure, snapshots);
+        entry = runLive(placements, warmup, measure);
     }
     std::vector<CounterBlock> results = std::move(entry.results);
 

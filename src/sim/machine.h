@@ -113,16 +113,14 @@ class Machine
 
   private:
     /**
-     * The actual simulation: build fresh state, prewarm (or adopt a
-     * shared post-prewarm L3 snapshot when @p snapshots is true and
-     * one exists), tick the intervals, return the counter deltas and
-     * event-loop tallies. No observability side effects beyond the
-     * snapshot counters — the run() wrapper replays the obs tail so
-     * metric totals match whether the entry was computed or replayed.
+     * The actual simulation: build fresh state, prewarm, tick the
+     * intervals, return the counter deltas and event-loop tallies. No
+     * observability side effects — the run() wrapper replays the obs
+     * tail so metric totals match whether the entry was computed or
+     * replayed.
      */
     ReplayEntry runLive(const std::vector<Placement> &placements,
-                        Cycle warmup, Cycle measure,
-                        bool snapshots) const;
+                        Cycle warmup, Cycle measure) const;
 
     MachineConfig config_;
     bool referenceTicking_ = false;

@@ -10,7 +10,6 @@
 #ifndef SMITE_SIM_MEMORY_SYSTEM_H
 #define SMITE_SIM_MEMORY_SYSTEM_H
 
-#include <memory>
 #include <vector>
 
 #include "sim/cache.h"
@@ -84,42 +83,6 @@ class MemorySystem
     prewarmDataAbsentRange(Addr addr, std::uint64_t count)
     {
         l3_.insertAbsentRange(lineAddr(addr), count);
-    }
-
-    /**
-     * Capture the shared L3's post-prewarm state as an immutable
-     * snapshot, shareable across machines of the same config. Only
-     * the L3 participates: prewarm never touches the private levels
-     * or the TLBs (both start every run empty).
-     */
-    std::shared_ptr<const SetAssocCache::Snapshot>
-    captureL3Snapshot() const
-    {
-        return l3_.captureSnapshot();
-    }
-
-    /** Adopt a captured L3 image in place of re-running prewarm. */
-    void
-    adoptL3Snapshot(std::shared_ptr<const SetAssocCache::Snapshot> snap)
-    {
-        l3_.adoptSnapshot(std::move(snap));
-    }
-
-    /** Bytes the adopted L3 snapshot materialized so far this run. */
-    std::uint64_t
-    l3SnapshotRestoredBytes() const
-    {
-        return l3_.snapshotRestoredBytes();
-    }
-
-    /**
-     * Subset of l3SnapshotRestoredBytes() this run materialized first
-     * across all adopters of the image (SetAssocCache docs).
-     */
-    std::uint64_t
-    l3SnapshotFirstTouchBytes() const
-    {
-        return l3_.snapshotFirstTouchBytes();
     }
 
     /** L1D hit latency (used to detect misses for MSHR occupancy). */

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "obs/metrics.h"
 #include "sim/digest.h"
 
 namespace smite::sim {
@@ -14,7 +13,7 @@ bool
 envEnabled()
 {
     // Kill-switch contract (docs/ROBUSTNESS.md): exactly "0" disables
-    // both stores; anything else (including unset) leaves them on.
+    // replay; anything else (including unset) leaves it on.
     const char *v = std::getenv("SMITE_SIM_MEMO");
     return !(v != nullptr && v[0] == '0' && v[1] == '\0');
 }
@@ -86,53 +85,6 @@ replayStore()
         (store.instrument("machine.replay"), true);
     (void)instrumented;
     return store;
-}
-
-SnapshotStore &
-SnapshotStore::global()
-{
-    static SnapshotStore store;
-    return store;
-}
-
-std::shared_ptr<const SetAssocCache::Snapshot>
-SnapshotStore::find(const ReplayKey &key)
-{
-    static obs::Counter &hits =
-        obs::Registry::global().counter("machine.snapshot.hits");
-    static obs::Counter &misses =
-        obs::Registry::global().counter("machine.snapshot.misses");
-    std::shared_lock<std::shared_mutex> read(mu_);
-    const auto it = images_.find(key);
-    if (it == images_.end()) {
-        misses.add();
-        return nullptr;
-    }
-    hits.add();
-    return it->second;
-}
-
-void
-SnapshotStore::insert(const ReplayKey &key,
-                      std::shared_ptr<const SetAssocCache::Snapshot> snap)
-{
-    static obs::Counter &captured =
-        obs::Registry::global().counter("machine.snapshot.bytes_captured");
-    std::unique_lock<std::shared_mutex> write(mu_);
-    if (images_.size() >= kMaxEntries)
-        return;
-    const auto [it, inserted] = images_.try_emplace(key);
-    if (!inserted)
-        return;
-    captured.add(snap->bytes());
-    it->second = std::move(snap);
-}
-
-std::size_t
-SnapshotStore::size() const
-{
-    std::shared_lock<std::shared_mutex> read(mu_);
-    return images_.size();
 }
 
 } // namespace smite::sim

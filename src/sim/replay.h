@@ -1,6 +1,6 @@
 /**
  * @file
- * Run-level replay: interval memoization and warm-state snapshots.
+ * Run-level replay: interval memoization.
  *
  * Machine::run() binds (and therefore resets) every placed uop
  * source, so a run's outcome is a pure function of
@@ -9,20 +9,13 @@
  *    warmup cycles, measure cycles)
  *
  * — which is exactly what the Lab, the fig-grid harnesses and the
- * benchmark repeats key their requests on. Two stores exploit that:
+ * benchmark repeats key their requests on. The **ReplayStore**
+ * memoizes whole run outcomes (the counter deltas plus the event-loop
+ * tallies) in a single-flight `core::MemoCache`, so a repeated run
+ * replays its recorded results without constructing a machine or
+ * ticking a cycle.
  *
- *  - the **ReplayStore** memoizes whole run outcomes (the counter
- *    deltas plus the event-loop tallies) in a single-flight
- *    `core::MemoCache`, so a repeated run replays its recorded
- *    results without constructing a machine or ticking a cycle;
- *  - the **SnapshotStore** shares the post-prewarm L3 image between
- *    runs whose pass-1 functional warmup is provably identical (same
- *    geometry, same per-placement line budgets), so a replay *miss*
- *    still skips re-filling megabytes of cache arrays — the adopted
- *    snapshot is immutable and restored copy-on-read, set by set
- *    (SetAssocCache::Snapshot).
- *
- * Byte-identity contract: with the stores enabled, every observable
+ * Byte-identity contract: with replay enabled, every observable
  * output — counters returned, fault draws consumed, obs metrics
  * totals — is byte-identical to the `SMITE_SIM_MEMO=0` disabled path
  * (pinned by tests/test_replay.cpp and the tier-1 memo-on/off
@@ -35,20 +28,18 @@
 #define SMITE_SIM_REPLAY_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/memo_cache.h"
-#include "sim/cache.h"
 #include "sim/config.h"
 #include "sim/counters.h"
 
 namespace smite::sim {
 
 /**
- * Is run-level replay (ReplayStore + SnapshotStore) enabled?
- * Defaults to on; the environment kill-switch `SMITE_SIM_MEMO=0`
- * (read once at first query) and setReplayEnabled() turn it off.
+ * Is run-level replay enabled? Defaults to on; the environment
+ * kill-switch `SMITE_SIM_MEMO=0` (read once at first query) and
+ * setReplayEnabled() turn it off.
  */
 bool replayEnabled();
 
@@ -71,54 +62,15 @@ struct ReplayEntry {
 /**
  * Replay keys are flat digest vectors (ordered, cheap to compare):
  * [config digest, warmup, measure, n, then (core, context, stream
- * digest) per placement] for runs; [config digest, n, then per-
- * placement data-line budget and code-line count] for snapshots.
+ * digest) per placement].
  */
 using ReplayKey = std::vector<std::uint64_t>;
 
 /**
  * The process-wide run-outcome store, instrumented as
- * `machine.replay.{hits,misses,waits}`. Replay hits additionally
- * count `machine.replay.bytes_restored` (see machine.cpp).
+ * `machine.replay.{hits,misses,waits}`.
  */
 core::MemoCache<ReplayKey, ReplayEntry> &replayStore();
-
-/**
- * Bounded store of shared immutable post-prewarm L3 images.
- * Publishes `machine.snapshot.{hits,misses,bytes_captured}`;
- * `machine.snapshot.bytes_restored` counts the bytes runs actually
- * materialize out of adopted images (the copy-on-read win: for short
- * runs it is a small fraction of bytes_captured).
- */
-class SnapshotStore
-{
-  public:
-    static SnapshotStore &global();
-
-    /** The image for @p key, or nullptr. Counts a hit or a miss. */
-    std::shared_ptr<const SetAssocCache::Snapshot>
-    find(const ReplayKey &key);
-
-    /**
-     * Publish an image (first writer wins; dropped when the store is
-     * at capacity — images are megabytes, so the store stays small
-     * and a dropped insert only costs re-warming).
-     */
-    void insert(const ReplayKey &key,
-                std::shared_ptr<const SetAssocCache::Snapshot> snap);
-
-    /** Entries currently held. */
-    std::size_t size() const;
-
-  private:
-    /** Each image is ~2 MB for an 8 MB L3: keep the store bounded. */
-    static constexpr std::size_t kMaxEntries = 32;
-
-    mutable std::shared_mutex mu_;
-    std::map<ReplayKey,
-             std::shared_ptr<const SetAssocCache::Snapshot>>
-        images_;
-};
 
 } // namespace smite::sim
 

@@ -147,7 +147,7 @@ TEST(LabCache, ShardsRecordsByKeyWithHeaders)
     removeCache(path);
 
     ShardedDiskCache cache;
-    cache.open(path, 4);
+    cache.open(path);
     EXPECT_TRUE(cache.enabled());
     EXPECT_EQ(cache.shardCount(), 4);
 
@@ -176,7 +176,7 @@ TEST(LabCache, ShardsRecordsByKeyWithHeaders)
 
     // A fresh instance over the same base sees every file.
     ShardedDiskCache reader;
-    reader.open(path, 4);
+    reader.open(path);
     EXPECT_EQ(reader.readPaths().size(),
               static_cast<std::size_t>(shard_files));
     removeCache(path);

@@ -1,14 +1,13 @@
 /**
  * @file
  * Byte-identity suite for the run-level replay subsystem
- * (sim/replay.h): interval memoization in the ReplayStore, warm-state
- * L3 snapshots in the SnapshotStore, and the `sim.replay` chaos site
- * that forces random runs down the live path.
+ * (sim/replay.h): interval memoization in the ReplayStore and the
+ * `sim.replay` chaos site that forces random runs down the live path.
  *
  * The contract under test is the one docs/ROBUSTNESS.md states for
- * the whole simulator: turning the stores on or off (or having a
- * chaos fault knock individual runs back to live execution) must not
- * change a single byte of any run's counters.
+ * the whole simulator: turning replay on or off (or having a chaos
+ * fault knock individual runs back to live execution) must not change
+ * a single byte of any run's counters.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "core/experiment.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
-#include "sim/cache.h"
 #include "sim/machine.h"
 #include "sim/replay.h"
 #include "workload/generator.h"
@@ -80,8 +78,8 @@ expectSameResults(const std::vector<CounterBlock> &got,
 /**
  * The replay analogue of EventDrivenEquivalence (test_golden_sim):
  * random machine shapes, workload mixes and interval lengths, each
- * run three ways — live (stores disabled), replay-computing (stores
- * enabled, first sighting of the key) and replay-hit (stores enabled,
+ * run three ways — live (replay disabled), replay-computing (replay
+ * enabled, first sighting of the key) and replay-hit (replay enabled,
  * repeat of the key) — with every counter required to match exactly.
  */
 TEST(ReplayEquivalence, RandomShapesMatchLivePath)
@@ -165,12 +163,9 @@ TEST(ReplayStore, RepeatRunsHitAndMatch)
     };
 
     const std::uint64_t hits0 = counter("machine.replay.hits");
-    const std::uint64_t restored0 =
-        counter("machine.replay.bytes_restored");
     const auto first = run_solo();
     const auto second = run_solo();
     EXPECT_EQ(counter("machine.replay.hits"), hits0 + 1);
-    EXPECT_GT(counter("machine.replay.bytes_restored"), restored0);
     EXPECT_EQ(flatten(first), flatten(second));
 }
 
@@ -182,8 +177,6 @@ TEST(ReplayStore, DisabledPathTouchesNoStores)
 
     const std::uint64_t hits0 = counter("machine.replay.hits");
     const std::uint64_t misses0 = counter("machine.replay.misses");
-    const std::uint64_t snap_h0 = counter("machine.snapshot.hits");
-    const std::uint64_t snap_m0 = counter("machine.snapshot.misses");
     for (int i = 0; i < 2; ++i) {
         workload::ProfileUopSource app(
             workload::spec2006::byName("470.lbm"));
@@ -191,8 +184,6 @@ TEST(ReplayStore, DisabledPathTouchesNoStores)
     }
     EXPECT_EQ(counter("machine.replay.hits"), hits0);
     EXPECT_EQ(counter("machine.replay.misses"), misses0);
-    EXPECT_EQ(counter("machine.snapshot.hits"), snap_h0);
-    EXPECT_EQ(counter("machine.snapshot.misses"), snap_m0);
 }
 
 /**
@@ -244,30 +235,51 @@ TEST(ReplayStore, TraceReplaySourceHasStableDigest)
 
 /**
  * The run-level store is process-wide: a second Lab with the same
- * configuration and intervals replays the first Lab's runs instead of
- * re-simulating (the fig10 replay-audit phase relies on exactly
- * this), and the results agree bit for bit.
+ * configuration and intervals re-derives the first Lab's Ruler
+ * characterizations and pair degradations — solo, Ruler-baseline,
+ * Ruler co-run and pair runs — entirely from replay hits, and every
+ * value agrees bit for bit.
  */
 TEST(ReplayStore, CrossLabRunsReplay)
 {
     ReplayGuard guard(true);
-    const auto &a = workload::spec2006::byName("456.hmmer");
-    const auto &b = workload::spec2006::byName("470.lbm");
+    std::vector<workload::WorkloadProfile> profiles;
+    for (const char *name :
+         {"456.hmmer", "470.lbm", "429.mcf", "453.povray"})
+        profiles.push_back(workload::spec2006::byName(name));
+    const auto mode = core::CoLocationMode::kSmt;
+    // Intervals distinct from every other test in this binary, so the
+    // first Lab's runs are the store's first sightings of their keys.
+    constexpr Cycle kWarmup = 2'039;
+    constexpr Cycle kMeasure = 3'300;
 
-    core::Lab first(MachineConfig::ivyBridge(), 2'039, 3'300);
-    const double d1 =
-        first.pairDegradation(a, b, core::CoLocationMode::kSmt);
+    core::Lab first(MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    const auto chars1 = first.characterizeAll(profiles, mode);
+    const auto pairs1 = first.measureAllPairs(profiles, mode);
 
     const std::uint64_t hits0 = counter("machine.replay.hits");
-    core::Lab second(MachineConfig::ivyBridge(), 2'039, 3'300);
-    const double d2 =
-        second.pairDegradation(a, b, core::CoLocationMode::kSmt);
-    // One solo run + one pair run, both replayed.
-    EXPECT_GE(counter("machine.replay.hits"), hits0 + 2);
-    EXPECT_EQ(d1, d2);
+    const std::uint64_t runs0 = counter("machine.runs");
+    core::Lab second(MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    const auto chars2 = second.characterizeAll(profiles, mode);
+    const auto pairs2 = second.measureAllPairs(profiles, mode);
+
+    // Every machine run the second Lab issued was a replay hit.
+    const std::uint64_t runs = counter("machine.runs") - runs0;
+    EXPECT_GT(runs, 0u);
+    EXPECT_EQ(counter("machine.replay.hits") - hits0, runs);
+
+    ASSERT_EQ(chars2.size(), chars1.size());
+    for (std::size_t i = 0; i < chars1.size(); ++i) {
+        SCOPED_TRACE(profiles[i].name);
+        ASSERT_TRUE(chars1[i].valid);
+        ASSERT_TRUE(chars2[i].valid);
+        EXPECT_EQ(chars2[i].sensitivity, chars1[i].sensitivity);
+        EXPECT_EQ(chars2[i].contentiousness, chars1[i].contentiousness);
+    }
+    EXPECT_EQ(pairs2, pairs1);
 }
 
-/** Reference-ticking runs bypass the stores entirely. */
+/** Reference-ticking runs bypass the store entirely. */
 TEST(ReplayStore, ReferenceTickingBypasses)
 {
     ReplayGuard guard(true);
@@ -281,132 +293,6 @@ TEST(ReplayStore, ReferenceTickingBypasses)
     machine.runSolo(app, 300, 1'000);
     EXPECT_EQ(counter("machine.replay.hits"), hits0);
     EXPECT_EQ(counter("machine.replay.misses"), misses0);
-}
-
-// ===================================================================
-// Warm-state snapshot round trips.
-// ===================================================================
-
-/**
- * Capture-and-adopt must be observably lossless: an adopted fresh
- * array and the array the snapshot came from answer a long randomized
- * access/probe/invalidate trace identically, outcome by outcome.
- */
-TEST(SnapshotRoundTrip, AdoptedArrayMatchesOriginal)
-{
-    workload::Rng rng(0xCAFE'1234ull);
-    const CacheConfig configs[] = {
-        {"snap8", 64 * 1024, 8, 30},
-        {"snap6", 36 * 1024, 6, 30},  // non-pow2 set count
-    };
-    for (const CacheConfig &config : configs) {
-        SCOPED_TRACE(config.name);
-        SetAssocCache original(config);
-
-        // Warm trace: enough traffic to fill sets, break some prefix
-        // trackers and leave dirty lines behind.
-        const std::uint64_t span = 4 * config.sizeBytes / kLineBytes;
-        for (int i = 0; i < 20'000; ++i)
-            original.access(rng.nextU64() % span, (rng.nextU64() & 1));
-        for (int i = 0; i < 64; ++i)
-            original.invalidate(rng.nextU64() % span);
-
-        const auto snap = original.captureSnapshot();
-        ASSERT_NE(snap, nullptr);
-        EXPECT_GT(snap->bytes(), 0u);
-
-        // Probe-only adoption: reads come straight from the image, so
-        // nothing is materialized.
-        {
-            SetAssocCache probe_only(config);
-            probe_only.adoptSnapshot(snap);
-            for (Addr line = 0; line < span; line += 7)
-                EXPECT_EQ(probe_only.probe(line), original.probe(line))
-                    << "line " << line;
-            EXPECT_EQ(probe_only.snapshotRestoredBytes(), 0u);
-        }
-
-        // Full adoption: identical subsequent trace, identical
-        // outcomes (hits, victims, dirty write-backs, probes).
-        SetAssocCache adopted(config);
-        adopted.adoptSnapshot(snap);
-        for (int i = 0; i < 30'000; ++i) {
-            const Addr line = rng.nextU64() % span;
-            const std::uint64_t op = rng.nextU64() % 8;
-            if (op < 6) {
-                const auto a = original.access(line, (op & 1) != 0);
-                const auto b = adopted.access(line, (op & 1) != 0);
-                ASSERT_EQ(a.hit, b.hit) << "op " << i;
-                ASSERT_EQ(a.evictedValid, b.evictedValid) << "op " << i;
-                ASSERT_EQ(a.evictedDirty, b.evictedDirty) << "op " << i;
-                ASSERT_EQ(a.evictedLine, b.evictedLine) << "op " << i;
-            } else if (op == 6) {
-                ASSERT_EQ(original.probe(line), adopted.probe(line))
-                    << "op " << i;
-            } else {
-                ASSERT_EQ(original.invalidate(line),
-                          adopted.invalidate(line))
-                    << "op " << i;
-            }
-        }
-        // Lazy restore never copies more than the image holds.
-        EXPECT_GT(adopted.snapshotRestoredBytes(), 0u);
-        EXPECT_LT(adopted.snapshotRestoredBytes(), snap->bytes());
-
-        // flush() drops the image: both arrays are empty again and
-        // keep agreeing from scratch.
-        original.flush();
-        adopted.flush();
-        for (int i = 0; i < 500; ++i) {
-            const Addr line = rng.nextU64() % span;
-            const auto a = original.access(line, false);
-            const auto b = adopted.access(line, false);
-            ASSERT_EQ(a.hit, b.hit) << "post-flush op " << i;
-        }
-    }
-}
-
-/**
- * Restored-byte accounting is per adoption and can legitimately
- * exceed the image size when many arrays adopt one snapshot; the
- * first-touch (unique) count must not. First adopter: every
- * materialized set is a first touch. Second adopter of the same
- * image: restores the same sets again, zero new unique bytes.
- */
-TEST(SnapshotRoundTrip, UniqueMaterializationIsFirstTouchOnly)
-{
-    const CacheConfig config{"snapu", 64 * 1024, 8, 30};
-    SetAssocCache original(config);
-    const std::uint64_t span = 2 * config.sizeBytes / kLineBytes;
-    workload::Rng rng(0xBEEF'77ull);
-    for (int i = 0; i < 20'000; ++i)
-        original.access(rng.nextU64() % span, (rng.nextU64() & 1));
-
-    const auto snap = original.captureSnapshot();
-    ASSERT_NE(snap, nullptr);
-
-    SetAssocCache first(config);
-    first.adoptSnapshot(snap);
-    for (Addr line = 0; line < span; ++line)
-        first.access(line, false);
-    EXPECT_GT(first.snapshotFirstTouchBytes(), 0u);
-    EXPECT_EQ(first.snapshotFirstTouchBytes(),
-              first.snapshotRestoredBytes());
-    EXPECT_LE(first.snapshotFirstTouchBytes(), snap->bytes());
-
-    SetAssocCache second(config);
-    second.adoptSnapshot(snap);
-    for (Addr line = 0; line < span; ++line)
-        second.access(line, false);
-    EXPECT_EQ(second.snapshotRestoredBytes(),
-              first.snapshotRestoredBytes());
-    EXPECT_EQ(second.snapshotFirstTouchBytes(), 0u);
-
-    // The machine-level mirror of the same invariant: cumulative
-    // unique bytes never exceed cumulative captured bytes (restored
-    // bytes can, which is why the two counters are split).
-    EXPECT_LE(counter("machine.snapshot.bytes_materialized_unique"),
-              counter("machine.snapshot.bytes_captured"));
 }
 
 // ===================================================================
@@ -433,7 +319,7 @@ TEST(ReplayChaos, ForcedLiveRunsStayByteIdentical)
         return machine.runPairSmt(a, b, 700, measure);
     };
 
-    // Baseline outcomes with the stores off and no faults armed.
+    // Baseline outcomes with replay off and no faults armed.
     std::vector<std::vector<CounterBlock>> want;
     {
         ReplayGuard off(false);
