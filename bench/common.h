@@ -4,9 +4,9 @@
  *
  * Each bench binary regenerates one table or figure of the paper and
  * prints our measured series next to the values the paper reports.
- * Expensive co-location measurements are shared between binaries
- * through the Lab disk cache (one file per machine configuration in
- * the working directory; delete the files to re-measure).
+ * Simulator runs are shared between binaries through the run log
+ * (sim::kRunLogFile in the working directory, one file for every
+ * machine and interval; delete it to re-measure).
  */
 
 #ifndef SMITE_BENCH_COMMON_H
@@ -57,37 +57,14 @@ benchMeasureCycles()
 }
 
 /**
- * Cache-file name for a machine configuration. Runs at non-default
- * simulation intervals get their own cache files — measurements taken
- * at different intervals must never mix.
- */
-inline std::string
-cacheFileFor(const sim::MachineConfig &config)
-{
-    std::string tag = config.microarchitecture;
-    for (char &c : tag) {
-        if (c == ' ' || c == '-')
-            c = '_';
-    }
-    const sim::Cycle warmup = benchWarmupCycles();
-    const sim::Cycle measure = benchMeasureCycles();
-    if (warmup != sim::kDefaultWarmupCycles ||
-        measure != sim::kDefaultMeasureCycles) {
-        tag += "_w" + std::to_string(warmup) + "_m" +
-               std::to_string(measure);
-    }
-    return "smite_lab_cache_" + tag + ".txt";
-}
-
-/**
- * Build a Lab with the shared disk cache enabled. (Returned as a
- * prvalue — the Lab is non-movable since its caches carry locks.)
+ * Build a Lab over the shared run log. (Returned as a prvalue — the
+ * Lab is non-movable since its caches carry locks.)
  */
 inline core::Lab
 makeLab(const sim::MachineConfig &config)
 {
-    return core::Lab(config, cacheFileFor(config),
-                     benchWarmupCycles(), benchMeasureCycles());
+    return core::Lab(config, sim::kRunLogFile, benchWarmupCycles(),
+                     benchMeasureCycles());
 }
 
 /**

@@ -32,8 +32,7 @@ main(int argc, char **argv)
     }
 
     // Measure on the 6-core server platform.
-    core::Lab lab(sim::MachineConfig::sandyBridgeEN());
-    lab.enableDiskCache("smite_lab_cache_Sandy_Bridge_EN.txt");
+    core::Lab lab(sim::MachineConfig::sandyBridgeEN(), sim::kRunLogFile);
     const auto mode = core::CoLocationMode::kSmt;
     const int threads = 6;
 

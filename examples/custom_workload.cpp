@@ -46,8 +46,7 @@ main()
     analytics.loadDepProb = 0.05;
     analytics.depMeanDist = 5.0;
 
-    core::Lab lab(sim::MachineConfig::ivyBridge());
-    lab.enableDiskCache("smite_lab_cache_Ivy_Bridge.txt");
+    core::Lab lab(sim::MachineConfig::ivyBridge(), sim::kRunLogFile);
     const auto mode = core::CoLocationMode::kSmt;
 
     std::printf("characterizing %s with the Ruler suite...\n\n",

@@ -23,10 +23,9 @@ int
 main()
 {
     // 1. A machine to measure on.
-    core::Lab lab(sim::MachineConfig::ivyBridge());
-    // Share measurements with the bench harnesses (first run
-    // simulates, reruns are instant).
-    lab.enableDiskCache("smite_lab_cache_Ivy_Bridge.txt");
+    // Share simulator runs with the bench harnesses through their run
+    // log (first run simulates, reruns are instant).
+    core::Lab lab(sim::MachineConfig::ivyBridge(), sim::kRunLogFile);
     std::printf("machine: %s (%d cores x %d contexts)\n\n",
                 lab.machine().config().name.c_str(),
                 lab.machine().config().numCores,

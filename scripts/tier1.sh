@@ -26,10 +26,10 @@ cmake --build build-tsan -j"$JOBS" --target test_parallel
 
 # --- Observability smoke -------------------------------------------
 # Run one real figure harness with tracing + metrics on (tiny
-# simulation intervals so it finishes in seconds; the non-default
-# intervals get their own scratch disk cache), validate both emitted
-# artifacts, and grep every span/metric name the run produced against
-# the catalog in docs/OBSERVABILITY.md.
+# simulation intervals so it finishes in seconds, in a fresh directory
+# so every run simulates), validate both emitted artifacts, and grep
+# every span/metric name the run produced against the catalog in
+# docs/OBSERVABILITY.md.
 OBS_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR"' EXIT
 (
@@ -67,7 +67,7 @@ echo "observability smoke: ok"
 # The same harness under a four-site fault plan must complete without
 # aborting, and the injected-fault / retry counters must be non-zero
 # (docs/ROBUSTNESS.md). Runs in a fresh directory so the chaos run
-# never shares a disk cache with the clean runs below.
+# never shares a run log with the clean runs below.
 CHAOS_DIR="$(mktemp -d)"
 (
     cd "$CHAOS_DIR"
@@ -134,7 +134,7 @@ echo "determinism: ok"
 # figure harness with interval memoization on (the default) must
 # produce stdout byte-identical to the same run with SMITE_SIM_MEMO=0
 # (every interval simulated live). Fresh directories so neither run
-# sees a shared disk cache.
+# sees a shared run log.
 MEMO_ON="$(mktemp -d)"
 MEMO_OFF="$(mktemp -d)"
 (
@@ -153,6 +153,35 @@ MEMO_OFF="$(mktemp -d)"
 cmp "$MEMO_ON/fig10.stdout" "$MEMO_OFF/fig10.stdout"
 rm -rf "$MEMO_ON" "$MEMO_OFF"
 echo "replay byte-identity: ok"
+
+# --- Warm-start gate -----------------------------------------------
+# The run log (sim/replay.h, smite_replay_cache.txt) carries every
+# simulator run into the next process: the same harness run twice in
+# one fresh directory must print byte-identical stdout, and the second
+# run must replay every run from the log — no replay misses, a nonzero
+# preload count.
+WARM_DIR="$(mktemp -d)"
+(
+    cd "$WARM_DIR"
+    for run in cold warm; do
+        SMITE_METRICS=1 \
+        SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
+            "$REPO/build/bench/bench_fig10_spec_smt_prediction" \
+            > "$run.stdout"
+    done
+    cmp cold.stdout warm.stdout
+    python3 - bench_fig10_spec_smt_prediction.report.json <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["metrics"]["counters"]
+misses = counters.get("machine.replay.misses", 0)
+preloaded = counters.get("machine.replay.preloaded", 0)
+if misses != 0 or preloaded == 0:
+    sys.exit(f"warm run: machine.replay.misses={misses} (want 0), "
+             f"machine.replay.preloaded={preloaded} (want > 0)")
+PY
+)
+rm -rf "$WARM_DIR"
+echo "warm start: ok"
 
 # --- Simulator perf smoke ------------------------------------------
 # Re-run the simulation-substrate microbenchmarks (CPU-time medians)

@@ -5,9 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -37,25 +35,6 @@ envInt(const char *name, int fallback)
     return fallback;
 }
 
-/** Format doubles for the cache file at full precision. */
-std::string
-formatValues(std::initializer_list<double> values)
-{
-    std::ostringstream out;
-    out.precision(17);
-    for (double v : values)
-        out << " " << v;
-    return out.str();
-}
-
-/** True if the stream has no tokens left (trailing garbage check). */
-bool
-exhausted(std::istream &in)
-{
-    std::string extra;
-    return !(in >> extra);
-}
-
 } // namespace
 
 Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
@@ -77,7 +56,8 @@ Lab::Lab(const sim::MachineConfig &config, const std::string &cache_path,
          sim::Cycle warmup, sim::Cycle measure)
     : Lab(config, warmup, measure)
 {
-    enableDiskCache(cache_path);
+    if (!cache_path.empty())
+        machine_.setRunLog(std::make_shared<sim::RunLog>(cache_path));
 }
 
 int
@@ -158,125 +138,6 @@ Lab::pairKey(const std::string &a, const std::string &b,
     return a + "|" + b + "|" + modeName(mode);
 }
 
-void
-Lab::appendToDisk(const std::string &key, const std::string &line)
-{
-    disk_.append(key, line);
-}
-
-void
-Lab::loadDiskCache(const std::string &path)
-{
-    std::ifstream in(path);
-    std::string line;
-    std::size_t lineno = 0;
-    bool first = true;
-    obs::Counter &preloaded =
-        obs::Registry::global().counter("lab.disk.preloaded");
-    auto warn = [&](const char *what) {
-        std::fprintf(stderr,
-                     "smite: disk cache %s:%zu: skipping %s line\n",
-                     path.c_str(), lineno, what);
-    };
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (first) {
-            first = false;
-            if (line == kLabCacheHeader)
-                continue;  // current format
-            if (line.rfind("smite-lab-cache", 0) == 0) {
-                std::fprintf(stderr,
-                             "smite: disk cache %s: unknown version "
-                             "'%s', reading best-effort\n",
-                             path.c_str(), line.c_str());
-                continue;
-            }
-            // No header: legacy v1 file; fall through and parse the
-            // line as a record.
-        }
-        if (line.empty())
-            continue;
-        std::istringstream row(line);
-        std::string kind, key;
-        if (!(row >> kind >> key)) {
-            warn("unparseable");
-            continue;
-        }
-        if (kind == "solo") {
-            double v;
-            if (row >> v && exhausted(row)) {
-                soloIpcCache_.put(key, v);
-                preloaded.add();
-            } else {
-                warn("truncated 'solo'");
-            }
-        } else if (kind == "pair") {
-            double a, b;
-            if (row >> a >> b && exhausted(row)) {
-                pairCache_.put(key, {a, b});
-                preloaded.add();
-            } else {
-                warn("truncated 'pair'");
-            }
-        } else if (kind == "multi") {
-            double v;
-            if (row >> v && exhausted(row)) {
-                multiCache_.put(key, v);
-                preloaded.add();
-            } else {
-                warn("truncated 'multi'");
-            }
-        } else if (kind == "pmu") {
-            PmuProfile p{};
-            bool ok = true;
-            for (double &v : p)
-                ok = ok && static_cast<bool>(row >> v);
-            if (ok && exhausted(row)) {
-                pmuCache_.put(key, p);
-                preloaded.add();
-            } else {
-                warn("truncated 'pmu'");
-            }
-        } else if (kind == "ports") {
-            std::array<double, sim::kNumPorts> utilization{};
-            bool ok = true;
-            for (double &v : utilization)
-                ok = ok && static_cast<bool>(row >> v);
-            if (ok && exhausted(row)) {
-                portCache_.put(key, utilization);
-                preloaded.add();
-            } else {
-                warn("truncated 'ports'");
-            }
-        } else if (kind == "char") {
-            Characterization c;
-            bool ok = true;
-            for (double &v : c.sensitivity)
-                ok = ok && static_cast<bool>(row >> v);
-            for (double &v : c.contentiousness)
-                ok = ok && static_cast<bool>(row >> v);
-            if (ok && exhausted(row)) {
-                characterizationCache_.put(key, c);
-                preloaded.add();
-            } else {
-                warn("truncated 'char'");
-            }
-        } else {
-            warn("unrecognized");
-        }
-    }
-}
-
-void
-Lab::enableDiskCache(const std::string &path)
-{
-    disk_.open(path);
-    // Preload the legacy single file (if present) and every existing
-    // shard; new records land sharded, headers created lazily.
-    for (const std::string &file : disk_.readPaths())
-        loadDiskCache(file);
-}
-
 double
 Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 {
@@ -290,7 +151,6 @@ Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
                 return std::vector<double>{
                     characterizer_.soloIpc(profile, threads)};
             });
-        appendToDisk(key, "solo " + key + formatValues({vals[0]}));
         return vals[0];
     });
 }
@@ -314,12 +174,7 @@ Lab::pmuProfile(const workload::WorkloadProfile &profile)
     return pmuCache_.getOrCompute(profile.name, [&] {
         obs::Span span("lab.pmu_profile", profile.name);
         // Retry lives in soloCounters(); this lambda only derives.
-        const PmuProfile rates = soloCounters(profile).pmuRates();
-        std::string line = "pmu " + profile.name;
-        for (double v : rates)
-            line += formatValues({v});
-        appendToDisk(profile.name, line);
-        return rates;
+        return soloCounters(profile).pmuRates();
     });
 }
 
@@ -331,19 +186,10 @@ Lab::characterization(const workload::WorkloadProfile &profile,
                             std::to_string(threads);
     return characterizationCache_.getOrCompute(key, [&] {
         obs::Span span("lab.characterize", key);
-        Characterization c =
-            withRetry(key, [&](const std::string &tkey) {
-                fault::maybeThrow("lab.measure", tkey);
-                return characterizer_.characterize(profile, mode,
-                                                   threads);
-            });
-        std::string line = "char " + key;
-        for (double v : c.sensitivity)
-            line += formatValues({v});
-        for (double v : c.contentiousness)
-            line += formatValues({v});
-        appendToDisk(key, line);
-        return c;
+        return withRetry(key, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            return characterizer_.characterize(profile, mode, threads);
+        });
     });
 }
 
@@ -352,13 +198,10 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
                      const workload::WorkloadProfile &aggressor,
                      CoLocationMode mode)
 {
-    const std::string key = pairKey(victim.name, aggressor.name, mode);
-    if (const auto *hit = pairCache_.peek(key))
-        return hit->first;
-
     // Simulate with the name-ordered workload in the first placement
     // slot so the run — and thus the measurement — is the same
-    // whichever direction is asked first, serially or in parallel.
+    // whichever direction is asked first, serially or in parallel;
+    // both directions share that one entry.
     const bool ordered = victim.name <= aggressor.name;
     const workload::WorkloadProfile &first =
         ordered ? victim : aggressor;
@@ -366,7 +209,6 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
         ordered ? aggressor : victim;
     const std::string canonical =
         pairKey(first.name, second.name, mode);
-    const std::string mirror = pairKey(second.name, first.name, mode);
 
     const auto &degs = pairCache_.getOrCompute(canonical, [&] {
         obs::Span span("lab.pair", canonical);
@@ -394,14 +236,8 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
                         : 0.0;
                 return std::vector<double>{deg_a, deg_b};
             });
-
-        appendToDisk(canonical, "pair " + canonical +
-                                    formatValues({deg[0], deg[1]}));
-        appendToDisk(mirror,
-                     "pair " + mirror + formatValues({deg[1], deg[0]}));
         return std::make_pair(deg[0], deg[1]);
     });
-    pairCache_.put(mirror, {degs.second, degs.first});
     return ordered ? degs.first : degs.second;
 }
 
@@ -433,10 +269,6 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
 
         std::array<double, sim::kNumPorts> utilization{};
         std::copy(vals.begin(), vals.end(), utilization.begin());
-        std::string line = "ports " + key;
-        for (double u : utilization)
-            line += formatValues({u});
-        appendToDisk(key, line);
         return utilization;
     });
 }
@@ -498,7 +330,6 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
                 return std::vector<double>{
                     solo > 0.0 ? (solo - co_ipc) / solo : 0.0};
             });
-        appendToDisk(key, "multi " + key + formatValues({vals[0]}));
         return vals[0];
     });
 }

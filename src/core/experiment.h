@@ -8,7 +8,8 @@
  *
  * Measurements are cached by (workload, mode, shape), so harnesses
  * that revisit the same co-locations (e.g. a figure sweep) pay for
- * each simulation once.
+ * each simulation once — across processes too, for a Lab built with
+ * a cache path (sim::RunLog).
  *
  * The Lab is safe to call from many threads at once: every cache is
  * a single-flight MemoCache (two threads never simulate the same key
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "core/characterize.h"
-#include "core/disk_cache.h"
 #include "core/memo_cache.h"
 #include "core/pmu_model.h"
 #include "core/smite_model.h"
@@ -69,7 +69,10 @@ class Lab
                  sim::Cycle warmup = sim::kDefaultWarmupCycles,
                  sim::Cycle measure = sim::kDefaultMeasureCycles);
 
-    /** Convenience: construct with the disk cache already enabled. */
+    /**
+     * Also replay the runs recorded in the run log at @p cache_path
+     * (sim::RunLog) and append the ones this Lab simulates to it.
+     */
     Lab(const sim::MachineConfig &config, const std::string &cache_path,
         sim::Cycle warmup = sim::kDefaultWarmupCycles,
         sim::Cycle measure = sim::kDefaultMeasureCycles);
@@ -242,24 +245,7 @@ class Lab
     static double scaleToInstances(double pair_prediction, int instances,
                                    int threads);
 
-    /**
-     * Persist measurements under @p path (write-through) and preload
-     * any measurements already recorded there. Several experiment
-     * harnesses share co-location measurements this way instead of
-     * re-simulating them. Records are sharded across
-     * `<path>.shard0..3` by key hash (each file with its own writer
-     * lock); a legacy single
-     * file at @p path itself is still preloaded. Each file is a
-     * plain text key/value log headed by a version line; delete the
-     * files to invalidate. Corrupt or truncated lines are skipped
-     * with a warning on stderr.
-     */
-    void enableDiskCache(const std::string &path);
-
-    /** The sharded disk cache (for inspection in tests). */
-    const ShardedDiskCache &diskCache() const { return disk_; }
-
-    /** Per-cache counts of measurements actually simulated. */
+    /** Per-cache counts of measurements computed (not memo hits). */
     struct Stats {
         std::uint64_t solo_ipc = 0;
         std::uint64_t solo_counters = 0;
@@ -282,8 +268,6 @@ class Lab
     Stats stats() const;
 
   private:
-    void appendToDisk(const std::string &key, const std::string &line);
-    void loadDiskCache(const std::string &path);
     std::string pairKey(const std::string &a, const std::string &b,
                         CoLocationMode mode) const;
 
@@ -347,8 +331,6 @@ class Lab
     MemoCache<std::string, double> multiCache_;
     MemoCache<std::string, std::array<double, sim::kNumPorts>>
         portCache_;
-
-    ShardedDiskCache disk_;  ///< not enabled() = disk cache disabled
 };
 
 } // namespace smite::core

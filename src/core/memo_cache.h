@@ -146,9 +146,9 @@ class MemoCache
     }
 
     /**
-     * Insert a ready value if the key is absent (e.g. preloading from
-     * the disk cache, or publishing the mirror direction of a pair
-     * measurement). Existing entries — ready or in flight — win.
+     * Insert a ready value if the key is absent (e.g. preloading the
+     * ReplayStore from a run log). Existing entries — ready or in
+     * flight — win.
      */
     void
     put(const Key &key, Value value)
@@ -160,19 +160,6 @@ class MemoCache
         it->second = std::make_shared<Slot>();
         it->second->value = std::move(value);
         it->second->ready = true;
-    }
-
-    /** Ready value for @p key, or nullptr if absent or in flight. */
-    const Value *
-    peek(const Key &key) const
-    {
-        std::shared_lock<std::shared_mutex> read(mu_);
-        const auto it = slots_.find(key);
-        if (it == slots_.end() || !it->second->ready)
-            return nullptr;
-        if (hits_)
-            hits_->add();
-        return &it->second->value;
     }
 
     /** Number of compute invocations (misses actually attempted). */

@@ -15,7 +15,7 @@
  *
  *   machine.jitter     Gaussian noise on simulated instruction counts
  *   lab.measure        transient MeasurementError from Lab computes
- *   disk.corrupt       bit flips / truncation / torn disk-cache appends
+ *   disk.corrupt       bit flips / truncation / torn run-log appends
  *   pool.delay         artificial thread-pool task delays
  *   server.fail        cluster-model server failures
  *   des.service        Gaussian stretch of queueing-model service

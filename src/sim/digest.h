@@ -3,11 +3,11 @@
  * FNV-1a 64-bit streaming digest used to build replay identity keys.
  *
  * The run-level replay store (sim/replay.h) keys on digests of machine
- * configurations and uop-stream identities. The hash only ever has to
- * be *stable within one process* (the store is in-memory), but it must
- * be exact: two different configurations colliding would replay the
- * wrong results, so every field that influences a run's outcome is
- * folded in bit-for-bit (doubles via their bit patterns).
+ * configurations and uop-stream identities. The hash must be *stable
+ * across processes* (the run log persists keys on disk) and exact: two
+ * different configurations colliding would replay the wrong results,
+ * so every field that influences a run's outcome is folded in
+ * bit-for-bit (doubles via their bit patterns).
  */
 
 #ifndef SMITE_SIM_DIGEST_H

@@ -366,8 +366,12 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
 
     ReplayEntry entry;
     if (memo) {
-        entry = replayStore().getOrCompute(
-            key, [&] { return runLive(placements, warmup, measure); });
+        entry = replayStore().getOrCompute(key, [&] {
+            ReplayEntry live = runLive(placements, warmup, measure);
+            if (runLog_ != nullptr)
+                runLog_->append(key, live);
+            return live;
+        });
     } else {
         entry = runLive(placements, warmup, measure);
     }

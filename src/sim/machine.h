@@ -8,6 +8,7 @@
 #ifndef SMITE_SIM_MACHINE_H
 #define SMITE_SIM_MACHINE_H
 
+#include <memory>
 #include <vector>
 
 #include "sim/config.h"
@@ -64,9 +65,10 @@ class Machine
      * (UopSource::streamDigest() != 0) and replay is enabled
      * (sim/replay.h), a repeated run is served out of the run-level
      * ReplayStore without ticking — byte-identical to a live run by
-     * contract. The `sim.replay` fault site, when armed, forces
-     * individual runs down the live path (chaos coverage for the
-     * byte-identity claim).
+     * contract — and a run simulated to fill the store is appended to
+     * the run log, if one is set. The `sim.replay` fault site, when
+     * armed, forces individual runs down the live path (chaos
+     * coverage for the byte-identity claim).
      *
      * @return one CounterBlock per placement (measurement interval
      *         only), in placement order
@@ -111,6 +113,12 @@ class Machine
      */
     void setReferenceTicking(bool on) { referenceTicking_ = on; }
 
+    /**
+     * Append the runs simulated to fill the ReplayStore to @p log,
+     * which copies of this machine share.
+     */
+    void setRunLog(std::shared_ptr<RunLog> log) { runLog_ = std::move(log); }
+
   private:
     /**
      * The actual simulation: build fresh state, prewarm, tick the
@@ -124,6 +132,7 @@ class Machine
 
     MachineConfig config_;
     bool referenceTicking_ = false;
+    std::shared_ptr<RunLog> runLog_;  ///< null: runs are not logged
 };
 
 } // namespace smite::sim

@@ -21,13 +21,15 @@
  * (pinned by tests/test_replay.cpp and the tier-1 memo-on/off
  * compare). Sources that cannot promise a stream identity
  * (UopSource::streamDigest() == 0) and reference-ticking runs bypass
- * the ReplayStore automatically.
+ * the ReplayStore automatically. A RunLog carries the store across
+ * processes.
  */
 
 #ifndef SMITE_SIM_REPLAY_H
 #define SMITE_SIM_REPLAY_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/memo_cache.h"
@@ -71,6 +73,53 @@ using ReplayKey = std::vector<std::uint64_t>;
  * `machine.replay.{hits,misses,waits}`.
  */
 core::MemoCache<ReplayKey, ReplayEntry> &replayStore();
+
+/**
+ * First line of every run log; bump it when simulator behaviour
+ * changes (tests/test_golden_sim.cpp pins it to the golden counters).
+ */
+inline constexpr const char *kRunLogVersion = "smite-replay v1";
+
+/** The run log the harnesses and the CLI share, one for every machine. */
+inline constexpr const char *kRunLogFile = "smite_replay_cache.txt";
+
+/**
+ * Crash-safe, append-only file of ReplayStore entries: it preloads the
+ * store and records one line per run its machine simulates live — the
+ * replay key, every placement's pre-jitter counter block, the
+ * event-loop tallies and a digest of all of them, as decimal words.
+ * Keyed like the store, a record is never reused for an edited
+ * profile, another machine or other intervals; simulator behaviour,
+ * which no key sees, is covered by kRunLogVersion.
+ *
+ * Crash safety: the version line is written to a temp file renamed
+ * into place; each record is one O_APPEND write of a whole line, so
+ * concurrent writers never interleave and a crash tears at most the
+ * last line. Lines with the wrong field count or digest are skipped
+ * with a `file:line` warning; losing one only costs re-simulating it.
+ * Counters: `machine.replay.preloaded`, `machine.replay.appends`.
+ */
+class RunLog
+{
+  public:
+    /**
+     * Preload replayStore() from @p path when replay is enabled,
+     * ignoring a file headed by another version. Writes nothing: the
+     * file is created on the first append.
+     */
+    explicit RunLog(std::string path);
+
+    /**
+     * Record one live run. Starts the file afresh (version line
+     * first) if it is missing or carries another version. The
+     * `disk.corrupt` fault site damages the line on its way out.
+     */
+    void append(const ReplayKey &key, const ReplayEntry &entry);
+
+  private:
+    std::string path_;
+    bool started_ = false;  ///< version line known present
+};
 
 } // namespace smite::sim
 

@@ -19,7 +19,11 @@
  *
  * Regenerating the goldens (only when *intentionally* changing model
  * semantics): run with SMITE_DUMP_GOLDEN=1 and paste the printed
- * scenario arrays over the kGolden table below.
+ * scenario arrays over the kGolden table below. Then bump the
+ * replay-log version (sim::kRunLogVersion in src/sim/replay.h), so
+ * run logs recorded by the old model are discarded:
+ * GoldenMachine.GoldensPinReplayLogVersion fails with "bump the
+ * replay-log version" until you do, and then prints the new pin.
  */
 
 #include <gtest/gtest.h>
@@ -27,10 +31,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 #include <vector>
 
 #include "sim/cache.h"
+#include "sim/digest.h"
 #include "sim/machine.h"
+#include "sim/replay.h"
 #include "sim/tlb.h"
 #include "workload/generator.h"
 #include "workload/rng.h"
@@ -482,6 +489,35 @@ TEST(GoldenMachine, CountersMatchSeedBehavior)
             }
         }
     }
+}
+
+/**
+ * Run logs persist outcomes under keys that cannot see simulator
+ * behaviour, so a change to the goldens needs a new log version. The
+ * pin pairs the version with a digest of the kGolden counters.
+ */
+TEST(GoldenMachine, GoldensPinReplayLogVersion)
+{
+    constexpr std::string_view kPinnedVersion = "smite-replay v1";
+    constexpr std::uint64_t kPinnedDigest = 0x3a7ca232f8c644f8ull;
+
+    Digest digest;
+    for (const GoldenScenario &scenario : goldens()) {
+        for (const auto &placement : scenario.expected) {
+            for (const std::uint64_t value : placement)
+                digest.u64(value);
+        }
+    }
+    if (digest.value() != kPinnedDigest) {
+        EXPECT_NE(std::string_view(kRunLogVersion), kPinnedVersion)
+            << "the golden counters changed: bump the replay-log "
+               "version (sim::kRunLogVersion)";
+        ADD_FAILURE() << "re-pin kPinnedVersion = \"" << kRunLogVersion
+                      << "\" and kPinnedDigest = 0x" << std::hex
+                      << digest.value();
+    }
+    EXPECT_EQ(std::string_view(kRunLogVersion), kPinnedVersion)
+        << "re-pin kPinnedVersion together with kPinnedDigest";
 }
 
 // ===================================================================

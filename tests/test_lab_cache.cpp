@@ -1,236 +1,325 @@
 /**
  * @file
- * Tests for the experiment Lab's write-through disk cache.
+ * Tests for the Lab's cache path: the run log (sim::RunLog) that
+ * persists simulator runs across processes.
+ *
+ * Every test that reloads a log writes it in a child process (a gtest
+ * EXPECT_EXIT statement, re-executed in a fresh process by the
+ * "threadsafe" death-test style), so the reloading process's
+ * ReplayStore has never seen those runs and everything it replays
+ * comes from the file. Expected values are live recomputes with
+ * replay disabled.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "fault/fault.h"
+#include "obs/metrics.h"
+#include "sim/replay.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
 namespace {
 
+const sim::MachineConfig kIvb = sim::MachineConfig::ivyBridge();
+const sim::MachineConfig kSnb = sim::MachineConfig::sandyBridgeEN();
+
+/** A fresh log path under the temp directory. */
 std::string
-tempCache(const char *name)
+freshLog(const char *name)
 {
-    return (std::filesystem::temp_directory_path() / name).string();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / name).string();
+    std::remove(path.c_str());
+    return path;
 }
 
-/** Remove the legacy file and every shard of a cache base path. */
+std::uint64_t
+counter(const char *name)
+{
+    return obs::Registry::global().counter(name).value();
+}
+
+/** Restore the process-wide replay switch on scope exit. */
+struct ReplayGuard {
+    explicit ReplayGuard(bool on) : prev(sim::setReplayEnabled(on)) {}
+    ~ReplayGuard() { sim::setReplayEnabled(prev); }
+    bool prev;
+};
+
+/**
+ * Run @p write in a child process. The "threadsafe" style re-executes
+ * this test binary for the child, so it starts with an empty store
+ * and its own thread pool.
+ */
 void
-removeCache(const std::string &base)
+writeInChild(const std::function<void()> &write)
 {
-    std::remove(base.c_str());
-    // More shards than any test configures, so leftovers never leak
-    // between runs.
-    for (int k = 0; k < 64; ++k)
-        std::remove(ShardedDiskCache::shardPath(base, k).c_str());
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            write();
+            std::exit(0);
+        },
+        testing::ExitedWithCode(0), "");
 }
 
-/** Concatenated record lines (header excluded) across all files. */
 std::vector<std::string>
-allRecords(const std::string &base)
+readLines(const std::string &path)
 {
-    std::vector<std::string> records;
-    std::vector<std::string> paths{base};
-    for (int k = 0; k < 64; ++k)
-        paths.push_back(ShardedDiskCache::shardPath(base, k));
-    for (const std::string &path : paths) {
-        std::ifstream in(path);
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line != kLabCacheHeader && !line.empty())
-                records.push_back(line);
-        }
-    }
-    return records;
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
 }
 
-TEST(LabCache, RoundTripsMeasurements)
+// (1) A profile edited under its old name must not reuse the runs of
+// the original profile.
+TEST(LabCache, EditedProfileIsNotServedStale)
 {
-    const std::string path = tempCache("smite_lab_cache_test.txt");
-    removeCache(path);
+    const std::string path = freshLog("smite_runlog_edit.txt");
+    const auto &original = workload::spec2006::byName("429.mcf");
+    writeInChild([&] { Lab(kIvb, path, 800, 2'000).soloIpc(original); });
 
-    const auto &a = workload::spec2006::byName("453.povray");
-    const auto &b = workload::spec2006::byName("433.milc");
-    const auto mode = CoLocationMode::kSmt;
+    workload::WorkloadProfile edited = original;
+    edited.hotProb *= 0.5;
+    const double served = Lab(kIvb, path, 800, 2'000).soloIpc(edited);
 
-    double solo = 0, pair = 0;
-    PmuProfile pmu{};
-    Characterization chr;
-    {
-        Lab lab(sim::MachineConfig::ivyBridge(), 5000, 20000);
-        lab.enableDiskCache(path);
-        solo = lab.soloIpc(a);
-        pair = lab.pairDegradation(a, b, mode);
-        pmu = lab.pmuProfile(a);
-        chr = lab.characterization(a, mode);
-    }
-
-    // A second lab must reproduce the exact numbers from disk; we
-    // verify by truncating its ability to simulate: loading from the
-    // cache returns identical values without noticeable divergence.
-    Lab reloaded(sim::MachineConfig::ivyBridge(), 5000, 20000);
-    reloaded.enableDiskCache(path);
-    EXPECT_EQ(reloaded.soloIpc(a), solo);
-    EXPECT_EQ(reloaded.pairDegradation(a, b, mode), pair);
-    EXPECT_EQ(reloaded.pmuProfile(a), pmu);
-    const Characterization &chr2 = reloaded.characterization(a, mode);
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        EXPECT_EQ(chr2.sensitivity[d], chr.sensitivity[d]);
-        EXPECT_EQ(chr2.contentiousness[d], chr.contentiousness[d]);
-    }
-    removeCache(path);
-}
-
-TEST(LabCache, PairCacheStoresBothDirections)
-{
-    const std::string path = tempCache("smite_lab_cache_dir.txt");
-    removeCache(path);
-    const auto &a = workload::spec2006::byName("453.povray");
-    const auto &b = workload::spec2006::byName("433.milc");
-    double forward = 0, backward = 0;
-    {
-        Lab lab(sim::MachineConfig::ivyBridge(), 5000, 20000);
-        lab.enableDiskCache(path);
-        forward = lab.pairDegradation(a, b, CoLocationMode::kSmt);
-        backward = lab.pairDegradation(b, a, CoLocationMode::kSmt);
-    }
-    Lab reloaded(sim::MachineConfig::ivyBridge(), 5000, 20000);
-    reloaded.enableDiskCache(path);
-    EXPECT_EQ(reloaded.pairDegradation(b, a, CoLocationMode::kSmt),
-              backward);
-    EXPECT_EQ(reloaded.pairDegradation(a, b, CoLocationMode::kSmt),
-              forward);
-    removeCache(path);
-}
-
-TEST(LabCache, IgnoresCorruptLines)
-{
-    const std::string path = tempCache("smite_lab_cache_bad.txt");
-    {
-        std::ofstream out(path);
-        out << "garbage line\n";
-        out << "solo 453.povray#1\n";          // missing value
-        out << "pair a|b|SMT 0.1\n";           // missing second value
-        out << "solo 453.povray#1 0.5\n";      // valid
-    }
-    Lab lab(sim::MachineConfig::ivyBridge(), 5000, 20000);
-    lab.enableDiskCache(path);
-    // The valid line is used; everything else is skipped.
-    EXPECT_EQ(lab.soloIpc(workload::spec2006::byName("453.povray")),
-              0.5);
+    ReplayGuard off(false);
+    const double fresh = Lab(kIvb, 800, 2'000).soloIpc(edited);
+    ASSERT_NE(fresh, Lab(kIvb, 800, 2'000).soloIpc(original));
+    EXPECT_EQ(served, fresh);
     std::remove(path.c_str());
 }
 
-TEST(LabCache, DisabledCacheWritesNothing)
+// (2) The other Table 1 machine on the same path must not reuse the
+// first machine's runs.
+TEST(LabCache, OtherMachineIsNotServedStale)
 {
-    const std::string path = tempCache("smite_lab_cache_none.txt");
-    removeCache(path);
-    Lab lab(sim::MachineConfig::ivyBridge(), 2000, 5000);
-    lab.soloIpc(workload::spec2006::byName("453.povray"));
-    EXPECT_FALSE(std::filesystem::exists(path));
-    EXPECT_FALSE(std::filesystem::exists(
-        ShardedDiskCache::shardPath(path, 0)));
-}
-
-TEST(LabCache, ShardsRecordsByKeyWithHeaders)
-{
-    const std::string path = tempCache("smite_lab_cache_shard.txt");
-    removeCache(path);
-
-    ShardedDiskCache cache;
-    cache.open(path);
-    EXPECT_TRUE(cache.enabled());
-    EXPECT_EQ(cache.shardCount(), 4);
-
-    // Enough distinct keys to hit more than one shard.
-    for (int i = 0; i < 32; ++i) {
-        const std::string key = "key" + std::to_string(i);
-        cache.append(key, "solo " + key + " 1.5");
-    }
-
-    // The legacy base file is never written; only shards are.
-    EXPECT_FALSE(std::filesystem::exists(path));
-    int shard_files = 0;
-    for (int k = 0; k < 4; ++k) {
-        const std::string shard = ShardedDiskCache::shardPath(path, k);
-        if (!std::filesystem::exists(shard))
-            continue;
-        ++shard_files;
-        // Every written shard starts with the version header.
-        std::ifstream in(shard);
-        std::string first;
-        ASSERT_TRUE(static_cast<bool>(std::getline(in, first)));
-        EXPECT_EQ(first, kLabCacheHeader);
-    }
-    EXPECT_GT(shard_files, 1);
-    EXPECT_EQ(allRecords(path).size(), 32u);
-
-    // A fresh instance over the same base sees every file.
-    ShardedDiskCache reader;
-    reader.open(path);
-    EXPECT_EQ(reader.readPaths().size(),
-              static_cast<std::size_t>(shard_files));
-    removeCache(path);
-}
-
-TEST(LabCache, LegacySingleFileStillPreloaded)
-{
-    const std::string path = tempCache("smite_lab_cache_legacy.txt");
-    removeCache(path);
-    {
-        // A cache written by an older (unsharded) build: all records
-        // in the base file itself.
-        std::ofstream out(path);
-        out << kLabCacheHeader << "\n";
-        out << "solo 453.povray#1 0.625\n";
-    }
-    Lab lab(sim::MachineConfig::ivyBridge(), 5000, 20000);
-    lab.enableDiskCache(path);
-    EXPECT_EQ(lab.soloIpc(workload::spec2006::byName("453.povray")),
-              0.625);
-    removeCache(path);
-}
-
-TEST(LabCache, RecoversFromTruncatedShardLine)
-{
-    const std::string path = tempCache("smite_lab_cache_torn.txt");
-    removeCache(path);
-
+    const std::string path = freshLog("smite_runlog_machine.txt");
     const auto &a = workload::spec2006::byName("453.povray");
+    const auto &b = workload::spec2006::byName("433.milc");
+    const auto mode = CoLocationMode::kSmt;
+    writeInChild(
+        [&] { Lab(kIvb, path, 810, 2'000).pairDegradation(a, b, mode); });
+
+    const double served =
+        Lab(kSnb, path, 810, 2'000).pairDegradation(a, b, mode);
+
+    ReplayGuard off(false);
+    const double fresh = Lab(kSnb, 810, 2'000).pairDegradation(a, b, mode);
+    ASSERT_NE(fresh, Lab(kIvb, 810, 2'000).pairDegradation(a, b, mode));
+    EXPECT_EQ(served, fresh);
+    std::remove(path.c_str());
+}
+
+// (3) Other intervals on the same path must not reuse the runs.
+TEST(LabCache, OtherIntervalsAreNotServedStale)
+{
+    const std::string path = freshLog("smite_runlog_interval.txt");
+    const auto &app = workload::spec2006::byName("429.mcf");
+    writeInChild([&] { Lab(kIvb, path, 820, 2'000).soloIpc(app); });
+
+    const double served = Lab(kIvb, path, 1'640, 4'000).soloIpc(app);
+
+    ReplayGuard off(false);
+    const double fresh = Lab(kIvb, 1'640, 4'000).soloIpc(app);
+    ASSERT_NE(fresh, Lab(kIvb, 820, 2'000).soloIpc(app));
+    EXPECT_EQ(served, fresh);
+    std::remove(path.c_str());
+}
+
+/** Every value the round-trip tests compare. */
+struct Measured {
     double solo = 0;
+    double forward = 0;
+    double backward = 0;
+    PmuProfile pmu{};
+    Characterization chr;
+};
+
+Measured
+measure(Lab &lab)
+{
+    const auto &a = workload::spec2006::byName("453.povray");
+    const auto &b = workload::spec2006::byName("433.milc");
+    const auto mode = CoLocationMode::kSmt;
+    Measured m;
+    m.solo = lab.soloIpc(a);
+    m.forward = lab.pairDegradation(a, b, mode);
+    m.backward = lab.pairDegradation(b, a, mode);
+    m.pmu = lab.pmuProfile(a);
+    m.chr = lab.characterization(a, mode);
+    return m;
+}
+
+void
+expectSame(const Measured &got, const Measured &want)
+{
+    EXPECT_EQ(got.solo, want.solo);
+    EXPECT_EQ(got.forward, want.forward);
+    EXPECT_EQ(got.backward, want.backward);
+    EXPECT_EQ(got.pmu, want.pmu);
+    EXPECT_EQ(got.chr.sensitivity, want.chr.sensitivity);
+    EXPECT_EQ(got.chr.contentiousness, want.chr.contentiousness);
+}
+
+// (4) A reloading process replays every run from the file.
+TEST(LabCache, ReloadReplaysEveryRun)
+{
+    const std::string path = freshLog("smite_runlog_reload.txt");
+    writeInChild([&] {
+        Lab lab(kIvb, path, 830, 2'000);
+        measure(lab);
+    });
+
+    const std::uint64_t preloaded0 = counter("machine.replay.preloaded");
+    const std::uint64_t misses0 = counter("machine.replay.misses");
+    Lab reloaded(kIvb, path, 830, 2'000);
+    EXPECT_GT(counter("machine.replay.preloaded"), preloaded0);
+    const Measured got = measure(reloaded);
+    EXPECT_EQ(counter("machine.replay.misses"), misses0);
+
+    ReplayGuard off(false);
+    Lab live(kIvb, 830, 2'000);
+    expectSame(got, measure(live));
+    std::remove(path.c_str());
+}
+
+// (5) Garbage and a torn last line are skipped with file:line
+// warnings; the intact records still replay.
+TEST(LabCache, SkipsMalformedLinesWithLocation)
+{
+    const std::string path = freshLog("smite_runlog_bad.txt");
+    const auto &app = workload::spec2006::byName("456.hmmer");
+    writeInChild([&] { Lab(kIvb, path, 840, 2'000).soloIpc(app); });
+
+    std::vector<std::string> lines = readLines(path);
+    ASSERT_EQ(lines.size(), 2u);  // version line + one solo run
     {
-        Lab lab(sim::MachineConfig::ivyBridge(), 5000, 20000);
-        lab.enableDiskCache(path);
-        solo = lab.soloIpc(a);
-        lab.pairDegradation(a, workload::spec2006::byName("433.milc"),
-                            CoLocationMode::kSmt);
+        std::ofstream out(path, std::ios::app);
+        out << "garbage line\n";
+        out << "1 2 3\n";
+        out << lines[1].substr(0, lines[1].size() / 2);  // torn
     }
 
-    // Simulate a crash mid-append: every shard gains a torn record —
-    // cut off mid-key, no trailing newline.
-    for (int k = 0; k < 8; ++k) {
-        const std::string shard = ShardedDiskCache::shardPath(path, k);
-        if (!std::filesystem::exists(shard))
-            continue;
-        std::ofstream out(shard, std::ios::app);
-        out << "pair 453.pov";
+    const std::uint64_t misses0 = counter("machine.replay.misses");
+    testing::internal::CaptureStderr();
+    Lab reloaded(kIvb, path, 840, 2'000);
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    for (const int lineno : {3, 4, 5})
+        EXPECT_NE(warnings.find(path + ":" + std::to_string(lineno)),
+                  std::string::npos)
+            << warnings;
+    EXPECT_EQ(warnings.find(path + ":2"), std::string::npos) << warnings;
+    const double served = reloaded.soloIpc(app);
+    EXPECT_EQ(counter("machine.replay.misses"), misses0);
+
+    ReplayGuard off(false);
+    EXPECT_EQ(served, Lab(kIvb, 840, 2'000).soloIpc(app));
+    std::remove(path.c_str());
+}
+
+// (6) A Lab without a path writes nothing.
+TEST(LabCache, NoPathCreatesNoFile)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / "smite_runlog_none";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directory(dir);
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+    Lab(kIvb, 850, 2'000).soloIpc(workload::spec2006::byName("456.hmmer"));
+    std::filesystem::current_path(cwd);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+    std::filesystem::remove_all(dir);
+}
+
+// A file headed by another version is treated as absent: nothing is
+// preloaded, and the first append starts the file afresh.
+TEST(LabCache, OtherVersionIsIgnoredAndRestarted)
+{
+    const std::string path = freshLog("smite_runlog_version.txt");
+    const auto &app = workload::spec2006::byName("470.lbm");
+    writeInChild([&] { Lab(kIvb, path, 860, 2'000).soloIpc(app); });
+
+    std::vector<std::string> lines = readLines(path);
+    ASSERT_EQ(lines.size(), 2u);
+    const std::string version = lines[0];
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << "smite-replay v0\n" << lines[1] << "\n";
     }
 
-    // The reader skips the torn lines and the Lab still works —
-    // re-simulating whatever was lost.
-    Lab reloaded(sim::MachineConfig::ivyBridge(), 5000, 20000);
-    reloaded.enableDiskCache(path);
-    EXPECT_EQ(reloaded.soloIpc(a), solo);
-    removeCache(path);
+    const std::uint64_t preloaded0 = counter("machine.replay.preloaded");
+    const std::uint64_t misses0 = counter("machine.replay.misses");
+    Lab reloaded(kIvb, path, 860, 2'000);
+    EXPECT_EQ(counter("machine.replay.preloaded"), preloaded0);
+    reloaded.soloIpc(app);
+    EXPECT_EQ(counter("machine.replay.misses"), misses0 + 1);
+
+    // The live run's append rewrote the file: current version line,
+    // then only the new record.
+    EXPECT_EQ(readLines(path), (std::vector<std::string>{version, lines[1]}));
+    std::remove(path.c_str());
+}
+
+// `disk.corrupt` round trip: a log written with some appends damaged
+// reloads to exactly the live values, replaying the intact records.
+TEST(LabCache, CorruptAppendsRoundTrip)
+{
+    const std::string path = freshLog("smite_runlog_corrupt.txt");
+    std::vector<workload::WorkloadProfile> profiles;
+    for (const char *name :
+         {"456.hmmer", "470.lbm", "429.mcf", "453.povray"})
+        profiles.push_back(workload::spec2006::byName(name));
+    const auto mode = CoLocationMode::kSmt;
+    const auto run = [&](Lab &lab) {
+        return std::make_pair(lab.characterizeAll(profiles, mode),
+                              lab.measureAllPairs(profiles, mode));
+    };
+    writeInChild([&] {
+        fault::SiteSpec spec;
+        spec.probability = 0.3;
+        spec.seed = 5;
+        fault::FaultPlan::global().arm("disk.corrupt", spec);
+        Lab lab(kIvb, path, 870, 2'000);
+        run(lab);
+    });
+
+    const std::size_t records = readLines(path).size() - 1;
+    const std::uint64_t preloaded0 = counter("machine.replay.preloaded");
+    testing::internal::CaptureStderr();
+    Lab reloaded(kIvb, path, 870, 2'000);
+    testing::internal::GetCapturedStderr();
+    const std::uint64_t preloaded =
+        counter("machine.replay.preloaded") - preloaded0;
+    EXPECT_GT(preloaded, 0u);
+    EXPECT_LT(preloaded, records);
+    const auto got = run(reloaded);
+
+    ReplayGuard off(false);
+    Lab live(kIvb, 870, 2'000);
+    const auto want = run(live);
+    ASSERT_EQ(got.first.size(), want.first.size());
+    for (std::size_t i = 0; i < want.first.size(); ++i) {
+        SCOPED_TRACE(profiles[i].name);
+        EXPECT_EQ(got.first[i].sensitivity, want.first[i].sensitivity);
+        EXPECT_EQ(got.first[i].contentiousness,
+                  want.first[i].contentiousness);
+    }
+    EXPECT_EQ(got.second, want.second);
+    std::remove(path.c_str());
 }
 
 } // namespace

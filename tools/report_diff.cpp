@@ -10,7 +10,7 @@
  * errors. `--tol` sets the relative tolerance for numeric results
  * (default 1e-9 — simulated measurements are deterministic, so any
  * real drift is a regression); `--metrics` also compares the metrics
- * snapshot (noisy: cache hit counts change whenever the disk cache is
+ * snapshot (noisy: replay hit counts change whenever the run log is
  * warm, so it is off by default). Timings are never compared.
  *
  * Typical CI use: run a harness before and after a change and diff

@@ -18,7 +18,7 @@
  *   --machine ivb|snb     machine preset (default ivb)
  *   --mode smt|cmp        co-location mode (default smt)
  *   --train even|odd      SPEC training split (default even)
- *   --cache <file>        Lab disk cache (default: per-machine file)
+ *   --cache <file>        run log (default: smite_replay_cache.txt)
  */
 
 #include <cstdio>
@@ -36,7 +36,7 @@ struct Options {
     sim::MachineConfig machine = sim::MachineConfig::ivyBridge();
     core::CoLocationMode mode = core::CoLocationMode::kSmt;
     bool trainEven = true;
-    std::string cacheFile;
+    std::string cacheFile = sim::kRunLogFile;
     std::vector<std::string> positional;
 };
 
@@ -111,17 +111,9 @@ lookup(const std::string &name)
 core::Lab
 makeLab(const Options &opts)
 {
-    std::string path = opts.cacheFile;
-    if (path.empty()) {
-        path = "smite_lab_cache_" +
-               (opts.machine.numCores == 6
-                    ? std::string("Sandy_Bridge_EN")
-                    : std::string("Ivy_Bridge")) +
-               ".txt";
-    }
     // Returned as a prvalue: the Lab is non-movable (its memo caches
     // carry synchronization state).
-    return core::Lab(opts.machine, path);
+    return core::Lab(opts.machine, opts.cacheFile);
 }
 
 int
