@@ -30,16 +30,20 @@ main()
     const auto test = workload::spec2006::oddNumbered();
 
     auto dataset = [&](const std::vector<workload::WorkloadProfile> &apps) {
+        // The PMU baseline reads nothing but a signature's solo rates.
+        std::vector<core::WorkloadSignature> sigs(apps.size());
+        for (std::size_t i = 0; i < apps.size(); ++i)
+            sigs[i].pmu = lab.pmuProfile(apps[i]);
         std::pair<std::vector<std::vector<double>>,
                   std::vector<double>> data;
-        for (const auto &a : apps) {
-            for (const auto &b : apps) {
-                if (a.name == b.name)
+        for (std::size_t i = 0; i < apps.size(); ++i) {
+            for (std::size_t j = 0; j < apps.size(); ++j) {
+                if (i == j)
                     continue;
-                data.first.push_back(core::PmuModel::features(
-                    lab.pmuProfile(a), lab.pmuProfile(b)));
+                data.first.push_back(
+                    core::PmuPredictor::features(sigs[i], {&sigs[j]}));
                 data.second.push_back(
-                    lab.pairDegradation(a, b, mode));
+                    lab.pairDegradation(apps[i], apps[j], mode));
             }
         }
         return data;

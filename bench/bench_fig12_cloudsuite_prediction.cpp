@@ -29,17 +29,21 @@ runMode(core::Lab &lab, core::CoLocationMode mode, int threads,
     std::printf("\n--- %s co-location: %d latency threads, 1..%d "
                 "batch instances ---\n", core::modeName(mode), threads,
                 threads);
-    const core::SmiteModel smite = lab.trainSmite(train, mode);
-    const core::PmuModel pmu = lab.trainPmu(train, mode);
+    const core::TrainingCorpus corpus =
+        core::trainingCorpus(lab, train, mode);
+    const core::SmitePredictor smite =
+        core::SmitePredictor::train(corpus.samples);
+    const core::PmuPredictor pmu =
+        core::PmuPredictor::train(corpus.samples);
 
     // Fan out everything the reporting loop needs: test-set and
-    // CloudSuite characterizations, and the full (latency app, batch,
+    // CloudSuite signatures, and the full (latency app, batch,
     // instance-count) measurement grid — all independent simulations.
     const auto clouds = workload::cloudsuite::all();
-    lab.characterizeAll(test, mode);
-    lab.pmuProfileAll(test);
-    lab.characterizeAll(clouds, mode, threads);
-    lab.pmuProfileAll(clouds);
+    const std::vector<core::WorkloadSignature> test_sigs =
+        core::signaturesOf(lab, test, mode);
+    const std::vector<core::WorkloadSignature> cloud_sigs =
+        core::signaturesOf(lab, clouds, mode, threads);
     struct Task {
         const workload::WorkloadProfile *cloud;
         const workload::WorkloadProfile *batch;
@@ -65,22 +69,19 @@ runMode(core::Lab &lab, core::CoLocationMode mode, int threads,
                 "min deg", "avg deg", "max deg", "SMiTe err",
                 "PMU err");
     double total_smite = 0, total_pmu = 0;
-    for (const auto &cloud : workload::cloudsuite::all()) {
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, threads);
-        const auto cloud_pmu = lab.pmuProfile(cloud);
-
+    for (std::size_t c = 0; c < clouds.size(); ++c) {
+        const auto &cloud = clouds[c];
         double min_deg = 1e9, max_deg = -1e9, sum_deg = 0;
         double smite_err = 0, pmu_err = 0;
         int n = 0;
-        for (const auto &batch : test) {
-            const double pair_smite = smite.predict(
-                cloud_char, lab.characterization(batch, mode));
+        for (std::size_t b = 0; b < test.size(); ++b) {
+            const double pair_smite =
+                smite.predictDegradation(cloud_sigs[c], test_sigs[b]);
             const double pair_pmu =
-                pmu.predict(cloud_pmu, lab.pmuProfile(batch));
+                pmu.predictDegradation(cloud_sigs[c], test_sigs[b]);
             for (int k = 1; k <= threads; ++k) {
                 const double actual = lab.multiInstanceDegradation(
-                    cloud, threads, batch, k, mode);
+                    cloud, threads, test[b], k, mode);
                 const double p_smite =
                     core::Lab::scaleToInstances(pair_smite, k, threads);
                 const double p_pmu =

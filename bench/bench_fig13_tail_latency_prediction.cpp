@@ -32,7 +32,10 @@ main()
     const int threads = 6;
     const auto train = workload::spec2006::oddNumbered();
     const auto test = workload::spec2006::evenNumbered();
-    const core::SmiteModel model = lab.trainSmite(train, mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, train, mode).samples);
+    const std::vector<core::WorkloadSignature> test_sigs =
+        core::signaturesOf(lab, test, mode);
 
     // Cross-check gate: where the degraded queue is comfortably
     // stable, the DES measurement and the closed form describe the
@@ -47,8 +50,8 @@ main()
             continue;
         const core::TailLatencyPredictor predictor(cloud);
         const double solo_p90 = predictor.soloPercentile(0.90);
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, threads);
+        const core::WorkloadSignature cloud_sig =
+            core::signatureOf(lab, cloud, mode, threads);
 
         std::printf("\n%s: solo p90 = %.3f ms "
                     "(lambda %.0f/s, mu %.0f/s)\n", cloud.name.c_str(),
@@ -64,12 +67,12 @@ main()
         // actually admit (deeper co-locations drive the queue toward
         // instability, where percentiles diverge).
         const int instances = 2;
-        for (const auto &batch : test) {
+        for (std::size_t b = 0; b < test.size(); ++b) {
+            const auto &batch = test[b];
             const double actual = lab.multiInstanceDegradation(
                 cloud, threads, batch, instances, mode);
             const double predicted_deg = core::Lab::scaleToInstances(
-                model.predict(cloud_char,
-                              lab.characterization(batch, mode)),
+                model.predictDegradation(cloud_sig, test_sigs[b]),
                 instances, threads);
             const double clamped =
                 std::min(std::max(actual, 0.0), 0.95);

@@ -28,7 +28,8 @@ main()
     const auto batch = workload::spec2006::evenNumbered();
     const auto &latency = workload::cloudsuite::all();
 
-    const core::SmiteModel model = lab.trainSmite(train, mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, train, mode).samples);
     const auto pairings =
         bench::buildAvgPerfPairings(lab, model, latency, batch);
     const scheduler::Cluster cluster(pairings, bench::namesOf(latency),

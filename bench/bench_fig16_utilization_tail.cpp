@@ -20,8 +20,9 @@ main()
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
     const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, workload::spec2006::oddNumbered(), mode)
+            .samples);
 
     std::vector<workload::WorkloadProfile> latency = {
         workload::cloudsuite::byName("Web-Search"),

@@ -54,8 +54,9 @@ main()
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
     const auto mode = core::CoLocationMode::kSmt;
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::oddNumbered(), mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, workload::spec2006::oddNumbered(), mode)
+            .samples);
     const auto batch = workload::spec2006::evenNumbered();
 
     const tco::TcoModel tco_model;  // Google-fleet PUE 1.12 default

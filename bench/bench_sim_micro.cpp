@@ -40,6 +40,7 @@
 
 #include "bench/common.h"
 #include "core/smite.h"
+#include "loadgen/arrival.h"
 #include "obs/report.h"
 
 using namespace smite;
@@ -287,12 +288,19 @@ main(int argc, char **argv)
         recordTimes(report, "regression_fit", t);
     }
 
-    // Queueing kernel: the tail-latency discrete-event simulation.
+    // Queueing kernel: the tail-latency discrete-event simulation,
+    // one server over a pre-generated Poisson stream (M/M/1).
     {
+        loadgen::ArrivalConfig arrival;
+        arrival.rate = 1200;
+        arrival.seed = 1;
+        const std::vector<double> arrivals =
+            loadgen::ArrivalStream(arrival).generate(20000);
+        queueing::OpenLoopConfig config;
+        config.serviceRates = {2000};
+        config.seed = 1;
         const Times t = timeRepeats([&] {
-            g_sink = static_cast<std::uint64_t>(
-                queueing::simulateMm1(1200, 2000, 20000, 1)
-                    .responseTimes.size());
+            g_sink = queueing::simulateOpenLoop(arrivals, config).completed;
         });
         record(report, "queue_sim_ms", t.median_s * 1e3, "ms/run");
         recordTimes(report, "queue_sim", t);

@@ -186,9 +186,10 @@ paperReference(const char *text)
 
 /**
  * The Figures 10/11 protocol: train SMiTe and the PMU baseline on
- * the even-numbered SPEC benchmarks, evaluate on all ordered pairs
- * of the odd-numbered ones, and print per-benchmark measured
- * degradation plus both models' average absolute prediction error.
+ * one corpus of the even-numbered SPEC benchmarks, evaluate on all
+ * ordered pairs of the odd-numbered ones, and print per-benchmark
+ * measured degradation plus both models' average absolute prediction
+ * error.
  */
 inline void
 runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
@@ -206,14 +207,19 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
     std::printf("training SMiTe + PMU models on the %zu even-numbered "
                 "benchmarks (%s co-location, %d threads)...\n",
                 train.size(), core::modeName(mode), lab.parallelism());
-    const core::SmiteModel smite = lab.trainSmite(train, mode);
-    const core::PmuModel pmu = lab.trainPmu(train, mode);
+    const core::TrainingCorpus corpus =
+        core::trainingCorpus(lab, train, mode);
+    const core::SmitePredictor smite =
+        core::SmitePredictor::train(corpus.samples);
+    const core::PmuPredictor pmu =
+        core::PmuPredictor::train(corpus.samples);
 
     // Fan the test-set measurements out before the reporting loop so
     // the serial printing below runs entirely on cache hits.
-    lab.characterizeAll(test, mode);
-    lab.pmuProfileAll(test);
-    lab.measureAllPairs(test, mode);
+    const std::vector<core::WorkloadSignature> sigs =
+        core::signaturesOf(lab, test, mode);
+    const std::vector<std::vector<double>> pairs =
+        lab.measureAllPairs(test, mode);
 
     std::printf("\nSMiTe coefficients c_i:");
     for (int d = 0; d < rulers::kNumDimensions; ++d) {
@@ -229,33 +235,32 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
     obs::json::Value per_benchmark = obs::json::Value::array();
     double total_measured = 0, total_smite = 0, total_pmu = 0;
     int skipped_pairs = 0;
-    for (const auto &victim : test) {
+    for (std::size_t v = 0; v < test.size(); ++v) {
+        const workload::WorkloadProfile &victim = test[v];
         double measured = 0, smite_err = 0, pmu_err = 0;
         int n = 0;
-        for (const auto &aggressor : test) {
-            if (victim.name == aggressor.name)
+        for (std::size_t a = 0; a < test.size(); ++a) {
+            if (v == a)
                 continue;
-            // A pair whose measurement failed past the Lab's retry
-            // budget is skipped (and the run reported partial) rather
-            // than aborting the whole evaluation.
-            try {
-                const double actual =
-                    lab.pairDegradation(victim, aggressor, mode);
-                const double p_smite = smite.predict(
-                    lab.characterization(victim, mode),
-                    lab.characterization(aggressor, mode));
-                const double p_pmu = pmu.predict(
-                    lab.pmuProfile(victim), lab.pmuProfile(aggressor));
-                measured += actual;
-                smite_err += std::abs(p_smite - actual);
-                pmu_err += std::abs(p_pmu - actual);
-                ++n;
-            } catch (const fault::MeasurementError &err) {
+            // A pair resting on a measurement that failed past the
+            // Lab's retry budget is skipped (and the run reported
+            // partial) rather than aborting the whole evaluation.
+            const double actual = pairs[v][a];
+            if (std::isnan(actual) || !sigs[v].valid || !sigs[a].valid) {
                 ++skipped_pairs;
                 obs::IncidentLog::global().record(
                     "evaluation: skipped pair " + victim.name + "|" +
-                    aggressor.name + ": " + err.what());
+                    test[a].name + " after a measurement failure");
+                continue;
             }
+            measured += actual;
+            smite_err +=
+                std::abs(smite.predictDegradation(sigs[v], sigs[a]) -
+                         actual);
+            pmu_err +=
+                std::abs(pmu.predictDegradation(sigs[v], sigs[a]) -
+                         actual);
+            ++n;
         }
         if (n == 0) {
             std::printf("%-16s %12s %12s %12s\n", victim.name.c_str(),

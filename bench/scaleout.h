@@ -24,25 +24,33 @@ inline constexpr int kLatencyThreads = 6;
 /** Servers dedicated to each latency application (paper: 1,000). */
 inline constexpr int kServersPerApp = 1000;
 
+/** Signatures of a scale-out sweep's latency and batch apps. */
+struct ScaleoutSignatures {
+    std::vector<core::WorkloadSignature> latency;  ///< kLatencyThreads-thread
+    std::vector<core::WorkloadSignature> batch;
+};
+
 /**
  * Fan the full measurement grid of a scale-out sweep — latency-app
- * and batch-app characterizations plus every (latency, batch,
- * 1..kLatencyThreads) multi-instance degradation — out across the
- * Lab's thread pool (width: SMITE_THREADS). The serial table-assembly
- * loops below then run entirely on cache hits, so their output is
- * byte-identical to the all-serial protocol (verified by
- * bench_parallel_scaling).
+ * (kLatencyThreads threads) and batch-app signatures plus every
+ * (latency, batch, 1..kLatencyThreads) multi-instance degradation —
+ * out across the Lab's thread pool (width: SMITE_THREADS). The serial
+ * table-assembly loops below then run entirely on cache hits, so
+ * their output is byte-identical to the all-serial protocol
+ * (verified by bench_parallel_scaling).
  */
-inline void
+inline ScaleoutSignatures
 prefetchScaleoutGrid(core::Lab &lab,
                      const std::vector<workload::WorkloadProfile> &latency,
                      const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    lab.characterizeAll(latency, mode, kLatencyThreads);
-    lab.characterizeAll(batch, mode);
+    ScaleoutSignatures sigs{
+        core::signaturesOf(lab, latency, mode, kLatencyThreads),
+        core::signaturesOf(lab, batch, mode)};
     lab.multiInstancePrefetch(latency, kLatencyThreads, batch,
                               kLatencyThreads, mode);
+    return sigs;
 }
 
 /**
@@ -51,27 +59,28 @@ prefetchScaleoutGrid(core::Lab &lab,
  * model scaled to the instance count.
  */
 inline std::vector<scheduler::Pairing>
-buildAvgPerfPairings(core::Lab &lab, const core::SmiteModel &model,
+buildAvgPerfPairings(core::Lab &lab, const core::SmitePredictor &model,
                      const std::vector<workload::WorkloadProfile> &latency,
                      const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    prefetchScaleoutGrid(lab, latency, batch);
+    const ScaleoutSignatures sigs =
+        prefetchScaleoutGrid(lab, latency, batch);
     std::vector<scheduler::Pairing> pairings;
-    for (const auto &cloud : latency) {
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, kLatencyThreads);
-        for (const auto &b : batch) {
-            const double pair_prediction = model.predict(
-                cloud_char, lab.characterization(b, mode));
+    for (std::size_t l = 0; l < latency.size(); ++l) {
+        const auto &cloud = latency[l];
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+            const double pair_prediction = model.predictDegradation(
+                sigs.latency[l], sigs.batch[b]);
             scheduler::Pairing pairing;
             pairing.latencyApp = cloud.name;
-            pairing.batchApp = b.name;
+            pairing.batchApp = batch[b].name;
             for (int k = 1; k <= kLatencyThreads; ++k) {
                 scheduler::CoLocationOption option;
                 option.actualQos =
                     1.0 - lab.multiInstanceDegradation(
-                              cloud, kLatencyThreads, b, k, mode);
+                              cloud, kLatencyThreads, batch[b], k,
+                              mode);
                 option.predictedQos =
                     1.0 - core::Lab::scaleToInstances(
                               pair_prediction, k, kLatencyThreads);
@@ -91,28 +100,28 @@ buildAvgPerfPairings(core::Lab &lab, const core::SmiteModel &model,
  * degradation.
  */
 inline std::vector<scheduler::Pairing>
-buildTailPairings(core::Lab &lab, const core::SmiteModel &model,
+buildTailPairings(core::Lab &lab, const core::SmitePredictor &model,
                   const std::vector<workload::WorkloadProfile> &latency,
                   const std::vector<workload::WorkloadProfile> &batch)
 {
     const auto mode = core::CoLocationMode::kSmt;
-    prefetchScaleoutGrid(lab, latency, batch);
+    const ScaleoutSignatures sigs =
+        prefetchScaleoutGrid(lab, latency, batch);
     std::vector<scheduler::Pairing> pairings;
-    for (const auto &cloud : latency) {
+    for (std::size_t l = 0; l < latency.size(); ++l) {
+        const auto &cloud = latency[l];
         const core::TailLatencyPredictor predictor(cloud);
         const double solo_p90 = predictor.soloPercentile(0.90);
-        const auto &cloud_char =
-            lab.characterization(cloud, mode, kLatencyThreads);
-        for (const auto &b : batch) {
-            const double pair_prediction = model.predict(
-                cloud_char, lab.characterization(b, mode));
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+            const double pair_prediction = model.predictDegradation(
+                sigs.latency[l], sigs.batch[b]);
             scheduler::Pairing pairing;
             pairing.latencyApp = cloud.name;
-            pairing.batchApp = b.name;
+            pairing.batchApp = batch[b].name;
             for (int k = 1; k <= kLatencyThreads; ++k) {
                 const double actual_deg = std::clamp(
                     lab.multiInstanceDegradation(
-                        cloud, kLatencyThreads, b, k, mode),
+                        cloud, kLatencyThreads, batch[b], k, mode),
                     0.0, 0.95);
                 const double predicted_deg = std::max(
                     core::Lab::scaleToInstances(pair_prediction, k,

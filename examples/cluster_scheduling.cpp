@@ -44,18 +44,21 @@ main(int argc, char **argv)
     // use the whole training suite; see bench_fig14).
     std::printf("training the prediction model...\n");
     using workload::spec2006::byName;
-    const core::SmiteModel model = lab.trainSmite(
-        {byName("401.bzip2"), byName("429.mcf"), byName("433.milc"),
-         byName("437.leslie3d"), byName("445.gobmk"),
-         byName("453.povray"), byName("465.tonto"),
-         byName("471.omnetpp"), byName("481.wrf")},
-        mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(
+            lab,
+            {byName("401.bzip2"), byName("429.mcf"), byName("433.milc"),
+             byName("437.leslie3d"), byName("445.gobmk"),
+             byName("453.povray"), byName("465.tonto"),
+             byName("471.omnetpp"), byName("481.wrf")},
+            mode)
+            .samples);
 
     // Build the (Web-Search, lbm, k) QoS table.
     std::printf("measuring and predicting co-location QoS...\n\n");
-    const double pair_prediction =
-        model.predict(lab.characterization(web_search, mode, threads),
-                      lab.characterization(lbm, mode));
+    const double pair_prediction = model.predictDegradation(
+        core::signatureOf(lab, web_search, mode, threads),
+        core::signatureOf(lab, lbm, mode));
     scheduler::Pairing pairing;
     pairing.latencyApp = web_search.name;
     pairing.batchApp = lbm.name;

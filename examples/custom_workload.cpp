@@ -66,19 +66,21 @@ main()
     // model knows about — no cross-product profiling (Section III-D).
     std::printf("\ntraining the model once on the SPEC training "
                 "split...\n");
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::evenNumbered(), mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, workload::spec2006::evenNumbered(), mode)
+            .samples);
 
     std::printf("\npredicted SMT co-location outcomes:\n");
     std::printf("%-16s %18s %18s\n", "co-runner",
                 "column-scan loses", "co-runner loses");
+    const core::WorkloadSignature us =
+        core::signatureOf(lab, analytics, mode);
     for (const char *name : {"429.mcf", "444.namd", "453.povray",
                              "462.libquantum", "471.omnetpp"}) {
-        const auto &other = workload::spec2006::byName(name);
-        const double we_lose =
-            model.predict(c, lab.characterization(other, mode));
-        const double they_lose =
-            model.predict(lab.characterization(other, mode), c);
+        const core::WorkloadSignature other = core::signatureOf(
+            lab, workload::spec2006::byName(name), mode);
+        const double we_lose = model.predictDegradation(us, other);
+        const double they_lose = model.predictDegradation(other, us);
         std::printf("%-16s %17.1f%% %17.1f%%\n", name, 100 * we_lose,
                     100 * they_lose);
     }

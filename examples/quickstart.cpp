@@ -56,13 +56,14 @@ main()
     //    benchmarks (the paper's training split).
     std::printf("\ntraining Equation 3 on the even-numbered SPEC "
                 "benchmarks...\n");
-    const core::SmiteModel model =
-        lab.trainSmite(workload::spec2006::evenNumbered(), mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, workload::spec2006::evenNumbered(), mode)
+            .samples);
 
     // 4. Predict a held-out co-location and compare with the truth.
     const double predicted =
-        model.predict(lab.characterization(victim, mode),
-                      lab.characterization(aggressor, mode));
+        model.predictDegradation(core::signatureOf(lab, victim, mode),
+                                 core::signatureOf(lab, aggressor, mode));
     const double measured =
         lab.pairDegradation(victim, aggressor, mode);
     std::printf("\n%s co-located with %s (SMT):\n",

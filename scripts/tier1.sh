@@ -1,14 +1,72 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite (parallel ctest), a
-# ThreadSanitizer pass over the parallel measurement engine, an
-# observability smoke run (trace + report emission, validated and
-# cross-checked against the documented catalog), and a markdown link
-# check over the top-level docs.
+# Tier-1 verification: a doc inventory gate, full build + test suite
+# (parallel ctest), a ThreadSanitizer pass over the parallel
+# measurement engine, an observability smoke run (trace + report
+# emission, validated and cross-checked against the documented
+# catalog), and a markdown link check over the top-level docs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 REPO="$PWD"
 
 JOBS="${JOBS:-$(nproc)}"
+
+# --- Doc inventory gate --------------------------------------------
+# Source files come and go; the docs that point at them must follow.
+#  1. each `src/<module>` row of DESIGN.md section 3 names exactly the
+#     .h/.cpp files in that directory (`x.h/.cpp` names both);
+#  2. every backticked source path (`src/...` or `<dir>/<file>.h|.cpp`,
+#     the latter relative to the repo root or to src/) in the
+#     top-level docs, docs/*.md and the verify skill exists.
+python3 - <<'PY'
+import pathlib, re, sys
+root = pathlib.Path(".")
+bad = []
+
+# 1. DESIGN.md section 3: each src/<module> row names exactly the
+#    .h/.cpp files in that directory (`x.h/.cpp` names both).
+design = (root / "DESIGN.md").read_text()
+inventory = design.split("## 3.", 1)[1].split("\n## ", 1)[0]
+rows = 0
+for line in inventory.splitlines():
+    m = re.match(r"\| `(src/[a-z]+)` \|", line)
+    if not m:
+        continue
+    rows += 1
+    named = set()
+    for tok in re.findall(r"`([^`]+)`", line):
+        f = re.fullmatch(r"(\w+)\.(h|cpp|h/\.cpp)", tok)
+        if f:
+            exts = ["h", "cpp"] if f.group(2) == "h/.cpp" else [f.group(2)]
+            named |= {f"{f.group(1)}.{e}" for e in exts}
+    on_disk = {p.name for p in (root / m.group(1)).iterdir()
+               if p.suffix in (".h", ".cpp")}
+    for f in sorted(on_disk - named):
+        bad.append(f"DESIGN.md: {m.group(1)} row omits {f}")
+    for f in sorted(named - on_disk):
+        bad.append(f"DESIGN.md: {m.group(1)} row names missing {f}")
+if rows == 0:
+    bad.append("DESIGN.md: no src/<module> rows found in section 3")
+
+# 2. Every backticked source path in the docs exists.
+docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md"]
+docs += sorted(str(p.relative_to(root)) for p in (root / "docs").glob("*.md"))
+for doc in docs:
+    for n, line in enumerate((root / doc).read_text().splitlines(), 1):
+        for tok in re.findall(r"`([^`\s]+)`", line):
+            if re.fullmatch(r"src/[\w./-]*\w", tok):
+                candidates = [root / tok]
+            elif re.fullmatch(r"[\w.]+(/[\w.]+)*/\w+\.(h|cpp)", tok):
+                candidates = [root / tok, root / "src" / tok]
+            else:
+                continue
+            if not any(c.exists() for c in candidates):
+                bad.append(f"{doc}:{n}: no such source path `{tok}`")
+for problem in bad:
+    print(problem, file=sys.stderr)
+sys.exit(1 if bad else 0)
+PY
+echo "doc inventory: ok"
 
 cmake -B build -S .
 cmake --build build -j"$JOBS"

@@ -53,6 +53,9 @@ struct Characterization {
     bool valid = true;
 };
 
+/** Solo PMU profile of one application (the 11 rates of Eq. 9). */
+using PmuProfile = std::array<double, sim::kNumPmuRates>;
+
 /**
  * Runs the Ruler co-location protocol on a machine.
  */

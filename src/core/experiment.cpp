@@ -138,12 +138,19 @@ Lab::pairKey(const std::string &a, const std::string &b,
     return a + "|" + b + "|" + modeName(mode);
 }
 
+std::string
+Lab::memoName(const workload::WorkloadProfile &profile)
+{
+    return profile.name + "@" +
+           std::to_string(workload::profileDigest(profile).value());
+}
+
 double
 Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 {
-    const std::string key =
-        profile.name + "#" + std::to_string(threads);
-    return soloIpcCache_.getOrCompute(key, [&] {
+    const std::string shape = "#" + std::to_string(threads);
+    const std::string key = profile.name + shape;
+    return soloIpcCache_.getOrCompute(memoName(profile) + shape, [&] {
         obs::Span span("lab.solo_ipc", key);
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
@@ -158,7 +165,7 @@ Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 const sim::CounterBlock &
 Lab::soloCounters(const workload::WorkloadProfile &profile)
 {
-    return soloCounterCache_.getOrCompute(profile.name, [&] {
+    return soloCounterCache_.getOrCompute(memoName(profile), [&] {
         obs::Span span("lab.solo_counters", profile.name);
         return withRetry(profile.name, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
@@ -171,7 +178,7 @@ Lab::soloCounters(const workload::WorkloadProfile &profile)
 PmuProfile
 Lab::pmuProfile(const workload::WorkloadProfile &profile)
 {
-    return pmuCache_.getOrCompute(profile.name, [&] {
+    return pmuCache_.getOrCompute(memoName(profile), [&] {
         obs::Span span("lab.pmu_profile", profile.name);
         // Retry lives in soloCounters(); this lambda only derives.
         return soloCounters(profile).pmuRates();
@@ -182,9 +189,11 @@ const Characterization &
 Lab::characterization(const workload::WorkloadProfile &profile,
                       CoLocationMode mode, int threads)
 {
-    const std::string key = profile.name + "#" + modeName(mode) + "#" +
-                            std::to_string(threads);
-    return characterizationCache_.getOrCompute(key, [&] {
+    const std::string shape = std::string("#") + modeName(mode) + "#" +
+                              std::to_string(threads);
+    const std::string key = profile.name + shape;
+    const std::string memo_key = memoName(profile) + shape;
+    return characterizationCache_.getOrCompute(memo_key, [&] {
         obs::Span span("lab.characterize", key);
         return withRetry(key, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
@@ -210,7 +219,9 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
     const std::string canonical =
         pairKey(first.name, second.name, mode);
 
-    const auto &degs = pairCache_.getOrCompute(canonical, [&] {
+    const std::string memo_key =
+        pairKey(memoName(first), memoName(second), mode);
+    const auto &degs = pairCache_.getOrCompute(memo_key, [&] {
         obs::Span span("lab.pair", canonical);
         // The solo references have their own retry/trial protocol;
         // hoist them so a pair-trial failure never double-counts a
@@ -247,7 +258,8 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
                          CoLocationMode mode)
 {
     const std::string key = "ports|" + pairKey(a.name, b.name, mode);
-    return portCache_.getOrCompute(key, [&] {
+    const std::string memo_key = pairKey(memoName(a), memoName(b), mode);
+    return portCache_.getOrCompute(memo_key, [&] {
         obs::Span span("lab.ports", key);
         const std::vector<double> vals =
             measureTrials(key, [&](const std::string &tkey) {
@@ -287,11 +299,13 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
     if (mode == CoLocationMode::kCmp && threads + instances > cores)
         throw std::invalid_argument("too many placements for CMP");
 
-    const std::string key = latency.name + "#" + batch.name + "#" +
-                            modeName(mode) + "#" +
-                            std::to_string(threads) + "x" +
-                            std::to_string(instances);
-    return multiCache_.getOrCompute(key, [&] {
+    const std::string shape = std::string("#") + modeName(mode) + "#" +
+                              std::to_string(threads) + "x" +
+                              std::to_string(instances);
+    const std::string key = latency.name + "#" + batch.name + shape;
+    const std::string memo_key =
+        memoName(latency) + "#" + memoName(batch) + shape;
+    return multiCache_.getOrCompute(memo_key, [&] {
         obs::Span span("lab.multi", key);
         const double solo = soloIpc(latency, threads);
         const std::vector<double> vals =
@@ -509,84 +523,6 @@ Lab::multiInstancePrefetch(
             }
         },
         workers);
-}
-
-SmiteModel
-Lab::trainSmite(const std::vector<workload::WorkloadProfile> &training_set,
-                CoLocationMode mode)
-{
-    obs::Span span("lab.train_smite", modeName(mode));
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    // Fan the independent measurements out; the serial assembly below
-    // then reads the batch results in the original sample order.
-    const std::vector<Characterization> chars =
-        characterizeAll(training_set, mode);
-    const std::vector<std::vector<double>> pairs =
-        measureAllPairs(training_set, mode);
-
-    std::vector<SmiteModel::Sample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (training_set[i].name == training_set[j].name)
-                continue;
-            // A sample whose characterization or degradation failed
-            // past the retry budget is dropped from the fit, not
-            // allowed to poison it.
-            if (!chars[i].valid || !chars[j].valid ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainSmite: dropped sample " +
-                    training_set[i].name + "|" + training_set[j].name +
-                    " (" + modeName(mode) + ")");
-                continue;
-            }
-            SmiteModel::Sample s;
-            s.victim = chars[i];
-            s.aggressor = chars[j];
-            s.degradation = pairs[i][j];
-            samples.push_back(std::move(s));
-        }
-    }
-    return SmiteModel::train(samples);
-}
-
-PmuModel
-Lab::trainPmu(const std::vector<workload::WorkloadProfile> &training_set,
-              CoLocationMode mode)
-{
-    obs::Span span("lab.train_pmu", modeName(mode));
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    const std::vector<PmuProfile> profiles =
-        pmuProfileAll(training_set);
-    const std::vector<std::vector<double>> pairs =
-        measureAllPairs(training_set, mode);
-
-    std::vector<PmuModel::Sample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (training_set[i].name == training_set[j].name)
-                continue;
-            if (std::isnan(profiles[i][0]) ||
-                std::isnan(profiles[j][0]) ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainPmu: dropped sample " + training_set[i].name +
-                    "|" + training_set[j].name + " (" + modeName(mode) +
-                    ")");
-                continue;
-            }
-            PmuModel::Sample s;
-            s.victim = profiles[i];
-            s.aggressor = profiles[j];
-            s.degradation = pairs[i][j];
-            samples.push_back(std::move(s));
-        }
-    }
-    return PmuModel::train(samples);
 }
 
 double

@@ -3,13 +3,15 @@
  * The experiment lab: a memoizing front end over the machine model
  * that provides every measurement the paper's evaluation needs —
  * solo IPCs, PMU profiles, Ruler characterizations, pair and
- * many-instance co-location degradations — plus the training
- * protocols for the SMiTe and PMU models.
+ * many-instance co-location degradations. The predictors
+ * (core/predictor.h) train on corpora measured through it.
  *
  * Measurements are cached by (workload, mode, shape), so harnesses
  * that revisit the same co-locations (e.g. a figure sweep) pay for
  * each simulation once — across processes too, for a Lab built with
- * a cache path (sim::RunLog).
+ * a cache path (sim::RunLog). A workload's cache identity is its name
+ * plus a digest of its profile (workload::profileDigest), so a
+ * profile edited under its old name is measured afresh.
  *
  * The Lab is safe to call from many threads at once: every cache is
  * a single-flight MemoCache (two threads never simulate the same key
@@ -27,11 +29,11 @@
  * every measurement is retried with backoff on a transient
  * MeasurementError (SMITE_LAB_RETRIES attempts, default 3), can run
  * as a median-of-N multi-trial protocol with MAD outlier rejection
- * (SMITE_LAB_TRIALS, default 1), and the batch/training APIs degrade
- * gracefully — a sample that fails past the retry budget is marked
- * invalid or dropped from the fit and logged to the IncidentLog
- * instead of aborting the run. With no faults armed none of this
- * changes a single output byte.
+ * (SMITE_LAB_TRIALS, default 1), and the batch APIs degrade
+ * gracefully — a measurement that fails past the retry budget is
+ * marked invalid (its samples then leave training corpora) and
+ * logged to the IncidentLog instead of aborting the run. With no
+ * faults armed none of this changes a single output byte.
  */
 
 #ifndef SMITE_CORE_EXPERIMENT_H
@@ -46,8 +48,6 @@
 
 #include "core/characterize.h"
 #include "core/memo_cache.h"
-#include "core/pmu_model.h"
-#include "core/smite_model.h"
 #include "fault/fault.h"
 #include "sim/machine.h"
 #include "workload/profile.h"
@@ -222,22 +222,6 @@ class Lab
         int max_instances, CoLocationMode mode);
 
     /**
-     * Train a SMiTe model: characterize every workload in
-     * @p training_set, measure all ordered co-location pairs among
-     * them (both phases parallel, see the batch APIs), and fit
-     * Equation 3. The sample order — and therefore the fit — is
-     * identical to the serial protocol.
-     */
-    SmiteModel trainSmite(
-        const std::vector<workload::WorkloadProfile> &training_set,
-        CoLocationMode mode);
-
-    /** Train the PMU baseline (Equation 9) on the same protocol. */
-    PmuModel trainPmu(
-        const std::vector<workload::WorkloadProfile> &training_set,
-        CoLocationMode mode);
-
-    /**
      * Predicted degradation for the many-instance protocol: the
      * pairwise model prediction scaled by the fraction of app
      * threads that actually have a co-runner.
@@ -270,6 +254,13 @@ class Lab
   private:
     std::string pairKey(const std::string &a, const std::string &b,
                         CoLocationMode mode) const;
+
+    /**
+     * Memo-table identity of @p profile: its name plus its profile
+     * digest. Fault keys, span args and incident texts stay
+     * name-based.
+     */
+    static std::string memoName(const workload::WorkloadProfile &profile);
 
     /**
      * Handle one failed measurement attempt: count a retry and back

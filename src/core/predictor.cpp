@@ -1,13 +1,15 @@
 #include "core/predictor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/experiment.h"
-#include "core/prediction_guard.h"
 #include "fault/fault.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace smite::core {
 
@@ -64,6 +66,32 @@ signatureFinite(const WorkloadSignature &s)
             return false;
     }
     return true;
+}
+
+/**
+ * Fit one predictor's regression on the corpus: one @p features row
+ * per sample (the victim next to its one aggressor), targets the
+ * measured degradations. Needs more samples than features.
+ */
+template <typename Features>
+stats::LinearModel
+fitCorpus(const std::vector<PredictorSample> &samples,
+          std::size_t num_features, const char *feature_kind,
+          double ridge, Features features)
+{
+    if (samples.size() <= num_features) {
+        throw std::invalid_argument(
+            std::string("need more samples than ") + feature_kind);
+    }
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    x.reserve(samples.size());
+    y.reserve(samples.size());
+    for (const PredictorSample &s : samples) {
+        x.push_back(features(*s.victim, {s.aggressor}));
+        y.push_back(s.degradation);
+    }
+    return stats::LinearModel::fit(x, y, ridge);
 }
 
 /** Minimum solo IPC a prediction denominator may rest on. */
@@ -132,7 +160,7 @@ Predictor::predictDegradation(
     }
     if (raw < 0.0 || raw > 1.0)
         clampedCounter().add();
-    return guardDegradation(raw, "Predictor");
+    return std::clamp(raw, 0.0, 1.0);
 }
 
 double
@@ -142,20 +170,27 @@ Predictor::predictDegradation(const WorkloadSignature &victim,
     return predictDegradation(victim, {&aggressor});
 }
 
+std::vector<double>
+SmitePredictor::features(
+    const WorkloadSignature &victim,
+    const std::vector<const WorkloadSignature *> &aggressors)
+{
+    const Characterization combined = combinedContentiousness(aggressors);
+    std::vector<double> x(rulers::kNumDimensions);
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        x[d] = victim.characterization.sensitivity[d] *
+               combined.contentiousness[d];
+    }
+    return x;
+}
+
 SmitePredictor
 SmitePredictor::train(const std::vector<PredictorSample> &samples,
                       double ridge)
 {
-    std::vector<SmiteModel::Sample> rows;
-    rows.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        SmiteModel::Sample row;
-        row.victim = s.victim->characterization;
-        row.aggressor = s.aggressor->characterization;
-        row.degradation = s.degradation;
-        rows.push_back(std::move(row));
-    }
-    return SmitePredictor(SmiteModel::train(rows, ridge));
+    return SmitePredictor(fitCorpus(samples, rulers::kNumDimensions,
+                                    "sharing dimensions", ridge,
+                                    features));
 }
 
 double
@@ -163,24 +198,28 @@ SmitePredictor::rawDegradation(
     const WorkloadSignature &victim,
     const std::vector<const WorkloadSignature *> &aggressors) const
 {
-    return model_.predict(victim.characterization,
-                          combinedContentiousness(aggressors));
+    return model_.predict(features(victim, aggressors));
+}
+
+std::vector<double>
+PmuPredictor::features(
+    const WorkloadSignature &victim,
+    const std::vector<const WorkloadSignature *> &aggressors)
+{
+    const PmuProfile combined = combinedPmu(aggressors);
+    std::vector<double> x;
+    x.reserve(2 * sim::kNumPmuRates);
+    x.insert(x.end(), victim.pmu.begin(), victim.pmu.end());
+    x.insert(x.end(), combined.begin(), combined.end());
+    return x;
 }
 
 PmuPredictor
 PmuPredictor::train(const std::vector<PredictorSample> &samples,
                     double ridge)
 {
-    std::vector<PmuModel::Sample> rows;
-    rows.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        PmuModel::Sample row;
-        row.victim = s.victim->pmu;
-        row.aggressor = s.aggressor->pmu;
-        row.degradation = s.degradation;
-        rows.push_back(std::move(row));
-    }
-    return PmuPredictor(PmuModel::train(rows, ridge));
+    return PmuPredictor(fitCorpus(samples, 2 * sim::kNumPmuRates,
+                                  "PMU features", ridge, features));
 }
 
 double
@@ -188,7 +227,7 @@ PmuPredictor::rawDegradation(
     const WorkloadSignature &victim,
     const std::vector<const WorkloadSignature *> &aggressors) const
 {
-    return model_.predict(victim.pmu, combinedPmu(aggressors));
+    return model_.predict(features(victim, aggressors));
 }
 
 std::vector<double>
@@ -212,19 +251,8 @@ MisePredictor
 MisePredictor::train(const std::vector<PredictorSample> &samples,
                      double ridge)
 {
-    if (samples.size() <= kNumFeatures) {
-        throw std::invalid_argument(
-            "need more samples than MISE features");
-    }
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    x.reserve(samples.size());
-    y.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        x.push_back(features(*s.victim, {s.aggressor}));
-        y.push_back(s.degradation);
-    }
-    return MisePredictor(stats::LinearModel::fit(x, y, ridge));
+    return MisePredictor(fitCorpus(samples, kNumFeatures,
+                                   "MISE features", ridge, features));
 }
 
 double
@@ -253,19 +281,9 @@ AlvesDrummondPredictor
 AlvesDrummondPredictor::train(const std::vector<PredictorSample> &samples,
                               double ridge)
 {
-    if (samples.size() <= rulers::kNumDimensions) {
-        throw std::invalid_argument(
-            "need more samples than sharing dimensions");
-    }
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    x.reserve(samples.size());
-    y.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        x.push_back(features(*s.victim, {s.aggressor}));
-        y.push_back(s.degradation);
-    }
-    return AlvesDrummondPredictor(stats::LinearModel::fit(x, y, ridge));
+    return AlvesDrummondPredictor(
+        fitCorpus(samples, rulers::kNumDimensions, "sharing dimensions",
+                  ridge, features));
 }
 
 double
@@ -278,15 +296,16 @@ AlvesDrummondPredictor::rawDegradation(
 
 WorkloadSignature
 signatureOf(Lab &lab, const workload::WorkloadProfile &profile,
-            CoLocationMode mode)
+            CoLocationMode mode, int threads)
 {
     WorkloadSignature sig;
     sig.name = profile.name;
     try {
-        sig.characterization = lab.characterization(profile, mode);
+        sig.characterization =
+            lab.characterization(profile, mode, threads);
         sig.pmu = lab.pmuProfile(profile);
         sig.soloCounters = lab.soloCounters(profile);
-        sig.soloIpc = lab.soloIpc(profile);
+        sig.soloIpc = lab.soloIpc(profile, threads);
         sig.valid = sig.characterization.valid;
     } catch (const fault::MeasurementError &) {
         // Retry budget spent (already logged by the Lab); the
@@ -299,20 +318,57 @@ signatureOf(Lab &lab, const workload::WorkloadProfile &profile,
 std::vector<WorkloadSignature>
 signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
-             CoLocationMode mode)
+             CoLocationMode mode, int threads)
 {
     // Warm the expensive measurements through the parallel batch APIs;
     // the serial signatureOf() assembly below then hits the Lab's
     // caches in input order, byte-identical to the all-serial path.
-    lab.characterizeAll(profiles, mode);
+    lab.characterizeAll(profiles, mode, threads);
     lab.pmuProfileAll(profiles);
-    lab.soloIpcAll(profiles);
+    lab.soloIpcAll(profiles, threads);
 
     std::vector<WorkloadSignature> sigs;
     sigs.reserve(profiles.size());
     for (const workload::WorkloadProfile &p : profiles)
-        sigs.push_back(signatureOf(lab, p, mode));
+        sigs.push_back(signatureOf(lab, p, mode, threads));
     return sigs;
+}
+
+TrainingCorpus
+trainingCorpus(Lab &lab,
+               const std::vector<workload::WorkloadProfile> &training_set,
+               CoLocationMode mode)
+{
+    obs::Span span("predictor.corpus", modeName(mode));
+    static obs::Counter &dropped =
+        obs::Registry::global().counter("lab.dropped_samples");
+
+    TrainingCorpus corpus;
+    corpus.signatures = signaturesOf(lab, training_set, mode);
+    const std::vector<std::vector<double>> pairs =
+        lab.measureAllPairs(training_set, mode);
+    for (std::size_t i = 0; i < training_set.size(); ++i) {
+        for (std::size_t j = 0; j < training_set.size(); ++j) {
+            if (i == j)
+                continue;
+            // A sample resting on a failed measurement is dropped
+            // from every fit, not allowed to poison one.
+            if (!corpus.signatures[i].valid ||
+                !corpus.signatures[j].valid ||
+                std::isnan(pairs[i][j])) {
+                dropped.add();
+                obs::IncidentLog::global().record(
+                    "training corpus: dropped sample " +
+                    training_set[i].name + "|" + training_set[j].name +
+                    " (" + modeName(mode) + ")");
+                continue;
+            }
+            corpus.samples.push_back({&corpus.signatures[i],
+                                      &corpus.signatures[j],
+                                      pairs[i][j]});
+        }
+    }
+    return corpus;
 }
 
 PredictorZoo
@@ -320,43 +376,17 @@ trainPredictorZoo(Lab &lab,
                   const std::vector<workload::WorkloadProfile> &training_set,
                   CoLocationMode mode)
 {
+    TrainingCorpus corpus = trainingCorpus(lab, training_set, mode);
     PredictorZoo zoo;
-    zoo.signatures = signaturesOf(lab, training_set, mode);
-    const std::vector<std::vector<double>> pairs =
-        lab.measureAllPairs(training_set, mode);
-
-    static obs::Counter &dropped =
-        obs::Registry::global().counter("lab.dropped_samples");
-    std::vector<PredictorSample> samples;
-    for (std::size_t i = 0; i < training_set.size(); ++i) {
-        for (std::size_t j = 0; j < training_set.size(); ++j) {
-            if (i == j)
-                continue;
-            // Mirror the trainSmite protocol: a sample resting on a
-            // failed measurement is dropped from every fit, not
-            // allowed to poison one.
-            if (!zoo.signatures[i].valid || !zoo.signatures[j].valid ||
-                std::isnan(pairs[i][j])) {
-                dropped.add();
-                obs::IncidentLog::global().record(
-                    "trainPredictorZoo: dropped sample " +
-                    training_set[i].name + "|" + training_set[j].name +
-                    " (" + modeName(mode) + ")");
-                continue;
-            }
-            samples.push_back({&zoo.signatures[i], &zoo.signatures[j],
-                               pairs[i][j]});
-        }
-    }
-
-    zoo.predictors.push_back(
-        std::make_unique<SmitePredictor>(SmitePredictor::train(samples)));
-    zoo.predictors.push_back(
-        std::make_unique<PmuPredictor>(PmuPredictor::train(samples)));
-    zoo.predictors.push_back(
-        std::make_unique<MisePredictor>(MisePredictor::train(samples)));
+    zoo.predictors.push_back(std::make_unique<SmitePredictor>(
+        SmitePredictor::train(corpus.samples)));
+    zoo.predictors.push_back(std::make_unique<PmuPredictor>(
+        PmuPredictor::train(corpus.samples)));
+    zoo.predictors.push_back(std::make_unique<MisePredictor>(
+        MisePredictor::train(corpus.samples)));
     zoo.predictors.push_back(std::make_unique<AlvesDrummondPredictor>(
-        AlvesDrummondPredictor::train(samples)));
+        AlvesDrummondPredictor::train(corpus.samples)));
+    zoo.signatures = std::move(corpus.signatures);
 
     static obs::Counter &trained =
         obs::Registry::global().counter("predictor.trained");

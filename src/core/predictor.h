@@ -7,10 +7,11 @@
  * interference predictors. This module pins the shared contract —
  * characterize a workload once into a WorkloadSignature, then predict
  * the degradation of a victim next to an arbitrary co-runner set —
- * and populates the space with four implementations:
+ * and populates the space with four implementations, each a linear
+ * regression over its own feature row:
  *
- *  - SmitePredictor: the paper's Ruler model (SmiteModel);
- *  - PmuPredictor:   the paper's PMU baseline (PmuModel);
+ *  - SmitePredictor: the paper's Ruler model (Equation 3);
+ *  - PmuPredictor:   the paper's PMU baseline (Equation 9);
  *  - MisePredictor:  a MISE-style estimator (Subramanian et al.,
  *    "Predictable Performance and Fairness Through Accurate Slowdown
  *    Estimation in Shared Main Memory Systems"): slowdown is driven
@@ -23,11 +24,11 @@
  *    per-dimension sensitivity scaled by a *saturating* function of
  *    aggregate co-runner pressure, fit by least squares.
  *
- * All four train on the same measured-pair corpus (trainPredictorZoo)
+ * All four train on the same measured-pair corpus (trainingCorpus)
  * so head-to-head comparisons (bench_predictor_zoo) are apples to
- * apples. Every prediction funnels through the range guard of
- * core/prediction_guard.h and the `predictor.*` counters
- * (docs/OBSERVABILITY.md).
+ * apples. Every prediction goes through Predictor::predictDegradation,
+ * which validates the signatures, clamps into [0, 1] and maintains
+ * the `predictor.*` counters (docs/OBSERVABILITY.md).
  */
 
 #ifndef SMITE_CORE_PREDICTOR_H
@@ -39,9 +40,8 @@
 #include <vector>
 
 #include "core/characterize.h"
-#include "core/pmu_model.h"
-#include "core/smite_model.h"
 #include "sim/counters.h"
+#include "stats/regression.h"
 #include "workload/profile.h"
 
 namespace smite::core {
@@ -66,10 +66,16 @@ struct WorkloadSignature {
     bool valid = true;
 };
 
-/** Gather one workload's signature through a Lab (cached measurements). */
+/**
+ * Gather one workload's signature through a Lab (cached
+ * measurements). @p threads instances of the workload, one per core,
+ * are characterized together and their solo IPC aggregated — the
+ * paper's 6-thread (SMT) and 3-thread (CMP) CloudSuite protocol; the
+ * PMU rates and solo counters always come from a single-thread run.
+ */
 WorkloadSignature signatureOf(Lab &lab,
                               const workload::WorkloadProfile &profile,
-                              CoLocationMode mode);
+                              CoLocationMode mode, int threads = 1);
 
 /**
  * Batch variant: fans the underlying measurements out through the
@@ -79,7 +85,7 @@ WorkloadSignature signatureOf(Lab &lab,
 std::vector<WorkloadSignature>
 signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
-             CoLocationMode mode);
+             CoLocationMode mode, int threads = 1);
 
 /** One training observation shared by every predictor in the zoo. */
 struct PredictorSample {
@@ -91,10 +97,11 @@ struct PredictorSample {
 /**
  * A trained QoS/slowdown predictor.
  *
- * The public predict entry points are non-virtual: they validate the
- * signatures, delegate to rawDegradation(), guard the result into
- * [0, 1] (core/prediction_guard.h) and maintain the `predictor.*`
- * counters. Implementations only provide the raw model arithmetic.
+ * The public predict entry points are non-virtual and the only way
+ * to a prediction: they validate the signatures, delegate to
+ * rawDegradation(), clamp the result into [0, 1] and maintain the
+ * `predictor.*` counters. Implementations only provide the raw model
+ * arithmetic.
  */
 class Predictor
 {
@@ -115,9 +122,11 @@ class Predictor
 
     /**
      * Predicted degradation (1 - QoS) of @p victim co-located with
-     * the @p aggressors set, guarded into [0, 1]. An empty set
-     * predicts 0 (solo). Invalid or non-finite signatures yield the
-     * conservative worst case 1.0 with an incident-log record.
+     * the @p aggressors set. Degradations are fractions of solo
+     * performance, so regression overshoot is clamped into [0, 1]
+     * (and counted in `predictor.clamped`). An empty set predicts 0
+     * (solo). Invalid signatures and non-finite predictions yield
+     * the conservative worst case 1.0 with an incident-log record.
      */
     double predictDegradation(
         const WorkloadSignature &victim,
@@ -144,13 +153,26 @@ class Predictor
         const = 0;
 };
 
-/** The paper's Ruler regression (Equation 3) behind the zoo interface. */
+/**
+ * The paper's Ruler regression (Section III-C1, Equation 3): the
+ * degradation of victim A is a linear combination of the
+ * per-dimension products of A's sensitivity and the co-runners'
+ * summed contentiousness,
+ *
+ *   Deg(A|B) = sum_i c_i * Sen_i^A * Con_i^B + c_0,
+ *
+ * with the coefficients fit by least squares against measured pair
+ * degradations.
+ */
 class SmitePredictor final : public Predictor
 {
   public:
-    explicit SmitePredictor(SmiteModel model) : model_(std::move(model)) {}
-
-    /** Fit Equation 3 on the shared corpus. */
+    /**
+     * Fit Equation 3 on the shared corpus.
+     * @param ridge small L2 regularizer for numerical robustness
+     * @throws std::invalid_argument without more samples than
+     *         sharing dimensions
+     */
     static SmitePredictor train(const std::vector<PredictorSample> &samples,
                                 double ridge = 1e-8);
 
@@ -160,8 +182,19 @@ class SmitePredictor final : public Predictor
         return 1 + rulers::kNumDimensions;
     }
 
-    /** The wrapped regression model. */
-    const SmiteModel &model() const { return model_; }
+    /** Feature row: x_i = Sen_i^A * sum_B Con_i^B. */
+    static std::vector<double> features(
+        const WorkloadSignature &victim,
+        const std::vector<const WorkloadSignature *> &aggressors);
+
+    /** The per-dimension coefficients c_i (in dimension order). */
+    const std::vector<double> &coefficients() const
+    {
+        return model_.weights();
+    }
+
+    /** The constant term c_0 (residual interference). */
+    double constantTerm() const { return model_.intercept(); }
 
   protected:
     double rawDegradation(const WorkloadSignature &victim,
@@ -169,29 +202,57 @@ class SmitePredictor final : public Predictor
                               &aggressors) const override;
 
   private:
-    SmiteModel model_;
+    explicit SmitePredictor(stats::LinearModel model)
+        : model_(std::move(model))
+    {}
+
+    stats::LinearModel model_;
 };
 
-/** The paper's PMU-counter baseline (Equation 9) behind the interface. */
+/**
+ * The paper's PMU-counter baseline (Section IV-B1, Equation 9): the
+ * strongest model the paper could build without Rulers, a linear
+ * regression over the eleven solo-run counter rates of the victim and
+ * of its co-runners,
+ *
+ *   Deg(A|B) = sum_i (c_i^A PMU_i^A + c_i^B PMU_i^B) + c_0.
+ */
 class PmuPredictor final : public Predictor
 {
   public:
-    explicit PmuPredictor(PmuModel model) : model_(std::move(model)) {}
-
-    /** Fit Equation 9 on the shared corpus. */
+    /**
+     * Fit Equation 9 on the shared corpus.
+     * @param ridge small L2 regularizer; PMU rates are collinear
+     *        (e.g. L2 hits vs L1 misses), so a nonzero default keeps
+     *        the normal equations well-posed
+     * @throws std::invalid_argument without more samples than
+     *         2 * kNumPmuRates
+     */
     static PmuPredictor train(const std::vector<PredictorSample> &samples,
                               double ridge = 1e-6);
 
     std::string_view name() const override { return "pmu"; }
     int signatureRuns() const override { return 1; }
 
+    /**
+     * Feature row: the victim's rates, then the co-runners' summed
+     * rates.
+     */
+    static std::vector<double> features(
+        const WorkloadSignature &victim,
+        const std::vector<const WorkloadSignature *> &aggressors);
+
   protected:
     double rawDegradation(const WorkloadSignature &victim,
                           const std::vector<const WorkloadSignature *>
                               &aggressors) const override;
 
   private:
-    PmuModel model_;
+    explicit PmuPredictor(stats::LinearModel model)
+        : model_(std::move(model))
+    {}
+
+    stats::LinearModel model_;
 };
 
 /**
@@ -204,7 +265,7 @@ class PmuPredictor final : public Predictor
  * DRAM and shared-L3 demand per cycle, the aggregate aggressor
  * demand, and their products (the interference terms: a memory-bound
  * victim next to memory-bound aggressors slows the most). Four
- * features; see miseFeatures().
+ * features; see features().
  */
 class MisePredictor final : public Predictor
 {
@@ -284,6 +345,38 @@ class AlvesDrummondPredictor final : public Predictor
     stats::LinearModel model_;
 };
 
+/**
+ * A measured training corpus: the training set's signatures and one
+ * sample per ordered pair of them. Samples point into `signatures`,
+ * so a corpus moves but never copies.
+ */
+struct TrainingCorpus {
+    /** Signatures of the training set, in input order. */
+    std::vector<WorkloadSignature> signatures;
+    /** Surviving ordered pairs, in the serial protocol's order. */
+    std::vector<PredictorSample> samples;
+
+    TrainingCorpus() = default;
+    TrainingCorpus(TrainingCorpus &&) = default;
+    TrainingCorpus &operator=(TrainingCorpus &&) = default;
+    TrainingCorpus(const TrainingCorpus &) = delete;
+    TrainingCorpus &operator=(const TrainingCorpus &) = delete;
+};
+
+/**
+ * Measure a training corpus: gather the training set's signatures and
+ * measure all ordered co-location pairs (both phases through the
+ * Lab's parallel batch APIs). One drop rule serves every fit: a
+ * sample resting on a failed measurement — anything behind either
+ * signature, or the pair itself — is left out, counted in
+ * `lab.dropped_samples` and logged. Each predictor's train() then
+ * fits on the samples.
+ */
+TrainingCorpus
+trainingCorpus(Lab &lab,
+               const std::vector<workload::WorkloadProfile> &training_set,
+               CoLocationMode mode);
+
 /** The four predictors trained on one shared corpus. */
 struct PredictorZoo {
     /** Signatures of the training set, in input order. */
@@ -293,12 +386,7 @@ struct PredictorZoo {
 };
 
 /**
- * Train every predictor in the zoo on the same corpus: gather the
- * training set's signatures, measure all ordered co-location pairs
- * (both phases through the Lab's parallel batch APIs), and fit each
- * model on the identical sample list. Samples involving a signature
- * whose measurements failed are dropped (and already logged by the
- * Lab); the fit order matches the serial protocol.
+ * Train every predictor in the zoo on one trainingCorpus().
  *
  * @throws std::invalid_argument if too few samples survive for any
  *         model (the PMU baseline needs the most: > 22)

@@ -5,14 +5,16 @@
  * Typical usage:
  * @code
  *   using namespace smite;
+ *   const auto mode = core::CoLocationMode::kSmt;
  *   core::Lab lab(sim::MachineConfig::ivyBridge());
- *   auto model = lab.trainSmite(workload::spec2006::evenNumbered(),
- *                               core::CoLocationMode::kSmt);
- *   const auto &a = workload::spec2006::byName("429.mcf");
- *   const auto &b = workload::spec2006::byName("453.povray");
- *   double predicted = model.predict(
- *       lab.characterization(a, core::CoLocationMode::kSmt),
- *       lab.characterization(b, core::CoLocationMode::kSmt));
+ *   const auto model = core::SmitePredictor::train(
+ *       core::trainingCorpus(lab, workload::spec2006::evenNumbered(),
+ *                            mode).samples);
+ *   const auto a = core::signatureOf(
+ *       lab, workload::spec2006::byName("429.mcf"), mode);
+ *   const auto b = core::signatureOf(
+ *       lab, workload::spec2006::byName("453.povray"), mode);
+ *   double predicted = model.predictDegradation(a, b);
  * @endcode
  */
 
@@ -21,9 +23,7 @@
 
 #include "core/characterize.h"
 #include "core/experiment.h"
-#include "core/pmu_model.h"
 #include "core/predictor.h"
-#include "core/smite_model.h"
 #include "core/tail_latency.h"
 #include "queueing/des.h"
 #include "queueing/mm1.h"

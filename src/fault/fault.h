@@ -17,11 +17,14 @@
  *   lab.measure        transient MeasurementError from Lab computes
  *   disk.corrupt       bit flips / truncation / torn run-log appends
  *   pool.delay         artificial thread-pool task delays
+ *   sim.replay         forces a machine run past the replay store
  *   server.fail        cluster-model server failures
- *   des.service        Gaussian stretch of queueing-model service
- *                      times (tail-latency chaos)
  *   scheduler.observe  Gaussian noise on the online scheduler's
  *                      per-server QoS observations
+ *   des.server_stall   Gaussian stretch of one open-loop request's
+ *                      service time (tail-latency chaos)
+ *   des.drop           open-loop request lost at admission
+ *   des.arrival_burst  compressed inter-arrival gap (load spikes)
  *
  * Configuration comes from the SMITE_FAULTS environment variable
  * (parsed once, on first FaultPlan::global() use) or the arm() API:

@@ -1,14 +1,12 @@
 #include "queueing/des.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <stdexcept>
 #include <string>
 
 #include "fault/fault.h"
 #include "queueing/keyed_stream.h"
-#include "workload/rng.h"
 
 namespace smite::queueing {
 
@@ -16,7 +14,7 @@ namespace {
 
 /**
  * Interpolated empirical percentile of an unsorted sample vector
- * (sorts a copy; shared by both result types).
+ * (sorts a copy).
  */
 double
 samplePercentile(std::vector<double> samples, double p)
@@ -34,79 +32,6 @@ samplePercentile(std::vector<double> samples, double p)
 }
 
 } // namespace
-
-double
-QueueSimResult::percentile(double p) const
-{
-    return samplePercentile(responseTimes, p);
-}
-
-double
-QueueSimResult::meanResponse() const
-{
-    if (responseTimes.empty())
-        throw std::logic_error("no samples");
-    double sum = 0.0;
-    for (double t : responseTimes)
-        sum += t;
-    return sum / static_cast<double>(responseTimes.size());
-}
-
-QueueSimResult
-simulateMm1(double lambda, double mu, std::uint64_t requests,
-            std::uint64_t seed, std::uint64_t warmupRequests)
-{
-    if (lambda <= 0.0 || mu <= 0.0)
-        throw std::invalid_argument("rates must be positive");
-    if (requests == 0)
-        throw std::invalid_argument("need at least one request");
-    if (warmupRequests >= requests) {
-        // Checked up front: percentiles over an empty sample set are
-        // meaningless, so a warmup that consumes every request is a
-        // configuration error, not a run that silently "succeeds".
-        throw std::invalid_argument(
-            "warmup consumes all requests (warmupRequests >= requests)");
-    }
-
-    workload::Rng rng(seed);
-    auto exponential = [&rng](double rate) {
-        // Inverse-transform sampling; nextDouble() < 1 so log is safe.
-        return -std::log(1.0 - rng.nextDouble()) / rate;
-    };
-
-    // `des.service` fault site: real servers hiccup — GC pauses, page
-    // faults, noisy neighbors stretch individual request service
-    // times. Seeded Gaussian stretch per sampled service time, so
-    // chaos runs of the tail-latency pipeline are reproducible and a
-    // disarmed plan leaves the RNG stream untouched.
-    fault::FaultPlan &faults = fault::FaultPlan::global();
-    const bool chaos = faults.enabled() && faults.armed("des.service");
-
-    QueueSimResult result;
-    result.responseTimes.reserve(requests - warmupRequests);
-
-    // FCFS single server: departure(n) =
-    //   max(arrival(n), departure(n-1)) + service(n).
-    double arrival = 0.0;
-    double prev_departure = 0.0;
-    for (std::uint64_t n = 0; n < requests; ++n) {
-        arrival += exponential(lambda);
-        const double start = std::max(arrival, prev_departure);
-        double service = exponential(mu);
-        if (chaos && faults.shouldInject("des.service")) {
-            // Stretch only (floor at the sampled time): a hiccup never
-            // makes a request finish early.
-            const double eps =
-                std::max(0.0, faults.gaussianNext("des.service"));
-            service *= 1.0 + eps;
-        }
-        const double departure = start + service;
-        prev_departure = departure;
-        if (n >= warmupRequests)
-            result.responseTimes.push_back(departure - arrival);
-    }
-    return result;
-}
 
 double
 OpenLoopResult::percentile(double p, std::size_t from,

@@ -1,23 +1,18 @@
 /**
  * @file
- * Discrete-event simulators for the tail-latency pipeline.
+ * The discrete-event simulator of the tail-latency pipeline.
  *
- * Two engines live here:
- *
- * - simulateMm1(): the original closed single-server FCFS M/M/1
- *   simulation, kept as the validation counterpart of the closed-form
- *   percentile formula (queueing/mm1.h).
- *
- * - simulateOpenLoop(): the production-shaped generalization — an
- *   event-driven multi-server FCFS queue fed by an *arbitrary*
- *   open-loop arrival stream (src/loadgen builds Poisson, bursty
- *   MMPP and diurnal streams). Requests are balanced least-loaded
- *   across the servers (or round-robin), queues can be bounded with
- *   drop accounting, per-request deadlines are tracked, and the
- *   interference-degraded service rates measured by the Lab plug in
- *   per server. This is the "measured" tail-latency path of
- *   bench_fig13 and the engine under the knee-finding
- *   bench_latency_vs_load harness.
+ * simulateOpenLoop() is an event-driven multi-server FCFS queue fed
+ * by an *arbitrary* open-loop arrival stream (src/loadgen builds
+ * Poisson, bursty MMPP and diurnal streams). Requests are balanced
+ * least-loaded across the servers (or round-robin), queues can be
+ * bounded with drop accounting, per-request deadlines are tracked,
+ * and the interference-degraded service rates measured by the Lab
+ * plug in per server. One server with an unbounded queue fed a
+ * Poisson stream is the M/M/1 queue whose closed form
+ * (queueing/mm1.h) it validates. This is the "measured" tail-latency
+ * path of bench_fig13 and the engine under the knee-finding
+ * bench_latency_vs_load harness.
  *
  * Robustness: three keyed fault sites exercise the queueing path in
  * chaos runs (docs/ROBUSTNESS.md) — `des.server_stall` stretches
@@ -38,33 +33,6 @@
 #include <vector>
 
 namespace smite::queueing {
-
-/** Result of one queueing simulation. */
-struct QueueSimResult {
-    std::vector<double> responseTimes;  ///< per-request sojourn times
-
-    /** Empirical p-th percentile of the response times. */
-    double percentile(double p) const;
-
-    /** Empirical mean response time. */
-    double meanResponse() const;
-};
-
-/**
- * Simulate an FCFS single-server queue with exponential interarrival
- * and service times (M/M/1).
- *
- * @param lambda arrival rate (requests/s)
- * @param mu service rate (requests/s)
- * @param requests number of requests to simulate
- * @param seed RNG seed (deterministic for a given seed)
- * @param warmupRequests initial requests discarded from statistics;
- *        must be strictly below @p requests or the sample set would
- *        be empty (std::invalid_argument)
- */
-QueueSimResult simulateMm1(double lambda, double mu,
-                           std::uint64_t requests, std::uint64_t seed = 1,
-                           std::uint64_t warmupRequests = 1000);
 
 /**
  * Configuration of one open-loop multi-server simulation.

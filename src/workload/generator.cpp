@@ -15,6 +15,38 @@ constexpr sim::Addr kBytesPerUop = 4;
 
 } // namespace
 
+sim::Digest
+profileDigest(const WorkloadProfile &profile)
+{
+    sim::Digest d;
+    d.str("workload.profile");
+    d.str(profile.name);
+    d.u64(static_cast<std::uint64_t>(profile.specNumber));
+    d.u64(static_cast<std::uint64_t>(profile.suite));
+    for (const double m : profile.mix)
+        d.f64(m);
+    d.f64(profile.branchMispredictRate);
+    d.u64(profile.dataFootprint);
+    d.f64(profile.streamFraction);
+    d.u64(profile.stackBytes);
+    d.f64(profile.stackProb);
+    d.u64(profile.hotBytes);
+    d.f64(profile.hotProb);
+    d.u64(profile.codeFootprint);
+    d.u64(profile.loopBytes);
+    d.f64(profile.codeDwellUops);
+    d.f64(profile.phaseLowFactor);
+    d.f64(profile.phaseMeanUops);
+    d.f64(profile.depProb);
+    d.f64(profile.loadDepProb);
+    d.f64(profile.dep2Prob);
+    d.f64(profile.depMeanDist);
+    d.f64(profile.arrivalRate);
+    d.f64(profile.serviceRate);
+    d.u64(profile.reportsPercentile ? 1 : 0);
+    return d;
+}
+
 ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
                                    std::uint64_t seed)
     : profile_(profile), seed_(seed), rng_(seed)
@@ -64,32 +96,7 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
 std::uint64_t
 ProfileUopSource::streamDigest() const
 {
-    sim::Digest d;
-    d.str("workload.profile");
-    d.str(profile_.name);
-    d.u64(static_cast<std::uint64_t>(profile_.specNumber));
-    d.u64(static_cast<std::uint64_t>(profile_.suite));
-    for (const double m : profile_.mix)
-        d.f64(m);
-    d.f64(profile_.branchMispredictRate);
-    d.u64(profile_.dataFootprint);
-    d.f64(profile_.streamFraction);
-    d.u64(profile_.stackBytes);
-    d.f64(profile_.stackProb);
-    d.u64(profile_.hotBytes);
-    d.f64(profile_.hotProb);
-    d.u64(profile_.codeFootprint);
-    d.u64(profile_.loopBytes);
-    d.f64(profile_.codeDwellUops);
-    d.f64(profile_.phaseLowFactor);
-    d.f64(profile_.phaseMeanUops);
-    d.f64(profile_.depProb);
-    d.f64(profile_.loadDepProb);
-    d.f64(profile_.dep2Prob);
-    d.f64(profile_.depMeanDist);
-    d.f64(profile_.arrivalRate);
-    d.f64(profile_.serviceRate);
-    d.u64(profile_.reportsPercentile ? 1 : 0);
+    sim::Digest d = profileDigest(profile_);
     d.u64(seed_);
     return d.value();
 }

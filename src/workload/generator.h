@@ -11,11 +11,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/digest.h"
 #include "sim/uop.h"
 #include "workload/profile.h"
 #include "workload/rng.h"
 
 namespace smite::workload {
+
+/**
+ * Digest of every profile field that shapes a generated stream, the
+ * name included. ProfileUopSource::streamDigest() folds the seed on
+ * top; the Lab keys its memo tables on the value.
+ */
+sim::Digest profileDigest(const WorkloadProfile &profile);
 
 /**
  * Uop stream generator driven by a WorkloadProfile.
@@ -87,7 +95,7 @@ class ProfileUopSource final : public sim::UopSource
     const WorkloadProfile &profile() const { return profile_; }
 
     /**
-     * Replay identity: a digest of every profile field plus the seed.
+     * Replay identity: profileDigest() plus the seed.
      * The generator is a pure function of (profile, seed) — reset()
      * rewinds exactly — so equal digests imply identical streams,
      * which is what sim/replay.h keys runs on.

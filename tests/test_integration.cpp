@@ -36,27 +36,28 @@ trainingSubset()
 TEST(Integration, EndToEndPredictionBeatsBaselines)
 {
     const auto mode = CoLocationMode::kSmt;
-    const auto train = trainingSubset();
-    const SmiteModel model = lab().trainSmite(train, mode);
+    const SmitePredictor model = SmitePredictor::train(
+        trainingCorpus(lab(), trainingSubset(), mode).samples);
 
     // Held-out applications spanning compute-, branch- and
     // memory-bound behaviour.
     using workload::spec2006::byName;
-    const std::vector<const workload::WorkloadProfile *> held_out = {
-        &byName("453.povray"), &byName("433.milc"),
-        &byName("445.gobmk"), &byName("471.omnetpp")};
+    const std::vector<workload::WorkloadProfile> held_out = {
+        byName("453.povray"), byName("433.milc"), byName("445.gobmk"),
+        byName("471.omnetpp")};
+    const std::vector<WorkloadSignature> sigs =
+        signaturesOf(lab(), held_out, mode);
 
     double smite_err = 0.0, zero_err = 0.0;
     int n = 0;
-    for (const auto *victim : held_out) {
-        for (const auto *aggressor : held_out) {
-            if (victim == aggressor)
+    for (std::size_t v = 0; v < held_out.size(); ++v) {
+        for (std::size_t a = 0; a < held_out.size(); ++a) {
+            if (v == a)
                 continue;
             const double actual =
-                lab().pairDegradation(*victim, *aggressor, mode);
-            const double predicted = model.predict(
-                lab().characterization(*victim, mode),
-                lab().characterization(*aggressor, mode));
+                lab().pairDegradation(held_out[v], held_out[a], mode);
+            const double predicted =
+                model.predictDegradation(sigs[v], sigs[a]);
             smite_err += std::abs(predicted - actual);
             zero_err += std::abs(actual);
             ++n;
@@ -68,23 +69,25 @@ TEST(Integration, EndToEndPredictionBeatsBaselines)
     EXPECT_LT(smite_err / n, 0.12);
 }
 
-TEST(Integration, PmuModelTrainsAndPredictsInRange)
+TEST(Integration, PmuPredictorTrainsAndPredictsInRange)
 {
     const auto mode = CoLocationMode::kSmt;
-    // The PMU model needs > 22 samples: 9 apps give 72 ordered pairs.
-    const PmuModel model = lab().trainPmu(trainingSubset(), mode);
-    const auto &a = workload::spec2006::byName("453.povray");
-    const auto &b = workload::spec2006::byName("433.milc");
-    const double pred =
-        model.predict(lab().pmuProfile(a), lab().pmuProfile(b));
-    EXPECT_GT(pred, -0.5);
+    // The PMU baseline needs > 22 samples: 9 apps give 72 ordered
+    // pairs.
+    const PmuPredictor model = PmuPredictor::train(
+        trainingCorpus(lab(), trainingSubset(), mode).samples);
+    const double pred = model.predictDegradation(
+        signatureOf(lab(), workload::spec2006::byName("453.povray"), mode),
+        signatureOf(lab(), workload::spec2006::byName("433.milc"), mode));
+    EXPECT_GE(pred, 0.0);
     EXPECT_LT(pred, 1.0);
 }
 
 TEST(Integration, SmiteCoefficientsAreFinite)
 {
-    const SmiteModel model =
-        lab().trainSmite(trainingSubset(), CoLocationMode::kSmt);
+    const SmitePredictor model = SmitePredictor::train(
+        trainingCorpus(lab(), trainingSubset(), CoLocationMode::kSmt)
+            .samples);
     for (double c : model.coefficients())
         EXPECT_TRUE(std::isfinite(c));
     EXPECT_TRUE(std::isfinite(model.constantTerm()));

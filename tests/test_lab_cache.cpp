@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the Lab's cache path: the run log (sim::RunLog) that
- * persists simulator runs across processes.
+ * Tests for the Lab's caches: the run log (sim::RunLog) that persists
+ * simulator runs across processes, and the keys of its in-process
+ * memo tables.
  *
  * Every test that reloads a log writes it in a child process (a gtest
  * EXPECT_EXIT statement, re-executed in a fresh process by the
@@ -25,6 +26,8 @@
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "sim/replay.h"
+#include "workload/cloudsuite.h"
+#include "workload/generator.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
@@ -149,9 +152,10 @@ struct Measured {
 };
 
 Measured
-measure(Lab &lab)
+measure(Lab &lab,
+        const workload::WorkloadProfile &a =
+            workload::spec2006::byName("453.povray"))
 {
-    const auto &a = workload::spec2006::byName("453.povray");
     const auto &b = workload::spec2006::byName("433.milc");
     const auto mode = CoLocationMode::kSmt;
     Measured m;
@@ -172,6 +176,41 @@ expectSame(const Measured &got, const Measured &want)
     EXPECT_EQ(got.pmu, want.pmu);
     EXPECT_EQ(got.chr.sensitivity, want.chr.sensitivity);
     EXPECT_EQ(got.chr.contentiousness, want.chr.contentiousness);
+}
+
+// One Lab asked about a profile edited under its old name measures the
+// edit rather than serving the original's memo entries.
+TEST(LabCache, EditedProfileIsNotServedStaleWithinOneLab)
+{
+    const auto &original = workload::spec2006::byName("429.mcf");
+    workload::WorkloadProfile edited = original;
+    edited.hotProb *= 0.5;
+
+    Lab lab(kIvb, 800, 2'000);
+    const Measured before = measure(lab, original);
+    const Measured served = measure(lab, edited);
+
+    ReplayGuard off(false);
+    Lab live(kIvb, 800, 2'000);
+    const Measured fresh = measure(live, edited);
+    ASSERT_NE(fresh.solo, before.solo);
+    ASSERT_NE(fresh.forward, before.forward);
+    expectSame(served, fresh);
+}
+
+// The memo keys' profile digest is the run log's stream identity minus
+// the seed; the logged stream digests themselves must never move, or
+// every existing run log would be orphaned.
+TEST(LabCache, StreamDigestsKeepRunLogKeys)
+{
+    EXPECT_EQ(workload::ProfileUopSource(
+                  workload::spec2006::byName("429.mcf"), 1)
+                  .streamDigest(),
+              0xfdc396e85da10188ull);
+    EXPECT_EQ(workload::ProfileUopSource(
+                  workload::cloudsuite::byName("Web-Search"), 3)
+                  .streamDigest(),
+              0xa55c457f2b40a7f7ull);
 }
 
 // (4) A reloading process replays every run from the file.

@@ -1,212 +1,16 @@
 /**
  * @file
- * Unit tests for the SMiTe (Equation 3) and PMU (Equation 9)
- * prediction models on synthetic data.
+ * Unit tests for the PMU rate catalog that the Equation 9 baseline
+ * reads. The Equation 3 and Equation 9 predictors themselves are
+ * tested in test_predictor.cpp.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
-#include "core/pmu_model.h"
-#include "core/smite_model.h"
-#include "obs/incident.h"
-#include "workload/rng.h"
+#include "sim/counters.h"
 
 namespace smite::core {
 namespace {
-
-Characterization
-randomCharacterization(workload::Rng &rng)
-{
-    Characterization c;
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        c.sensitivity[d] = rng.nextDouble();
-        c.contentiousness[d] = rng.nextDouble();
-    }
-    return c;
-}
-
-TEST(SmiteModel, FeaturesArePerDimensionProducts)
-{
-    Characterization victim, aggressor;
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        victim.sensitivity[d] = 0.1 * (d + 1);
-        aggressor.contentiousness[d] = 0.2 * (d + 1);
-    }
-    const auto x = SmiteModel::features(victim, aggressor);
-    ASSERT_EQ(x.size(), static_cast<size_t>(rulers::kNumDimensions));
-    for (int d = 0; d < rulers::kNumDimensions; ++d)
-        EXPECT_NEAR(x[d], 0.1 * (d + 1) * 0.2 * (d + 1), 1e-12);
-}
-
-TEST(SmiteModel, RecoversSyntheticEquation3)
-{
-    // Build a world that obeys Equation 3 exactly and check the
-    // trained model reproduces coefficients and predictions.
-    const std::vector<double> truth = {0.3, 0.5, 0.1, 0.4,
-                                       0.2, 0.6, 0.8};
-    const double c0 = 0.02;
-
-    workload::Rng rng(77);
-    std::vector<SmiteModel::Sample> samples;
-    for (int i = 0; i < 120; ++i) {
-        SmiteModel::Sample s;
-        s.victim = randomCharacterization(rng);
-        s.aggressor = randomCharacterization(rng);
-        s.degradation = c0;
-        for (int d = 0; d < rulers::kNumDimensions; ++d) {
-            s.degradation += truth[d] * s.victim.sensitivity[d] *
-                             s.aggressor.contentiousness[d];
-        }
-        samples.push_back(std::move(s));
-    }
-    const SmiteModel model = SmiteModel::train(samples, 0.0);
-    for (int d = 0; d < rulers::kNumDimensions; ++d)
-        EXPECT_NEAR(model.coefficients()[d], truth[d], 1e-8);
-    EXPECT_NEAR(model.constantTerm(), c0, 1e-8);
-
-    workload::Rng rng2(123);
-    const auto a = randomCharacterization(rng2);
-    const auto b = randomCharacterization(rng2);
-    double expected = c0;
-    for (int d = 0; d < rulers::kNumDimensions; ++d)
-        expected += truth[d] * a.sensitivity[d] * b.contentiousness[d];
-    // predict() guards its output into [0, 1] (degradation is a
-    // fraction); the synthetic world can exceed that.
-    EXPECT_NEAR(model.predict(a, b), std::clamp(expected, 0.0, 1.0),
-                1e-8);
-}
-
-TEST(SmiteModel, RequiresEnoughSamples)
-{
-    std::vector<SmiteModel::Sample> samples(rulers::kNumDimensions);
-    EXPECT_THROW(SmiteModel::train(samples), std::invalid_argument);
-}
-
-TEST(PmuModel, RecoversSyntheticEquation9)
-{
-    workload::Rng rng(55);
-    std::vector<double> wa(sim::kNumPmuRates), wb(sim::kNumPmuRates);
-    for (auto &w : wa)
-        w = rng.nextDouble() - 0.5;
-    for (auto &w : wb)
-        w = rng.nextDouble() - 0.5;
-    const double c0 = 0.05;
-
-    std::vector<PmuModel::Sample> samples;
-    for (int i = 0; i < 200; ++i) {
-        PmuModel::Sample s;
-        s.degradation = c0;
-        for (int r = 0; r < sim::kNumPmuRates; ++r) {
-            s.victim[r] = rng.nextDouble();
-            s.aggressor[r] = rng.nextDouble();
-            s.degradation +=
-                wa[r] * s.victim[r] + wb[r] * s.aggressor[r];
-        }
-        samples.push_back(std::move(s));
-    }
-    const PmuModel model = PmuModel::train(samples, 0.0);
-    PmuModel::Sample probe = samples.front();
-    EXPECT_NEAR(model.predict(probe.victim, probe.aggressor),
-                std::clamp(probe.degradation, 0.0, 1.0), 1e-6);
-}
-
-TEST(PmuModel, FeatureLayoutIsVictimThenAggressor)
-{
-    PmuProfile a{}, b{};
-    a[0] = 1.5;
-    b[0] = 2.5;
-    const auto x = PmuModel::features(a, b);
-    ASSERT_EQ(x.size(), 2u * sim::kNumPmuRates);
-    EXPECT_EQ(x[0], 1.5);
-    EXPECT_EQ(x[sim::kNumPmuRates], 2.5);
-}
-
-TEST(PmuModel, RequiresEnoughSamples)
-{
-    std::vector<PmuModel::Sample> samples(2 * sim::kNumPmuRates);
-    EXPECT_THROW(PmuModel::train(samples), std::invalid_argument);
-}
-
-TEST(SmiteModel, PredictionsAreClampedIntoUnitInterval)
-{
-    // A synthetic world with large positive coefficients: an extreme
-    // characterization pushes the raw affine prediction far past 1,
-    // and an all-zero one sits at the (positive) constant term. Flip
-    // the sign of the degradations and the raw prediction goes
-    // negative. Either way predict() must stay inside [0, 1].
-    workload::Rng rng(11);
-    std::vector<SmiteModel::Sample> pos, neg;
-    for (int i = 0; i < 60; ++i) {
-        SmiteModel::Sample s;
-        s.victim = randomCharacterization(rng);
-        s.aggressor = randomCharacterization(rng);
-        s.degradation = 0.5;
-        for (int d = 0; d < rulers::kNumDimensions; ++d) {
-            s.degradation += 2.0 * s.victim.sensitivity[d] *
-                             s.aggressor.contentiousness[d];
-        }
-        neg.push_back(s);
-        neg.back().degradation = -s.degradation;
-        pos.push_back(std::move(s));
-    }
-    Characterization extreme;
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        extreme.sensitivity[d] = 1.0;
-        extreme.contentiousness[d] = 1.0;
-    }
-
-    const SmiteModel high = SmiteModel::train(pos, 0.0);
-    EXPECT_EQ(high.predict(extreme, extreme), 1.0);
-    const SmiteModel low = SmiteModel::train(neg, 0.0);
-    EXPECT_EQ(low.predict(extreme, extreme), 0.0);
-}
-
-TEST(SmiteModel, NonFinitePredictionFallsBackToWorstCase)
-{
-    workload::Rng rng(13);
-    std::vector<SmiteModel::Sample> samples;
-    for (int i = 0; i < 40; ++i) {
-        SmiteModel::Sample s;
-        s.victim = randomCharacterization(rng);
-        s.aggressor = randomCharacterization(rng);
-        s.degradation = 0.1;
-        samples.push_back(std::move(s));
-    }
-    const SmiteModel model = SmiteModel::train(samples);
-
-    Characterization poisoned = randomCharacterization(rng);
-    poisoned.sensitivity[0] = std::numeric_limits<double>::quiet_NaN();
-    const std::size_t before = obs::IncidentLog::global().count();
-    EXPECT_EQ(model.predict(poisoned, randomCharacterization(rng)),
-              1.0);
-    EXPECT_GT(obs::IncidentLog::global().count(), before);
-}
-
-TEST(PmuModel, NonFinitePredictionFallsBackToWorstCase)
-{
-    workload::Rng rng(17);
-    std::vector<PmuModel::Sample> samples;
-    for (int i = 0; i < 60; ++i) {
-        PmuModel::Sample s;
-        s.degradation = 0.2;
-        for (int r = 0; r < sim::kNumPmuRates; ++r) {
-            s.victim[r] = rng.nextDouble();
-            s.aggressor[r] = rng.nextDouble();
-        }
-        samples.push_back(std::move(s));
-    }
-    const PmuModel model = PmuModel::train(samples);
-
-    PmuProfile victim = samples.front().victim;
-    victim[3] = std::numeric_limits<double>::infinity();
-    const std::size_t before = obs::IncidentLog::global().count();
-    EXPECT_EQ(model.predict(victim, samples.front().aggressor), 1.0);
-    EXPECT_GT(obs::IncidentLog::global().count(), before);
-}
 
 TEST(PmuRates, NamesMatchPaperList)
 {

@@ -4,13 +4,17 @@
  * implementation behind the core::Predictor interface must honour the
  * same contract — predictions in [0, 1], solo predicts zero,
  * unusable or adversarial signatures fall back to the conservative
- * worst case with the `predictor.*` counters ticking — plus a
+ * worst case with the `predictor.*` counters ticking — plus the
+ * paper's two regressions on synthetic data (Equation 3 and
+ * Equation 9 recovery, feature layouts, minimum sample counts) and a
  * real-Lab end-to-end smoke of trainPredictorZoo at tiny intervals.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
@@ -81,6 +85,30 @@ makeCorpus(int n_workloads)
             corpus.samples.push_back(
                 {&corpus.signatures[i], &corpus.signatures[j], deg});
         }
+    }
+    return corpus;
+}
+
+/**
+ * @p n samples, each over its own random (victim, aggressor)
+ * signature pair, with degradations given by @p law.
+ */
+SyntheticCorpus
+pairwiseCorpus(int n, std::uint64_t seed,
+               const std::function<double(const WorkloadSignature &,
+                                          const WorkloadSignature &)>
+                   &law)
+{
+    SyntheticCorpus corpus;
+    workload::Rng rng(seed);
+    for (int i = 0; i < 2 * n; ++i) {
+        corpus.signatures.push_back(
+            syntheticSignature(rng, "s" + std::to_string(i)));
+    }
+    for (int i = 0; i < n; ++i) {
+        const WorkloadSignature &v = corpus.signatures[2 * i];
+        const WorkloadSignature &a = corpus.signatures[2 * i + 1];
+        corpus.samples.push_back({&v, &a, law(v, a)});
     }
     return corpus;
 }
@@ -196,15 +224,14 @@ TEST(PredictorZoo, OutOfRangeRawPredictionsAreClampedAndCounted)
 {
     // Train on a world with large degradations, then feed a saturated
     // signature: the raw affine prediction overshoots 1 and must come
-    // back clamped. The Alves-Drummond predictor exposes the
-    // interface-level clamp directly (SmiteModel/PmuModel already
-    // guard inside the wrapped model, so their predictors hand the
-    // interface an in-range value).
-    SyntheticCorpus corpus = makeCorpus(8);
-    for (PredictorSample &s : corpus.samples)
+    // back clamped, counted once. Flip the sign of the degradations
+    // and the raw prediction undershoots 0 instead.
+    SyntheticCorpus high = makeCorpus(8);
+    SyntheticCorpus low = makeCorpus(8);
+    for (PredictorSample &s : high.samples)
         s.degradation *= 30.0;
-    const AlvesDrummondPredictor ad =
-        AlvesDrummondPredictor::train(corpus.samples);
+    for (PredictorSample &s : low.samples)
+        s.degradation *= -30.0;
 
     workload::Rng rng(0xC1A3ull);
     WorkloadSignature saturated = syntheticSignature(rng, "saturated");
@@ -213,18 +240,156 @@ TEST(PredictorZoo, OutOfRangeRawPredictionsAreClampedAndCounted)
         saturated.characterization.contentiousness[d] = 1.0;
     }
 
-    const std::uint64_t predictions0 =
-        counter("predictor.predictions");
-    const std::uint64_t clamped0 = counter("predictor.clamped");
-    const double deg = ad.predictDegradation(saturated, saturated);
-    EXPECT_EQ(deg, 1.0);
-    EXPECT_EQ(counter("predictor.predictions"), predictions0 + 1);
-    EXPECT_EQ(counter("predictor.clamped"), clamped0 + 1);
+    for (const auto &[corpus, bound] :
+         {std::pair{&high, 1.0}, std::pair{&low, 0.0}}) {
+        for (const auto &p : trainedZoo(*corpus)) {
+            SCOPED_TRACE(std::string(p->name()) + " toward " +
+                         std::to_string(bound));
+            const std::uint64_t predictions0 =
+                counter("predictor.predictions");
+            const std::uint64_t clamped0 = counter("predictor.clamped");
+            EXPECT_EQ(p->predictDegradation(saturated, saturated), bound);
+            EXPECT_EQ(counter("predictor.predictions"), predictions0 + 1);
+            EXPECT_EQ(counter("predictor.clamped"), clamped0 + 1);
+        }
+    }
+}
 
-    // The SMiTe predictor on the same input also comes back at the
-    // worst case, clamped inside the wrapped model.
-    const SmitePredictor smite = SmitePredictor::train(corpus.samples);
-    EXPECT_EQ(smite.predictDegradation(saturated, saturated), 1.0);
+TEST(SmitePredictor, FeaturesArePerDimensionProducts)
+{
+    WorkloadSignature victim, a1, a2;
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        victim.characterization.sensitivity[d] = 0.1 * (d + 1);
+        a1.characterization.contentiousness[d] = 0.2 * (d + 1);
+        a2.characterization.contentiousness[d] = 0.05;
+    }
+    const auto x = SmitePredictor::features(victim, {&a1});
+    ASSERT_EQ(x.size(), static_cast<size_t>(rulers::kNumDimensions));
+    const auto x2 = SmitePredictor::features(victim, {&a1, &a2});
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        // One co-runner: exactly Sen_i^A * Con_i^B, bit for bit.
+        EXPECT_EQ(x[d], victim.characterization.sensitivity[d] *
+                            a1.characterization.contentiousness[d]);
+        // A co-runner set: the contentiousness adds up.
+        EXPECT_NEAR(x2[d], 0.1 * (d + 1) * (0.2 * (d + 1) + 0.05),
+                    1e-12);
+    }
+}
+
+TEST(SmitePredictor, RecoversSyntheticEquation3)
+{
+    // A world that obeys Equation 3 exactly: the unregularized fit
+    // must reproduce its coefficients and predictions.
+    const std::vector<double> truth = {0.3, 0.5, 0.1, 0.4,
+                                       0.2, 0.6, 0.8};
+    const double c0 = 0.02;
+    const auto eq3 = [&](const WorkloadSignature &v,
+                         const WorkloadSignature &a) {
+        double deg = c0;
+        for (int d = 0; d < rulers::kNumDimensions; ++d) {
+            deg += truth[d] * v.characterization.sensitivity[d] *
+                   a.characterization.contentiousness[d];
+        }
+        return deg;
+    };
+    const SyntheticCorpus corpus = pairwiseCorpus(120, 77, eq3);
+    const SmitePredictor model = SmitePredictor::train(corpus.samples, 0.0);
+    ASSERT_EQ(model.coefficients().size(),
+              static_cast<size_t>(rulers::kNumDimensions));
+    for (int d = 0; d < rulers::kNumDimensions; ++d)
+        EXPECT_NEAR(model.coefficients()[d], truth[d], 1e-8);
+    EXPECT_NEAR(model.constantTerm(), c0, 1e-8);
+
+    // Predictions follow the law (clamped into [0, 1]), for a pair
+    // and for a co-runner set whose contentiousness adds up.
+    workload::Rng rng(123);
+    const WorkloadSignature victim = syntheticSignature(rng, "victim");
+    const WorkloadSignature a1 = syntheticSignature(rng, "a1");
+    const WorkloadSignature a2 = syntheticSignature(rng, "a2");
+    WorkloadSignature both = a1;
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        both.characterization.contentiousness[d] +=
+            a2.characterization.contentiousness[d];
+    }
+    EXPECT_NEAR(model.predictDegradation(victim, a1),
+                std::clamp(eq3(victim, a1), 0.0, 1.0), 1e-8);
+    EXPECT_NEAR(model.predictDegradation(victim, {&a1, &a2}),
+                std::clamp(eq3(victim, both), 0.0, 1.0), 1e-8);
+}
+
+TEST(PmuPredictor, FeatureLayoutIsVictimThenAggressors)
+{
+    WorkloadSignature victim, a1, a2;
+    victim.pmu[0] = 1.5;
+    a1.pmu[0] = 2.5;
+    a2.pmu[0] = 0.5;
+    const auto x = PmuPredictor::features(victim, {&a1});
+    ASSERT_EQ(x.size(), 2u * sim::kNumPmuRates);
+    EXPECT_EQ(x[0], 1.5);
+    EXPECT_EQ(x[sim::kNumPmuRates], 2.5);
+    // A co-runner set: the aggressor half is the summed rates.
+    EXPECT_EQ(PmuPredictor::features(victim, {&a1, &a2})
+                  [sim::kNumPmuRates],
+              3.0);
+}
+
+TEST(PmuPredictor, RecoversSyntheticEquation9)
+{
+    workload::Rng rng(55);
+    std::vector<double> wa(sim::kNumPmuRates), wb(sim::kNumPmuRates);
+    for (auto &w : wa)
+        w = rng.nextDouble() - 0.5;
+    for (auto &w : wb)
+        w = rng.nextDouble() - 0.5;
+    const double c0 = 0.05;
+    const auto eq9 = [&](const WorkloadSignature &v,
+                         const WorkloadSignature &a) {
+        double deg = c0;
+        for (int r = 0; r < sim::kNumPmuRates; ++r)
+            deg += wa[r] * v.pmu[r] + wb[r] * a.pmu[r];
+        return deg;
+    };
+    const SyntheticCorpus corpus = pairwiseCorpus(200, 56, eq9);
+    const PmuPredictor model = PmuPredictor::train(corpus.samples, 0.0);
+    for (const PredictorSample &s : corpus.samples) {
+        EXPECT_NEAR(model.predictDegradation(*s.victim, *s.aggressor),
+                    std::clamp(s.degradation, 0.0, 1.0), 1e-6);
+    }
+}
+
+TEST(PredictorZoo, PaperModelsNeedMoreSamplesThanFeatures)
+{
+    const auto flat = [](const WorkloadSignature &,
+                         const WorkloadSignature &) { return 0.1; };
+    const int smite_features = rulers::kNumDimensions;
+    const int pmu_features = 2 * sim::kNumPmuRates;
+    EXPECT_THROW(
+        SmitePredictor::train(pairwiseCorpus(smite_features, 3, flat)
+                                  .samples),
+        std::invalid_argument);
+    EXPECT_NO_THROW(
+        SmitePredictor::train(pairwiseCorpus(smite_features + 1, 3, flat)
+                                  .samples));
+    EXPECT_THROW(
+        PmuPredictor::train(pairwiseCorpus(pmu_features, 3, flat).samples),
+        std::invalid_argument);
+    EXPECT_NO_THROW(PmuPredictor::train(
+        pairwiseCorpus(pmu_features + 1, 3, flat).samples));
+}
+
+TEST(PmuPredictor, NonFiniteRateFallsBackToWorstCase)
+{
+    const SyntheticCorpus corpus = makeCorpus(8);
+    const PmuPredictor model = PmuPredictor::train(corpus.samples);
+    WorkloadSignature victim = corpus.signatures[0];
+    victim.pmu[3] = std::numeric_limits<double>::infinity();
+
+    const std::uint64_t invalid0 = counter("predictor.invalid_inputs");
+    const std::size_t incidents0 = obs::IncidentLog::global().count();
+    EXPECT_EQ(model.predictDegradation(victim, corpus.signatures[1]),
+              1.0);
+    EXPECT_EQ(counter("predictor.invalid_inputs"), invalid0 + 1);
+    EXPECT_GT(obs::IncidentLog::global().count(), incidents0);
 }
 
 TEST(PredictorZoo, TrainsOnARealLabCorpus)

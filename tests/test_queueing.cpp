@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the M/M/1 closed form (Equations 4-6)
- * and its validation against the discrete-event simulator.
+ * and its validation against the discrete-event simulator (one
+ * open-loop server fed a Poisson stream).
  */
 
 #include <cmath>
@@ -94,30 +95,26 @@ TEST(Mm1, UnstableQueueThrows)
     EXPECT_THROW(q.meanResponseTime(), std::logic_error);
 }
 
-TEST(QueueSim, RejectsBadArguments)
+/**
+ * One server with an unbounded queue fed a keyed Poisson stream: the
+ * M/M/1 queue of the closed form.
+ */
+OpenLoopResult
+openLoopMm1(double lambda, double mu, std::size_t requests,
+            std::uint64_t seed)
 {
-    EXPECT_THROW(simulateMm1(-1.0, 1.0, 10), std::invalid_argument);
-    EXPECT_THROW(simulateMm1(1.0, 1.0, 0), std::invalid_argument);
-    EXPECT_THROW(simulateMm1(1.0, 2.0, 10, 1, 10),
-                 std::invalid_argument);  // warmup eats everything
+    loadgen::ArrivalConfig arrival;
+    arrival.rate = lambda;
+    arrival.seed = seed;
+    OpenLoopConfig config;
+    config.serviceRates = {mu};
+    config.seed = seed;
+    return simulateOpenLoop(
+        loadgen::ArrivalStream(arrival).generate(requests), config);
 }
 
-TEST(QueueSim, WarmupBoundary)
-{
-    // warmup == requests leaves nothing to measure; one fewer works.
-    EXPECT_THROW(simulateMm1(50.0, 100.0, 1000, 1, 1000),
-                 std::invalid_argument);
-    const auto r = simulateMm1(50.0, 100.0, 1000, 1, 999);
-    EXPECT_EQ(r.responseTimes.size(), 1u);
-}
-
-TEST(QueueSim, Deterministic)
-{
-    const auto a = simulateMm1(50, 100, 5000, 3);
-    const auto b = simulateMm1(50, 100, 5000, 3);
-    ASSERT_EQ(a.responseTimes.size(), b.responseTimes.size());
-    EXPECT_EQ(a.responseTimes, b.responseTimes);
-}
+/** Requests discarded from the statistics while the queue fills. */
+constexpr std::size_t kWarmupRequests = 1000;
 
 /**
  * Property: the simulated percentile matches the closed form across
@@ -134,9 +131,10 @@ TEST_P(ClosedFormVsSim, NinetiethPercentileAgrees)
     const double mu = 1000.0;
     const double lambda = rho * mu;
     const Mm1 q(lambda, mu);
-    const auto sim = simulateMm1(lambda, mu, 400000, 11);
+    const auto sim = openLoopMm1(lambda, mu, 400000, 11);
+    EXPECT_EQ(sim.completed, sim.offered);
     const double analytic = q.percentileLatency(0.9);
-    const double simulated = sim.percentile(0.9);
+    const double simulated = sim.percentile(0.9, kWarmupRequests);
     EXPECT_NEAR(simulated / analytic, 1.0, 0.06)
         << "rho=" << rho << " analytic=" << analytic
         << " simulated=" << simulated;
@@ -146,32 +144,33 @@ INSTANTIATE_TEST_SUITE_P(Utilizations, ClosedFormVsSim,
                          ::testing::Values(0.1, 0.3, 0.5, 0.6, 0.7,
                                            0.8, 0.9));
 
-TEST(QueueSim, MeanMatchesClosedForm)
+TEST(OpenLoop, SingleServerMeanMatchesClosedForm)
 {
     const Mm1 q(600.0, 1000.0);
-    const auto sim = simulateMm1(600, 1000, 400000, 5);
-    EXPECT_NEAR(sim.meanResponse() / q.meanResponseTime(), 1.0, 0.05);
+    const auto sim = openLoopMm1(600, 1000, 400000, 5);
+    EXPECT_NEAR(sim.meanResponse(kWarmupRequests) / q.meanResponseTime(),
+                1.0, 0.05);
+}
+
+TEST(OpenLoop, EmptyWindowHasNoSamples)
+{
+    // A window past the last request holds nothing to measure.
+    const auto sim = openLoopMm1(50.0, 100.0, 1000, 1);
+    EXPECT_THROW(sim.percentile(0.9, 1000), std::logic_error);
+    EXPECT_THROW(sim.meanResponse(1000), std::logic_error);
+    EXPECT_EQ(sim.completedIn(999), 1u);
 }
 
 TEST(OpenLoop, SingleServerMatchesClosedForm)
 {
-    // The generalized open-loop DES fed a keyed Poisson stream must
-    // reproduce the M/M/1 closed form, exactly like simulateMm1.
-    const double lambda = 700.0, mu = 1000.0;
-    loadgen::ArrivalConfig arrival;
-    arrival.rate = lambda;
-    arrival.seed = 19;
-    OpenLoopConfig config;
-    config.serviceRates = {mu};
-    config.seed = 19;
-    const auto sim = simulateOpenLoop(
-        loadgen::ArrivalStream(arrival).generate(400000), config);
+    const Mm1 q(700.0, 1000.0);
+    const auto sim = openLoopMm1(700.0, 1000.0, 400000, 19);
     EXPECT_EQ(sim.completed, sim.offered);
-    const Mm1 q(lambda, mu);
-    EXPECT_NEAR(sim.percentile(0.9, 1000) / q.percentileLatency(0.9),
+    EXPECT_NEAR(sim.percentile(0.9, kWarmupRequests) /
+                    q.percentileLatency(0.9),
                 1.0, 0.06);
-    EXPECT_NEAR(sim.meanResponse(1000) / q.meanResponseTime(), 1.0,
-                0.05);
+    EXPECT_NEAR(sim.meanResponse(kWarmupRequests) / q.meanResponseTime(),
+                1.0, 0.05);
 }
 
 TEST(OpenLoop, Deterministic)

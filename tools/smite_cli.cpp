@@ -201,11 +201,12 @@ cmdPredict(const Options &opts)
                               : workload::spec2006::oddNumbered();
     std::fprintf(stderr, "training Equation 3 on the %s-numbered SPEC "
                  "benchmarks...\n", opts.trainEven ? "even" : "odd");
-    const core::SmiteModel model = lab.trainSmite(training, opts.mode);
+    const core::SmitePredictor model = core::SmitePredictor::train(
+        core::trainingCorpus(lab, training, opts.mode).samples);
 
-    const double predicted = model.predict(
-        lab.characterization(victim, opts.mode),
-        lab.characterization(aggressor, opts.mode));
+    const double predicted = model.predictDegradation(
+        core::signatureOf(lab, victim, opts.mode),
+        core::signatureOf(lab, aggressor, opts.mode));
     const double measured =
         lab.pairDegradation(victim, aggressor, opts.mode);
     std::printf("%s co-located with %s (%s):\n", victim.name.c_str(),
