@@ -6,9 +6,11 @@
  * and 8 worker threads.
  *
  * Reports wall-clock time, speedup over the serial path, and the
- * number of simulations performed at each width, and verifies the
- * determinism contract: the assembled batch results must be
- * byte-identical at every thread count (exit status 1 otherwise).
+ * number of runs simulated at each width (`machine.replay.misses`; the
+ * ReplayStore is process-wide, so a later width replays what an
+ * earlier one simulated), and verifies the determinism contract: the
+ * assembled batch results must be byte-identical at every thread
+ * count (exit status 1 otherwise).
  *
  * Simulated cycles per measurement default to a reduced interval so
  * the sweep finishes in minutes; override with SMITE_SCALING_WARMUP /
@@ -16,6 +18,7 @@
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -27,6 +30,13 @@
 using namespace smite;
 
 namespace {
+
+/** Runs simulated so far (replay-store misses). */
+std::uint64_t
+simulatedRuns()
+{
+    return obs::Registry::global().counter("machine.replay.misses").value();
+}
 
 /** Full-precision serialization of the batch results. */
 std::string
@@ -53,7 +63,7 @@ fingerprint(const std::vector<core::Characterization> &chars,
 /**
  * The Figures 14-17 measurement grid at one pool width: prefetch
  * every (latency, batch, instances) tuple in parallel, then assemble
- * the degradations serially from the warm cache. Returns the
+ * the degradations serially from the warm store. Returns the
  * full-precision fingerprint of the assembled grid.
  */
 std::string
@@ -110,11 +120,11 @@ main()
     double serial_seconds = 0.0;
     bool identical = true;
     for (const int threads : {1, 2, 4, 8}) {
-        // A fresh Lab per width: cold caches, no disk cache, so every
-        // width performs the same measurement work.
+        // A fresh Lab per width, with no run log.
         core::Lab lab(sim::MachineConfig::ivyBridge(), warmup, measure);
         lab.setParallelism(threads);
 
+        const std::uint64_t simulated0 = simulatedRuns();
         const auto t0 = std::chrono::steady_clock::now();
         const auto chars = lab.characterizeAll(train, mode);
         const auto pairs = lab.measureAllPairs(train, mode);
@@ -130,8 +140,8 @@ main()
         }
         std::printf("%8d %11.2fs %8.2fx %12llu\n", threads, seconds,
                     serial_seconds / seconds,
-                    static_cast<unsigned long long>(
-                        lab.stats().total()));
+                    static_cast<unsigned long long>(simulatedRuns() -
+                                                    simulated0));
         obs_scope.report().addTiming(
             "threads_" + std::to_string(threads) + "_s", seconds);
     }
@@ -165,6 +175,7 @@ main()
         core::Lab lab(sim::MachineConfig::sandyBridgeEN(), warmup,
                       measure);
         lab.setParallelism(threads);
+        const std::uint64_t simulated0 = simulatedRuns();
         const auto t0 = std::chrono::steady_clock::now();
         const std::string fp = scaleoutFingerprint(
             lab, latency, batch_apps, grid_threads, grid_instances);
@@ -175,8 +186,8 @@ main()
             grid_identical = false;
         std::printf("%8d %11.2fs %12llu\n", threads,
                     std::chrono::duration<double>(t1 - t0).count(),
-                    static_cast<unsigned long long>(
-                        lab.stats().total()));
+                    static_cast<unsigned long long>(simulatedRuns() -
+                                                    simulated0));
     }
     bench::ReportScope::recordResult(
         "scaleout_byte_identical", obs::json::Value(grid_identical));

@@ -91,7 +91,7 @@ shootOut(obs::RunReport &report, const char *tag,
         core::trainPredictorZoo(lab, train_set, mode);
 
     // Held-out signatures + measured oracle, fanned out through the
-    // batch APIs so the serial loops below run on cache hits. A pair
+    // batch APIs so the serial loops below replay the store. A pair
     // whose measurement failed past the retry budget is skipped for
     // every predictor alike.
     const std::vector<core::WorkloadSignature> test_sigs =

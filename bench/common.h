@@ -58,7 +58,7 @@ benchMeasureCycles()
 
 /**
  * Build a Lab over the shared run log. (Returned as a prvalue — the
- * Lab is non-movable since its caches carry locks.)
+ * Lab is non-movable since its characterizer refers to its machine.)
  */
 inline core::Lab
 makeLab(const sim::MachineConfig &config)
@@ -215,7 +215,7 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
         core::PmuPredictor::train(corpus.samples);
 
     // Fan the test-set measurements out before the reporting loop so
-    // the serial printing below runs entirely on cache hits.
+    // the serial printing below runs entirely on replay-store hits.
     const std::vector<core::WorkloadSignature> sigs =
         core::signaturesOf(lab, test, mode);
     const std::vector<std::vector<double>> pairs =

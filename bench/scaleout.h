@@ -35,7 +35,7 @@ struct ScaleoutSignatures {
  * (kLatencyThreads threads) and batch-app signatures plus every
  * (latency, batch, 1..kLatencyThreads) multi-instance degradation —
  * out across the Lab's thread pool (width: SMITE_THREADS). The serial
- * table-assembly loops below then run entirely on cache hits, so
+ * table-assembly loops below then run entirely on replay-store hits, so
  * their output is byte-identical to the all-serial protocol
  * (verified by bench_parallel_scaling).
  */

@@ -3,7 +3,9 @@
 # (parallel ctest), a ThreadSanitizer pass over the parallel
 # measurement engine, an observability smoke run (trace + report
 # emission, validated and cross-checked against the documented
-# catalog), and a markdown link check over the top-level docs.
+# catalog), chaos and determinism gates, perf smokes against the
+# committed baselines, and a markdown link check over the top-level
+# docs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 REPO="$PWD"
@@ -144,6 +146,33 @@ CHAOS_DIR="$(mktemp -d)"
 )
 rm -rf "$CHAOS_DIR"
 echo "chaos smoke: ok"
+
+# --- Chaos determinism gate ----------------------------------------
+# Chaos must reproduce on any core count (docs/ROBUSTNESS.md
+# invariant 1): every fault decision and jitter draw is keyed on the
+# measurement, the run and the placement, never on thread
+# interleaving. The predictor zoo under jitter plus transient
+# measurement failures, run in fresh directories with the default
+# pool and forced serial, must print byte-identical stdout. (The zoo
+# rather than fig10, whose banner prints the thread count.)
+CHAOS_PLAN='machine.jitter:p=1,sigma=0.05,seed=7;lab.measure:p=0.15,seed=11'
+CDET_A="$(mktemp -d)"
+CDET_B="$(mktemp -d)"
+(
+    cd "$CDET_A"
+    SMITE_FAULTS="$CHAOS_PLAN" \
+    SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
+        "$REPO/build/bench/bench_predictor_zoo" > zoo.stdout
+)
+(
+    cd "$CDET_B"
+    SMITE_THREADS=1 SMITE_FAULTS="$CHAOS_PLAN" \
+    SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
+        "$REPO/build/bench/bench_predictor_zoo" > zoo.stdout
+)
+cmp "$CDET_A/zoo.stdout" "$CDET_B/zoo.stdout"
+rm -rf "$CDET_A" "$CDET_B"
+echo "chaos determinism: ok"
 
 # --- Online scheduler determinism gate ------------------------------
 # The online co-location policy under a pinned churn + observation-
@@ -356,7 +385,10 @@ echo "scheduler scale-out smoke: ok"
 #     docs/OBSERVABILITY.md catalog;
 #  2. determinism: the same run with the default pool and forced
 #     serial, in fresh directories with the same output filename,
-#     must produce byte-identical stdout and report JSON;
+#     must produce byte-identical stdout, and report JSON identical
+#     except for the pool.* metrics (they describe the thread pool,
+#     so they depend on its width by definition; a serial run has
+#     none);
 #  3. chaos: under a pinned three-site des.* plan the harness must
 #     still pass its internal monotonicity/shedding assertions, be
 #     byte-deterministic across thread counts, and count injections.
@@ -387,7 +419,18 @@ LOAD_B="$(mktemp -d)"
         BENCH_load.json > load.stdout
 )
 cmp "$LOAD_A/load.stdout" "$LOAD_B/load.stdout"
-cmp "$LOAD_A/BENCH_load.json" "$LOAD_B/BENCH_load.json"
+python3 - "$LOAD_A/BENCH_load.json" "$LOAD_B/BENCH_load.json" <<'PY'
+import json, sys
+def without_pool(path):
+    report = json.load(open(path))
+    for kind in report["metrics"].values():
+        for name in [n for n in kind if n.startswith("pool.")]:
+            del kind[name]
+    return json.dumps(report)
+if without_pool(sys.argv[1]) != without_pool(sys.argv[2]):
+    sys.exit("BENCH_load.json: pooled and serial reports differ "
+             "outside the pool.* metrics")
+PY
 rm -rf "$LOAD_A" "$LOAD_B"
 
 LOAD_CA="$(mktemp -d)"

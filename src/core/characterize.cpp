@@ -31,7 +31,6 @@ Characterizer::Characterizer(const sim::Machine &machine,
 {
     if (suite_.empty())
         throw std::invalid_argument("empty ruler suite");
-    baselineCache_.instrument("characterizer.cache.baseline");
 }
 
 std::vector<sim::Placement>
@@ -66,24 +65,19 @@ double
 Characterizer::rulerBaseline(size_t d, CoLocationMode mode,
                              int threads) const
 {
-    return baselineCache_.getOrCompute(
-        BaselineKey{d, mode, threads}, [&] {
-            const rulers::Ruler &ruler = suite_[d];
-            obs::Span span("characterizer.baseline", ruler.name());
-            std::vector<std::unique_ptr<sim::UopSource>> sources;
-            std::vector<sim::Placement> placements;
-            for (int t = 0; t < threads; ++t) {
-                sources.push_back(ruler.makeSource());
-                placements.push_back(
-                    mode == CoLocationMode::kSmt
-                        ? sim::Placement{t, 1, sources.back().get()}
-                        : sim::Placement{threads + t, 0,
-                                         sources.back().get()});
-            }
-            const auto counters =
-                machine_.run(placements, warmup_, measure_);
-            return aggregateIpc(counters, 0, counters.size());
-        });
+    const rulers::Ruler &ruler = suite_[d];
+    obs::Span span("characterizer.baseline", ruler.name());
+    std::vector<std::unique_ptr<sim::UopSource>> sources;
+    std::vector<sim::Placement> placements;
+    for (int t = 0; t < threads; ++t) {
+        sources.push_back(ruler.makeSource());
+        placements.push_back(
+            mode == CoLocationMode::kSmt
+                ? sim::Placement{t, 1, sources.back().get()}
+                : sim::Placement{threads + t, 0, sources.back().get()});
+    }
+    const auto counters = machine_.run(placements, warmup_, measure_);
+    return aggregateIpc(counters, 0, counters.size());
 }
 
 Characterization
@@ -117,7 +111,7 @@ Characterizer::characterize(const workload::WorkloadProfile &profile,
         };
 
         // Ruler baseline: the same ruler instances running alone
-        // (application-independent, so memoized).
+        // (application-independent, so a replay after its first run).
         const double ruler_solo = rulerBaseline(d, mode, threads);
 
         // Co-location: app threads + ruler instances.

@@ -13,11 +13,8 @@
 #define SMITE_CORE_CHARACTERIZE_H
 
 #include <array>
-#include <cstdint>
-#include <tuple>
 #include <vector>
 
-#include "core/memo_cache.h"
 #include "rulers/ruler.h"
 #include "sim/machine.h"
 #include "workload/generator.h"
@@ -99,18 +96,13 @@ class Characterizer
     /**
      * Aggregate IPC of @p threads instances of Ruler @p d running
      * alone in their co-location slots. Independent of the
-     * application, so memoized across characterize() calls
-     * (thread-safe, single-flight). Public so batch drivers can warm
-     * all dimensions in parallel before fanning out applications.
+     * application, so after its first run every characterize() call
+     * replays it from the ReplayStore. Public so batch drivers can
+     * warm all dimensions in parallel before fanning out
+     * applications.
      */
     double rulerBaseline(size_t d, CoLocationMode mode,
                          int threads) const;
-
-    /** Baseline simulations actually run (memo-cache misses). */
-    std::uint64_t baselineComputeCount() const
-    {
-        return baselineCache_.computeCount();
-    }
 
   private:
     /** Placements of an N-thread app (context 0 of cores 0..N-1). */
@@ -121,10 +113,6 @@ class Characterizer
     std::vector<rulers::Ruler> suite_;
     sim::Cycle warmup_;
     sim::Cycle measure_;
-
-    /** (dimension, mode, threads) -> baseline aggregate IPC. */
-    using BaselineKey = std::tuple<std::size_t, CoLocationMode, int>;
-    mutable MemoCache<BaselineKey, double> baselineCache_;
 };
 
 } // namespace smite::core

@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "core/parallel.h"
 #include "obs/incident.h"
@@ -43,13 +44,6 @@ Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
       characterizer_(machine_, suite_, warmup, measure),
       warmup_(warmup), measure_(measure)
 {
-    soloIpcCache_.instrument("lab.cache.solo_ipc");
-    soloCounterCache_.instrument("lab.cache.solo_counters");
-    pmuCache_.instrument("lab.cache.pmu");
-    characterizationCache_.instrument("lab.cache.characterization");
-    pairCache_.instrument("lab.cache.pair");
-    multiCache_.instrument("lab.cache.multi");
-    portCache_.instrument("lab.cache.ports");
 }
 
 Lab::Lab(const sim::MachineConfig &config, const std::string &cache_path,
@@ -138,67 +132,49 @@ Lab::pairKey(const std::string &a, const std::string &b,
     return a + "|" + b + "|" + modeName(mode);
 }
 
-std::string
-Lab::memoName(const workload::WorkloadProfile &profile)
-{
-    return profile.name + "@" +
-           std::to_string(workload::profileDigest(profile).value());
-}
-
 double
 Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
 {
-    const std::string shape = "#" + std::to_string(threads);
-    const std::string key = profile.name + shape;
-    return soloIpcCache_.getOrCompute(memoName(profile) + shape, [&] {
-        obs::Span span("lab.solo_ipc", key);
-        const std::vector<double> vals =
-            measureTrials(key, [&](const std::string &tkey) {
-                fault::maybeThrow("lab.measure", tkey);
-                return std::vector<double>{
-                    characterizer_.soloIpc(profile, threads)};
-            });
-        return vals[0];
-    });
+    const std::string key = profile.name + "#" + std::to_string(threads);
+    obs::Span span("lab.solo_ipc", key);
+    const std::vector<double> vals =
+        measureTrials(key, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            return std::vector<double>{
+                characterizer_.soloIpc(profile, threads)};
+        });
+    return vals[0];
 }
 
-const sim::CounterBlock &
+sim::CounterBlock
 Lab::soloCounters(const workload::WorkloadProfile &profile)
 {
-    return soloCounterCache_.getOrCompute(memoName(profile), [&] {
-        obs::Span span("lab.solo_counters", profile.name);
-        return withRetry(profile.name, [&](const std::string &tkey) {
-            fault::maybeThrow("lab.measure", tkey);
-            workload::ProfileUopSource source(profile);
-            return machine_.runSolo(source, warmup_, measure_);
-        });
+    obs::Span span("lab.solo_counters", profile.name);
+    return withRetry(profile.name, [&](const std::string &tkey) {
+        fault::maybeThrow("lab.measure", tkey);
+        workload::ProfileUopSource source(profile);
+        return machine_.runSolo(source, warmup_, measure_);
     });
 }
 
 PmuProfile
 Lab::pmuProfile(const workload::WorkloadProfile &profile)
 {
-    return pmuCache_.getOrCompute(memoName(profile), [&] {
-        obs::Span span("lab.pmu_profile", profile.name);
-        // Retry lives in soloCounters(); this lambda only derives.
-        return soloCounters(profile).pmuRates();
-    });
+    obs::Span span("lab.pmu_profile", profile.name);
+    // Retry lives in soloCounters(); this only derives.
+    return soloCounters(profile).pmuRates();
 }
 
-const Characterization &
+Characterization
 Lab::characterization(const workload::WorkloadProfile &profile,
                       CoLocationMode mode, int threads)
 {
-    const std::string shape = std::string("#") + modeName(mode) + "#" +
-                              std::to_string(threads);
-    const std::string key = profile.name + shape;
-    const std::string memo_key = memoName(profile) + shape;
-    return characterizationCache_.getOrCompute(memo_key, [&] {
-        obs::Span span("lab.characterize", key);
-        return withRetry(key, [&](const std::string &tkey) {
-            fault::maybeThrow("lab.measure", tkey);
-            return characterizer_.characterize(profile, mode, threads);
-        });
+    const std::string key = profile.name + "#" + modeName(mode) + "#" +
+                            std::to_string(threads);
+    obs::Span span("lab.characterize", key);
+    return withRetry(key, [&](const std::string &tkey) {
+        fault::maybeThrow("lab.measure", tkey);
+        return characterizer_.characterize(profile, mode, threads);
     });
 }
 
@@ -207,49 +183,49 @@ Lab::pairDegradation(const workload::WorkloadProfile &victim,
                      const workload::WorkloadProfile &aggressor,
                      CoLocationMode mode)
 {
+    return pairDegradations(victim, aggressor, mode).first;
+}
+
+std::pair<double, double>
+Lab::pairDegradations(const workload::WorkloadProfile &a,
+                      const workload::WorkloadProfile &b,
+                      CoLocationMode mode)
+{
     // Simulate with the name-ordered workload in the first placement
     // slot so the run — and thus the measurement — is the same
-    // whichever direction is asked first, serially or in parallel;
-    // both directions share that one entry.
-    const bool ordered = victim.name <= aggressor.name;
-    const workload::WorkloadProfile &first =
-        ordered ? victim : aggressor;
-    const workload::WorkloadProfile &second =
-        ordered ? aggressor : victim;
-    const std::string canonical =
-        pairKey(first.name, second.name, mode);
+    // whichever direction is asked first, serially or in parallel.
+    const bool ordered = a.name <= b.name;
+    const workload::WorkloadProfile &first = ordered ? a : b;
+    const workload::WorkloadProfile &second = ordered ? b : a;
+    const std::string canonical = pairKey(first.name, second.name, mode);
 
-    const std::string memo_key =
-        pairKey(memoName(first), memoName(second), mode);
-    const auto &degs = pairCache_.getOrCompute(memo_key, [&] {
-        obs::Span span("lab.pair", canonical);
-        // The solo references have their own retry/trial protocol;
-        // hoist them so a pair-trial failure never double-counts a
-        // solo failure.
-        const double solo_a = soloIpc(first);
-        const double solo_b = soloIpc(second);
-        const std::vector<double> deg =
-            measureTrials(canonical, [&](const std::string &tkey) {
-                fault::maybeThrow("lab.measure", tkey);
-                workload::ProfileUopSource a(first, /*seed=*/1);
-                workload::ProfileUopSource b(second, /*seed=*/2);
-                const auto counters =
-                    mode == CoLocationMode::kSmt
-                        ? machine_.runPairSmt(a, b, warmup_, measure_)
-                        : machine_.runPairCmp(a, b, warmup_, measure_);
-                const double deg_a =
-                    solo_a > 0.0
-                        ? (solo_a - counters[0].ipc()) / solo_a
-                        : 0.0;
-                const double deg_b =
-                    solo_b > 0.0
-                        ? (solo_b - counters[1].ipc()) / solo_b
-                        : 0.0;
-                return std::vector<double>{deg_a, deg_b};
-            });
-        return std::make_pair(deg[0], deg[1]);
-    });
-    return ordered ? degs.first : degs.second;
+    obs::Span span("lab.pair", canonical);
+    // The solo references have their own retry/trial protocol; hoist
+    // them so a pair-trial failure never double-counts a solo
+    // failure.
+    const double solo_first = soloIpc(first);
+    const double solo_second = soloIpc(second);
+    const std::vector<double> deg =
+        measureTrials(canonical, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            workload::ProfileUopSource sa(first, /*seed=*/1);
+            workload::ProfileUopSource sb(second, /*seed=*/2);
+            const auto counters =
+                mode == CoLocationMode::kSmt
+                    ? machine_.runPairSmt(sa, sb, warmup_, measure_)
+                    : machine_.runPairCmp(sa, sb, warmup_, measure_);
+            const double deg_first =
+                solo_first > 0.0
+                    ? (solo_first - counters[0].ipc()) / solo_first
+                    : 0.0;
+            const double deg_second =
+                solo_second > 0.0
+                    ? (solo_second - counters[1].ipc()) / solo_second
+                    : 0.0;
+            return std::vector<double>{deg_first, deg_second};
+        });
+    return ordered ? std::make_pair(deg[0], deg[1])
+                   : std::make_pair(deg[1], deg[0]);
 }
 
 std::array<double, sim::kNumPorts>
@@ -258,31 +234,27 @@ Lab::pairPortUtilization(const workload::WorkloadProfile &a,
                          CoLocationMode mode)
 {
     const std::string key = "ports|" + pairKey(a.name, b.name, mode);
-    const std::string memo_key = pairKey(memoName(a), memoName(b), mode);
-    return portCache_.getOrCompute(memo_key, [&] {
-        obs::Span span("lab.ports", key);
-        const std::vector<double> vals =
-            measureTrials(key, [&](const std::string &tkey) {
-                fault::maybeThrow("lab.measure", tkey);
-                workload::ProfileUopSource sa(a, /*seed=*/1);
-                workload::ProfileUopSource sb(b, /*seed=*/2);
-                const auto counters =
-                    mode == CoLocationMode::kSmt
-                        ? machine_.runPairSmt(sa, sb, warmup_, measure_)
-                        : machine_.runPairCmp(sa, sb, warmup_,
-                                              measure_);
-                std::vector<double> u(sim::kNumPorts);
-                for (int p = 0; p < sim::kNumPorts; ++p) {
-                    u[p] = counters[0].portUtilization(p) +
-                           counters[1].portUtilization(p);
-                }
-                return u;
-            });
+    obs::Span span("lab.ports", key);
+    const std::vector<double> vals =
+        measureTrials(key, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            workload::ProfileUopSource sa(a, /*seed=*/1);
+            workload::ProfileUopSource sb(b, /*seed=*/2);
+            const auto counters =
+                mode == CoLocationMode::kSmt
+                    ? machine_.runPairSmt(sa, sb, warmup_, measure_)
+                    : machine_.runPairCmp(sa, sb, warmup_, measure_);
+            std::vector<double> u(sim::kNumPorts);
+            for (int p = 0; p < sim::kNumPorts; ++p) {
+                u[p] = counters[0].portUtilization(p) +
+                       counters[1].portUtilization(p);
+            }
+            return u;
+        });
 
-        std::array<double, sim::kNumPorts> utilization{};
-        std::copy(vals.begin(), vals.end(), utilization.begin());
-        return utilization;
-    });
+    std::array<double, sim::kNumPorts> utilization{};
+    std::copy(vals.begin(), vals.end(), utilization.begin());
+    return utilization;
 }
 
 double
@@ -299,53 +271,49 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
     if (mode == CoLocationMode::kCmp && threads + instances > cores)
         throw std::invalid_argument("too many placements for CMP");
 
-    const std::string shape = std::string("#") + modeName(mode) + "#" +
-                              std::to_string(threads) + "x" +
-                              std::to_string(instances);
-    const std::string key = latency.name + "#" + batch.name + shape;
-    const std::string memo_key =
-        memoName(latency) + "#" + memoName(batch) + shape;
-    return multiCache_.getOrCompute(memo_key, [&] {
-        obs::Span span("lab.multi", key);
-        const double solo = soloIpc(latency, threads);
-        const std::vector<double> vals =
-            measureTrials(key, [&](const std::string &tkey) {
-                fault::maybeThrow("lab.measure", tkey);
-                // Latency app: context 0 of cores 0..threads-1.
-                std::vector<workload::ProfileUopSource> app_sources;
-                app_sources.reserve(threads);
-                for (int t = 0; t < threads; ++t)
-                    app_sources.emplace_back(latency, /*seed=*/1 + t);
-                std::vector<sim::Placement> placements;
-                for (int t = 0; t < threads; ++t)
+    const std::string key = latency.name + "#" + batch.name + "#" +
+                            modeName(mode) + "#" +
+                            std::to_string(threads) + "x" +
+                            std::to_string(instances);
+    obs::Span span("lab.multi", key);
+    const double solo = soloIpc(latency, threads);
+    const std::vector<double> vals =
+        measureTrials(key, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            // Latency app: context 0 of cores 0..threads-1.
+            std::vector<workload::ProfileUopSource> app_sources;
+            app_sources.reserve(threads);
+            for (int t = 0; t < threads; ++t)
+                app_sources.emplace_back(latency, /*seed=*/1 + t);
+            std::vector<sim::Placement> placements;
+            for (int t = 0; t < threads; ++t)
+                placements.push_back(
+                    sim::Placement{t, 0, &app_sources[t]});
+
+            // Batch instances: sibling contexts (SMT) or the idle
+            // cores (CMP).
+            std::vector<workload::ProfileUopSource> batch_sources;
+            batch_sources.reserve(instances);
+            for (int k = 0; k < instances; ++k)
+                batch_sources.emplace_back(batch, /*seed=*/100 + k);
+            for (int k = 0; k < instances; ++k) {
+                if (mode == CoLocationMode::kSmt)
                     placements.push_back(
-                        sim::Placement{t, 0, &app_sources[t]});
+                        sim::Placement{k, 1, &batch_sources[k]});
+                else
+                    placements.push_back(sim::Placement{
+                        threads + k, 0, &batch_sources[k]});
+            }
 
-                // Batch instances: sibling contexts (SMT) or the
-                // idle cores (CMP).
-                std::vector<workload::ProfileUopSource> batch_sources;
-                batch_sources.reserve(instances);
-                for (int k = 0; k < instances; ++k)
-                    batch_sources.emplace_back(batch, /*seed=*/100 + k);
-                for (int k = 0; k < instances; ++k) {
-                    if (mode == CoLocationMode::kSmt)
-                        placements.push_back(
-                            sim::Placement{k, 1, &batch_sources[k]});
-                    else
-                        placements.push_back(sim::Placement{
-                            threads + k, 0, &batch_sources[k]});
-                }
-
-                const auto counters =
-                    machine_.run(placements, warmup_, measure_);
-                double co_ipc = 0.0;
-                for (int t = 0; t < threads; ++t)
-                    co_ipc += counters[t].ipc();
-                return std::vector<double>{
-                    solo > 0.0 ? (solo - co_ipc) / solo : 0.0};
-            });
-        return vals[0];
-    });
+            const auto counters =
+                machine_.run(placements, warmup_, measure_);
+            double co_ipc = 0.0;
+            for (int t = 0; t < threads; ++t)
+                co_ipc += counters[t].ipc();
+            return std::vector<double>{
+                solo > 0.0 ? (solo - co_ipc) / solo : 0.0};
+        });
+    return vals[0];
 }
 
 std::vector<double>
@@ -373,9 +341,9 @@ Lab::characterizeAll(const std::vector<workload::WorkloadProfile> &profiles,
                      CoLocationMode mode, int threads)
 {
     const int workers = parallelism();
-    // Warm the per-dimension Ruler baselines first; otherwise every
-    // fanned-out characterization would single-flight-block on
-    // dimension 0's baseline at once.
+    // Warm the store with the per-dimension Ruler baselines first;
+    // otherwise every fanned-out characterization would block on the
+    // single flight of dimension 0's baseline at once.
     parallelFor(
         suite_.size(),
         [&](std::size_t d) {
@@ -422,8 +390,9 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
     const int workers = parallelism();
 
     // Solo IPCs enter every degradation; measure them first so pair
-    // tasks don't serialize on the single-flight solo of a hot name.
-    // A solo failure here resurfaces from the pair that needs it.
+    // tasks don't serialize on the single-flight solo run of a hot
+    // name. A solo failure here resurfaces from the pair that needs
+    // it.
     parallelFor(
         n,
         [&](std::size_t i) {
@@ -434,43 +403,29 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
         },
         workers);
 
-    // One task per unordered pair covers both directions.
+    // One task per unordered pair fills both directions from its one
+    // name-ordered run; the diagonal stays 0.
     std::vector<std::pair<std::size_t, std::size_t>> tasks;
     tasks.reserve(n * (n - 1) / 2);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j)
             tasks.emplace_back(i, j);
     }
+    std::vector<std::vector<double>> result(n, std::vector<double>(n));
     parallelFor(
         tasks.size(),
         [&](std::size_t t) {
+            const auto [i, j] = tasks[t];
             try {
-                pairDegradation(profiles[tasks[t].first],
-                                profiles[tasks[t].second], mode);
+                std::tie(result[i][j], result[j][i]) =
+                    pairDegradations(profiles[i], profiles[j], mode);
             } catch (const fault::MeasurementError &) {
-                // The assembly pass below marks the hole.
+                // Retry budget spent (already logged): NaN marks the
+                // hole.
+                result[i][j] = result[j][i] = std::nan("");
             }
         },
         workers);
-
-    // Assemble in input order from the (now warm) cache; a pair that
-    // failed past its retry budget re-fails deterministically here
-    // and lands as NaN.
-    std::vector<std::vector<double>> result(n, std::vector<double>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            if (i == j) {
-                result[i][j] = 0.0;
-                continue;
-            }
-            try {
-                result[i][j] =
-                    pairDegradation(profiles[i], profiles[j], mode);
-            } catch (const fault::MeasurementError &) {
-                result[i][j] = std::nan("");
-            }
-        }
-    }
     return result;
 }
 
@@ -484,8 +439,8 @@ Lab::multiInstancePrefetch(
 
     // Every tuple of one latency app divides by the same solo IPC;
     // measure those first so the fanned-out tuples don't serialize on
-    // the single-flight solo entry. A failure resurfaces from the
-    // tuple that needs it.
+    // the single-flight solo run. A failure resurfaces from the tuple
+    // that needs it.
     parallelFor(
         latency.size(),
         [&](std::size_t l) {
@@ -532,21 +487,6 @@ Lab::scaleToInstances(double pair_prediction, int instances, int threads)
         throw std::invalid_argument("threads must be positive");
     return pair_prediction * static_cast<double>(instances) /
            static_cast<double>(threads);
-}
-
-Lab::Stats
-Lab::stats() const
-{
-    Stats s;
-    s.solo_ipc = soloIpcCache_.computeCount();
-    s.solo_counters = soloCounterCache_.computeCount();
-    s.pmu = pmuCache_.computeCount();
-    s.characterizations = characterizationCache_.computeCount();
-    s.pairs = pairCache_.computeCount();
-    s.multi = multiCache_.computeCount();
-    s.ports = portCache_.computeCount();
-    s.ruler_baselines = characterizer_.baselineComputeCount();
-    return s;
 }
 
 } // namespace smite::core

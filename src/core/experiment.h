@@ -1,27 +1,29 @@
 /**
  * @file
- * The experiment lab: a memoizing front end over the machine model
- * that provides every measurement the paper's evaluation needs —
- * solo IPCs, PMU profiles, Ruler characterizations, pair and
+ * The experiment lab: the measurement front end over the machine
+ * model that provides every measurement the paper's evaluation
+ * needs — solo IPCs, PMU profiles, Ruler characterizations, pair and
  * many-instance co-location degradations. The predictors
  * (core/predictor.h) train on corpora measured through it.
  *
- * Measurements are cached by (workload, mode, shape), so harnesses
- * that revisit the same co-locations (e.g. a figure sweep) pay for
- * each simulation once — across processes too, for a Lab built with
- * a cache path (sim::RunLog). A workload's cache identity is its name
- * plus a digest of its profile (workload::profileDigest), so a
- * profile edited under its old name is measured afresh.
+ * The Lab keeps no memo of its own: every accessor measures through
+ * sim::Machine::run, and the run-level ReplayStore (sim/replay.h)
+ * serves every repeated run, so harnesses that revisit the same
+ * co-locations (e.g. a figure sweep) pay for each simulation once —
+ * across processes too, for a Lab built with a cache path
+ * (sim::RunLog). Runs are keyed on stream identities, which digest
+ * the whole profile (workload::profileDigest), so a profile edited
+ * under its old name is measured afresh.
  *
- * The Lab is safe to call from many threads at once: every cache is
- * a single-flight MemoCache (two threads never simulate the same key
- * twice) and the underlying sim::Machine builds all microarchitectural
- * state fresh inside each const run() call, so concurrent runs never
- * alias. The characterizeAll / measureAllPairs / soloIpcAll /
- * pmuProfileAll batch APIs fan the independent simulations of the
- * paper's protocol out across a thread pool (SMITE_THREADS or
- * setParallelism() controls the width) and assemble results in input
- * order, byte-identical to the serial loop.
+ * The Lab is safe to call from many threads at once: the store is
+ * single-flight (two threads never simulate the same run twice) and
+ * the underlying sim::Machine builds all microarchitectural state
+ * fresh inside each const run() call, so concurrent runs never alias.
+ * The characterizeAll / measureAllPairs / soloIpcAll / pmuProfileAll
+ * batch APIs fan the independent simulations of the paper's protocol
+ * out across a thread pool (SMITE_THREADS or setParallelism()
+ * controls the width) and assemble results in input order,
+ * byte-identical to the serial loop.
  *
  * The Lab is also the pipeline's resilience boundary (see
  * docs/ROBUSTNESS.md). Real-machine measurement campaigns lose runs;
@@ -32,22 +34,24 @@
  * (SMITE_LAB_TRIALS, default 1), and the batch APIs degrade
  * gracefully — a measurement that fails past the retry budget is
  * marked invalid (its samples then leave training corpora) and
- * logged to the IncidentLog instead of aborting the run. With no
- * faults armed none of this changes a single output byte.
+ * logged to the IncidentLog instead of aborting the run. Each attempt
+ * runs inside a fault::MeasurementScope named by its key, so its
+ * `lab.measure` decision and jitter draws are a pure function of the
+ * measurement: trials differ, a repeated ask does not, and the pool
+ * width changes nothing. With no faults armed none of this changes a
+ * single output byte.
  */
 
 #ifndef SMITE_CORE_EXPERIMENT_H
 #define SMITE_CORE_EXPERIMENT_H
 
 #include <array>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/characterize.h"
-#include "core/memo_cache.h"
 #include "fault/fault.h"
 #include "sim/machine.h"
 #include "workload/profile.h"
@@ -55,7 +59,7 @@
 namespace smite::core {
 
 /**
- * Memoizing measurement front end for one machine configuration.
+ * Measurement front end for one machine configuration.
  */
 class Lab
 {
@@ -77,9 +81,8 @@ class Lab
         sim::Cycle warmup = sim::kDefaultWarmupCycles,
         sim::Cycle measure = sim::kDefaultMeasureCycles);
 
-    // The characterizer holds a reference to machine_ and the caches
-    // hold synchronization primitives; the Lab stays where it was
-    // built.
+    // The characterizer holds a reference to machine_; the Lab stays
+    // where it was built.
     Lab(const Lab &) = delete;
     Lab &operator=(const Lab &) = delete;
 
@@ -128,23 +131,22 @@ class Lab
                    int threads = 1);
 
     /** Solo counter block of a single-threaded run. */
-    const sim::CounterBlock &
-    soloCounters(const workload::WorkloadProfile &profile);
+    sim::CounterBlock soloCounters(const workload::WorkloadProfile &profile);
 
     /** The 11 PMU rates of a solo run (input to the PMU model). */
     PmuProfile pmuProfile(const workload::WorkloadProfile &profile);
 
-    /** Ruler characterization (cached). */
-    const Characterization &
+    /** Ruler characterization. */
+    Characterization
     characterization(const workload::WorkloadProfile &profile,
                      CoLocationMode mode, int threads = 1);
 
     /**
      * Measured degradation of @p victim co-located with
-     * @p aggressor (Equation 7). Both directions of a pair are
-     * measured in one run (simulated with the name-ordered workload
-     * in the first placement slot, so the measurement is independent
-     * of which direction is asked first) and cached.
+     * @p aggressor (Equation 7). Both directions of a pair come from
+     * one run, simulated with the name-ordered workload in the first
+     * placement slot, so the measurement is independent of which
+     * direction is asked first.
      */
     double pairDegradation(const workload::WorkloadProfile &victim,
                            const workload::WorkloadProfile &aggressor,
@@ -198,21 +200,22 @@ class Lab
      * Measure every ordered co-location pair among @p profiles in
      * parallel (one simulation per unordered pair covers both
      * directions). result[i][j] is the degradation of profiles[i]
-     * co-located with profiles[j]; the diagonal is 0.
+     * co-located with profiles[j]; the diagonal is 0, and a pair that
+     * fails past its retry budget is NaN both ways.
      */
     std::vector<std::vector<double>>
     measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
                     CoLocationMode mode);
 
     /**
-     * Warm the multi-instance degradation cache for every
+     * Warm the ReplayStore with the runs of every
      * (latency app, batch app, 1..max_instances) tuple — the
      * measurement grid of the Figures 14-17 scale-out sweeps — in
      * parallel across the pool. Subsequent multiInstanceDegradation()
-     * calls for these tuples are cache hits, so a serial assembly
-     * loop after this produces values byte-identical to the
-     * all-serial protocol. A tuple that fails past its retry budget
-     * is skipped here (already logged) and re-fails deterministically
+     * calls for these tuples replay, so a serial assembly loop after
+     * this produces values byte-identical to the all-serial protocol
+     * without simulating. A tuple that fails past its retry budget is
+     * skipped here (already logged) and re-fails deterministically
      * when asked for directly.
      */
     void multiInstancePrefetch(
@@ -229,38 +232,18 @@ class Lab
     static double scaleToInstances(double pair_prediction, int instances,
                                    int threads);
 
-    /** Per-cache counts of measurements computed (not memo hits). */
-    struct Stats {
-        std::uint64_t solo_ipc = 0;
-        std::uint64_t solo_counters = 0;
-        std::uint64_t pmu = 0;
-        std::uint64_t characterizations = 0;
-        std::uint64_t pairs = 0;
-        std::uint64_t multi = 0;
-        std::uint64_t ports = 0;
-        std::uint64_t ruler_baselines = 0;
-
-        /** Total memo-cache misses (computations performed). */
-        std::uint64_t total() const
-        {
-            return solo_ipc + solo_counters + pmu + characterizations +
-                   pairs + multi + ports + ruler_baselines;
-        }
-    };
-
-    /** Computation counts since construction (thread-safe). */
-    Stats stats() const;
-
   private:
     std::string pairKey(const std::string &a, const std::string &b,
                         CoLocationMode mode) const;
 
     /**
-     * Memo-table identity of @p profile: its name plus its profile
-     * digest. Fault keys, span args and incident texts stay
-     * name-based.
+     * Degradations of @p a and of @p b, in that order, from their one
+     * name-ordered co-run (see pairDegradation()).
      */
-    static std::string memoName(const workload::WorkloadProfile &profile);
+    std::pair<double, double>
+    pairDegradations(const workload::WorkloadProfile &a,
+                     const workload::WorkloadProfile &b,
+                     CoLocationMode mode);
 
     /**
      * Handle one failed measurement attempt: count a retry and back
@@ -273,9 +256,10 @@ class Lab
 
     /**
      * Run @p fn until it succeeds or the attempt budget is spent.
-     * @p fn receives an attempt-qualified key ("<key>/aN") so keyed
-     * fault decisions differ between attempts — a transient fault
-     * stays transient.
+     * @p fn receives an attempt-qualified key ("<key>/aN"), and runs
+     * inside a fault::MeasurementScope of that key, so keyed fault
+     * decisions and jitter draws differ between attempts — a
+     * transient fault stays transient.
      */
     template <typename Fn>
     auto
@@ -284,7 +268,10 @@ class Lab
         const int attempts = maxAttempts();
         for (int attempt = 1;; ++attempt) {
             try {
-                return fn(key + "/a" + std::to_string(attempt));
+                const std::string attempt_key =
+                    key + "/a" + std::to_string(attempt);
+                const fault::MeasurementScope scope(attempt_key);
+                return fn(attempt_key);
             } catch (const fault::MeasurementError &err) {
                 onMeasurementFailure(key, err.what(), attempt,
                                      attempts);
@@ -312,16 +299,6 @@ class Lab
     int parallelism_ = 0;
     int maxAttempts_ = 0;
     int trials_ = 0;
-
-    MemoCache<std::string, double> soloIpcCache_;
-    MemoCache<std::string, sim::CounterBlock> soloCounterCache_;
-    MemoCache<std::string, PmuProfile> pmuCache_;
-    MemoCache<std::string, Characterization> characterizationCache_;
-    /** key -> (degradation of first, degradation of second) */
-    MemoCache<std::string, std::pair<double, double>> pairCache_;
-    MemoCache<std::string, double> multiCache_;
-    MemoCache<std::string, std::array<double, sim::kNumPorts>>
-        portCache_;
 };
 
 } // namespace smite::core

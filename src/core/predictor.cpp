@@ -320,9 +320,9 @@ signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
              CoLocationMode mode, int threads)
 {
-    // Warm the expensive measurements through the parallel batch APIs;
-    // the serial signatureOf() assembly below then hits the Lab's
-    // caches in input order, byte-identical to the all-serial path.
+    // Warm the store through the parallel batch APIs; the serial
+    // signatureOf() assembly below then replays its runs in input
+    // order, byte-identical to the all-serial path.
     lab.characterizeAll(profiles, mode, threads);
     lab.pmuProfileAll(profiles);
     lab.soloIpcAll(profiles, threads);

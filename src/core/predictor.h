@@ -67,8 +67,8 @@ struct WorkloadSignature {
 };
 
 /**
- * Gather one workload's signature through a Lab (cached
- * measurements). @p threads instances of the workload, one per core,
+ * Gather one workload's signature through a Lab (repeated runs
+ * replay from the store). @p threads instances of the workload, one per core,
  * are characterized together and their solo IPC aggregated — the
  * paper's 6-thread (SMT) and 3-thread (CMP) CloudSuite protocol; the
  * PMU rates and solo counters always come from a single-thread run.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -216,19 +217,16 @@ FaultPlan::find(const std::string &site) const
 }
 
 bool
-FaultPlan::decide(Site &s, std::uint64_t key_hash, bool keyed)
+FaultPlan::decide(Site &s, std::uint64_t key_hash)
 {
     s.checks->add();
     const std::uint64_t index =
         s.checks_seen.fetch_add(1, std::memory_order_relaxed) + 1;
     bool fire = false;
-    if (s.spec.nth > 0) {
+    if (s.spec.nth > 0)
         fire = index % s.spec.nth == 0;
-    } else if (s.spec.probability > 0.0) {
-        const std::uint64_t h =
-            mix(s.seed ^ (keyed ? key_hash : mix(index)));
-        fire = uniform(h) <= s.spec.probability;
-    }
+    else if (s.spec.probability > 0.0)
+        fire = uniform(mix(s.seed ^ key_hash)) <= s.spec.probability;
     if (fire)
         s.injected->add();
     return fire;
@@ -240,16 +238,7 @@ FaultPlan::shouldInject(const std::string &site, std::string_view key)
     if (!enabled())
         return false;
     Site *s = find(site);
-    return s != nullptr && decide(*s, hashString(key), /*keyed=*/true);
-}
-
-bool
-FaultPlan::shouldInject(const std::string &site)
-{
-    if (!enabled())
-        return false;
-    Site *s = find(site);
-    return s != nullptr && decide(*s, 0, /*keyed=*/false);
+    return s != nullptr && decide(*s, hashString(key));
 }
 
 double
@@ -264,19 +253,6 @@ FaultPlan::gaussian(const std::string &site, std::string_view key)
            standardNormal(mix(s->seed ^ hashString(key)));
 }
 
-double
-FaultPlan::gaussianNext(const std::string &site)
-{
-    if (!enabled())
-        return 0.0;
-    Site *s = find(site);
-    if (s == nullptr || s->spec.sigma == 0.0)
-        return 0.0;
-    const std::uint64_t index =
-        s->checks_seen.fetch_add(1, std::memory_order_relaxed) + 1;
-    return s->spec.sigma * standardNormal(mix(s->seed ^ mix(index)));
-}
-
 void
 maybeThrow(const std::string &site, std::string_view key)
 {
@@ -285,6 +261,28 @@ maybeThrow(const std::string &site, std::string_view key)
         throw MeasurementError("injected fault at " + site + " (" +
                                std::string(key) + ")");
     }
+}
+
+namespace {
+
+thread_local std::string currentMeasurement;
+
+} // namespace
+
+MeasurementScope::MeasurementScope(std::string key)
+    : enclosing_(std::exchange(currentMeasurement, std::move(key)))
+{
+}
+
+MeasurementScope::~MeasurementScope()
+{
+    currentMeasurement = std::move(enclosing_);
+}
+
+const std::string &
+MeasurementScope::current()
+{
+    return currentMeasurement;
 }
 
 } // namespace smite::fault

@@ -38,13 +38,14 @@
  * clauses are skipped with a warning — a typo must never turn into a
  * silently fault-free chaos run without trace.
  *
- * Determinism: *keyed* decisions hash (seed, site, key), so whether a
- * given measurement is faulted does not depend on thread
- * interleaving; *sequence* decisions hash a per-site trigger counter
- * and are deterministic for serial execution. With no site armed
- * every query is a single relaxed atomic load and nothing in the
- * pipeline changes — outputs stay byte-identical to a build without
- * faults (enforced by tests/test_fault.cpp and the tier-1 smoke).
+ * Determinism: every decision and draw hashes (seed, site, key), so
+ * whether a given measurement is faulted does not depend on call order
+ * or thread interleaving; only the `nth` rule counts checks. Sites deep
+ * in the stack (machine.jitter) key on the MeasurementScope active on
+ * their thread. With no site armed every query is a single relaxed
+ * atomic load and nothing in the pipeline changes — outputs stay
+ * byte-identical to a build without faults (enforced by
+ * tests/test_fault.cpp and the tier-1 smoke).
  */
 
 #ifndef SMITE_FAULT_FAULT_H
@@ -141,26 +142,17 @@ class FaultPlan
     bool shouldInject(const std::string &site, std::string_view key);
 
     /**
-     * Sequence decision for sites without a natural key: hashes the
-     * site's check counter. Deterministic for serial execution.
-     */
-    bool shouldInject(const std::string &site);
-
-    /**
-     * Seeded N(0, sigma) draw keyed by @p key (keyed variant) — the
-     * same key always jitters the same way.
+     * Seeded N(0, sigma) draw keyed by @p key — the same key always
+     * jitters the same way.
      */
     double gaussian(const std::string &site, std::string_view key);
-
-    /** Seeded N(0, sigma) draw from the site's own sequence. */
-    double gaussianNext(const std::string &site);
 
   private:
     struct Site;
 
     FaultPlan() = default;
     Site *find(const std::string &site) const;
-    bool decide(Site &s, std::uint64_t key_hash, bool keyed);
+    bool decide(Site &s, std::uint64_t key_hash);
 
     mutable std::shared_mutex mu_;
     std::map<std::string, std::unique_ptr<Site>> sites_;
@@ -172,6 +164,29 @@ class FaultPlan
  * the (keyed) site fires. No-op when the plan is idle.
  */
 void maybeThrow(const std::string &site, std::string_view key);
+
+/**
+ * RAII: names the measurement attempt the calling thread is taking
+ * (the Lab's `<measurement>[/tT]/aN` key), so a site deep in the
+ * stack can key its decisions on it. Scopes nest per thread: the
+ * innermost key is current, and the enclosing one returns when it
+ * closes.
+ */
+class MeasurementScope
+{
+  public:
+    explicit MeasurementScope(std::string key);
+    ~MeasurementScope();
+
+    MeasurementScope(const MeasurementScope &) = delete;
+    MeasurementScope &operator=(const MeasurementScope &) = delete;
+
+    /** The innermost key open on this thread; "" outside any scope. */
+    static const std::string &current();
+
+  private:
+    std::string enclosing_;
+};
 
 } // namespace smite::fault
 

@@ -17,7 +17,7 @@
  * metricsEnabled() first.
  *
  * Naming convention: lowercase dotted paths, `<subsystem>.<object>.
- * <aspect>` (e.g. `lab.cache.pair.hits`, `pool.task_us`). The full
+ * <aspect>` (e.g. `machine.replay.hits`, `pool.task_us`). The full
  * catalog lives in docs/OBSERVABILITY.md and is cross-checked against
  * the registry by the tier-1 smoke test.
  */

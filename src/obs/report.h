@@ -5,7 +5,7 @@
  *
  * A RunReport accumulates the run's configuration, named phase
  * timings and result values; toJson() stamps it with the schema id
- * and a snapshot of the global metrics Registry, so cache hit rates
+ * and a snapshot of the global metrics Registry, so replay hit rates
  * and simulation counts ride along without per-harness plumbing.
  *
  * Document schema (`smite-run-report/1`, full reference with a worked

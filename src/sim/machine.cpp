@@ -326,27 +326,29 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     // Replay eligibility: every placed source must carry a stream
     // identity, and the reference tick loop opts out (it exists to
     // re-derive outcomes from scratch, never to replay them). The
-    // kill-switch disables replay (docs/ROBUSTNESS.md).
+    // kill-switch disables replay (docs/ROBUSTNESS.md). The key is
+    // built either way: the keyed fault sites below hash it.
     bool memo = replayEnabled() && !referenceTicking_;
     ReplayKey key;
-    if (memo) {
-        key.reserve(4 + 3 * placements.size());
-        key.push_back(configDigest(config_));
-        key.push_back(warmup);
-        key.push_back(measure);
-        key.push_back(placements.size());
-        for (const Placement &p : placements) {
-            const std::uint64_t digest =
-                p.source != nullptr ? p.source->streamDigest() : 0;
-            if (digest == 0) {
-                memo = false;
-                break;
-            }
-            key.push_back(static_cast<std::uint64_t>(p.core));
-            key.push_back(static_cast<std::uint64_t>(p.context));
-            key.push_back(digest);
-        }
+    key.reserve(4 + 3 * placements.size());
+    key.push_back(configDigest(config_));
+    key.push_back(warmup);
+    key.push_back(measure);
+    key.push_back(placements.size());
+    for (const Placement &p : placements) {
+        const std::uint64_t digest =
+            p.source != nullptr ? p.source->streamDigest() : 0;
+        memo = memo && digest != 0;
+        key.push_back(static_cast<std::uint64_t>(p.core));
+        key.push_back(static_cast<std::uint64_t>(p.context));
+        key.push_back(digest);
     }
+    const auto key_digest = [&] {
+        Digest d;
+        for (const std::uint64_t word : key)
+            d.u64(word);
+        return std::to_string(d.value());
+    };
 
     // `sim.replay` chaos site: a fired check sends this run down the
     // live path, bypassing the store. Live and replayed outcomes are
@@ -354,14 +356,9 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     // any result — exactly what the chaos-determinism test asserts.
     // Keyed on the replay key, so the decision is independent of call
     // order and thread interleaving.
-    if (memo && faults.enabled() && faults.armed("sim.replay")) {
-        Digest key_digest;
-        for (const std::uint64_t word : key)
-            key_digest.u64(word);
-        if (faults.shouldInject("sim.replay",
-                                std::to_string(key_digest.value()))) {
-            memo = false;
-        }
+    if (memo && faults.enabled() && faults.armed("sim.replay") &&
+        faults.shouldInject("sim.replay", key_digest())) {
+        memo = false;
     }
 
     ReplayEntry entry;
@@ -380,16 +377,20 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
     // `machine.jitter` fault site: real PMUs never report the same
     // instruction count twice; perturb the retired-uop counts with
     // seeded Gaussian noise so the Lab's multi-trial aggregation has
-    // something to reject. Sequence-seeded, so repeated trials of the
-    // same placement see different draws — the replayed (pre-jitter)
-    // entry is perturbed per call, so replay hits consume the exact
-    // draw sequence a live run would. Idle plan: untouched.
+    // something to reject. Keyed on the measurement attempt open on
+    // this thread (fault::MeasurementScope: trials differ, a repeated
+    // ask does not), the run and the placement, so the draws are the
+    // same replayed or live, serial or pooled. Idle plan: untouched.
     if (faults.enabled() && faults.armed("machine.jitter")) {
-        for (CounterBlock &block : results) {
-            if (!faults.shouldInject("machine.jitter"))
+        const std::string prefix = fault::MeasurementScope::current() +
+                                   "|" + key_digest() + "|";
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const std::string site_key = prefix + std::to_string(i);
+            if (!faults.shouldInject("machine.jitter", site_key))
                 continue;
-            const double eps =
-                std::max(-0.99, faults.gaussianNext("machine.jitter"));
+            const double eps = std::max(
+                -0.99, faults.gaussian("machine.jitter", site_key));
+            CounterBlock &block = results[i];
             block.uops = static_cast<std::uint64_t>(
                 std::llround(static_cast<double>(block.uops) *
                              (1.0 + eps)));

@@ -1,11 +1,10 @@
 /**
  * @file
- * Thread-safe single-flight memoization cache for measurement
- * results.
+ * Thread-safe single-flight memoization cache: the map behind the
+ * run-level ReplayStore (sim/replay.h).
  *
- * The Lab's measurements are expensive (whole-machine simulations)
- * and keyed (workload, mode, shape), so when the batch APIs fan
- * requests across a thread pool two guarantees matter:
+ * Runs are expensive (whole-machine simulations) and the Lab's batch
+ * APIs ask for them from a thread pool, so two guarantees matter:
  *
  *  1. *thread safety* — concurrent lookups and inserts never race
  *     (reads take a shared lock, writes an exclusive one);
@@ -15,21 +14,19 @@
  *     simulate the same key twice.
  *
  * Slots are heap-allocated and shared, so the references handed out
- * stay valid for as long as any consumer holds them — the Lab's
- * reference-returning accessors keep their contract under
- * concurrency.
+ * stay valid for as long as any consumer holds them.
  *
  * Failure semantics (pinned by tests/test_parallel.cpp): if a compute
  * function throws, the exception propagates to the computing caller
  * *and* to every thread waiting on that in-flight key, but the key is
  * NOT poisoned — the failed slot is discarded, and a later call with
- * the same key runs the compute function again. Measurement failures
- * are transient under fault injection (see src/fault), so retrying
- * must be possible; only successful values are memoized.
+ * the same key runs the compute function again: a failure may be
+ * transient, so retrying must be possible; only successful values
+ * are memoized.
  */
 
-#ifndef SMITE_CORE_MEMO_CACHE_H
-#define SMITE_CORE_MEMO_CACHE_H
+#ifndef SMITE_SIM_MEMO_CACHE_H
+#define SMITE_SIM_MEMO_CACHE_H
 
 #include <atomic>
 #include <condition_variable>
@@ -44,7 +41,7 @@
 
 #include "obs/metrics.h"
 
-namespace smite::core {
+namespace smite::sim {
 
 /**
  * Shared-mutex-guarded map with single-flight computation.
@@ -193,6 +190,6 @@ class MemoCache
     obs::Counter *waits_ = nullptr;
 };
 
-} // namespace smite::core
+} // namespace smite::sim
 
-#endif // SMITE_CORE_MEMO_CACHE_H
+#endif // SMITE_SIM_MEMO_CACHE_H

@@ -220,10 +220,10 @@ configDigest(const MachineConfig &config)
     return d.value();
 }
 
-core::MemoCache<ReplayKey, ReplayEntry> &
+MemoCache<ReplayKey, ReplayEntry> &
 replayStore()
 {
-    static core::MemoCache<ReplayKey, ReplayEntry> store;
+    static MemoCache<ReplayKey, ReplayEntry> store;
     static const bool instrumented =
         (store.instrument("machine.replay"), true);
     (void)instrumented;

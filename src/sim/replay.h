@@ -8,15 +8,15 @@
  *   (machine config, per-placement (core, context, stream identity),
  *    warmup cycles, measure cycles)
  *
- * — which is exactly what the Lab, the fig-grid harnesses and the
- * benchmark repeats key their requests on. The **ReplayStore**
- * memoizes whole run outcomes (the counter deltas plus the event-loop
- * tallies) in a single-flight `core::MemoCache`, so a repeated run
- * replays its recorded results without constructing a machine or
- * ticking a cycle.
+ * The **ReplayStore** memoizes whole run outcomes (the counter deltas
+ * plus the event-loop tallies) in a single-flight `sim::MemoCache`, so
+ * a repeated run replays its recorded results without constructing a
+ * machine or ticking a cycle. It is the system's only memo: every
+ * repeat the Lab, the figure harnesses and the benchmark ask for is
+ * served here.
  *
  * Byte-identity contract: with replay enabled, every observable
- * output — counters returned, fault draws consumed, obs metrics
+ * output — counters returned, keyed fault draws, obs metrics
  * totals — is byte-identical to the `SMITE_SIM_MEMO=0` disabled path
  * (pinned by tests/test_replay.cpp and the tier-1 memo-on/off
  * compare). Sources that cannot promise a stream identity
@@ -32,9 +32,9 @@
 #include <string>
 #include <vector>
 
-#include "core/memo_cache.h"
 #include "sim/config.h"
 #include "sim/counters.h"
+#include "sim/memo_cache.h"
 
 namespace smite::sim {
 
@@ -72,7 +72,7 @@ using ReplayKey = std::vector<std::uint64_t>;
  * The process-wide run-outcome store, instrumented as
  * `machine.replay.{hits,misses,waits}`.
  */
-core::MemoCache<ReplayKey, ReplayEntry> &replayStore();
+MemoCache<ReplayKey, ReplayEntry> &replayStore();
 
 /**
  * First line of every run log; bump it when simulator behaviour

@@ -101,40 +101,9 @@ ProfileUopSource::streamDigest() const
     return d.value();
 }
 
-ProfileUopSource::GenState
-ProfileUopSource::saveState() const
-{
-    return GenState{rng_,       streamCursor_, regionBase_, regionOffset_,
-                    dwellLeft_, lowPhase_,     phaseLeft_};
-}
-
-void
-ProfileUopSource::restoreState(const GenState &state)
-{
-    rng_ = state.rng;
-    streamCursor_ = state.streamCursor;
-    regionBase_ = state.regionBase;
-    regionOffset_ = state.regionOffset;
-    dwellLeft_ = state.dwellLeft;
-    lowPhase_ = state.lowPhase;
-    phaseLeft_ = state.phaseLeft;
-}
-
 void
 ProfileUopSource::reset()
 {
-    if (!memo_.empty()) {
-        // Everything produced so far is on record; rewinding is a
-        // replay. When the recording is still open (generator parked
-        // at the memo end), remember that state so the replayed
-        // stream can resume live generation past it. Mid-replay or
-        // after the cap, endState_ is already the memo-end state.
-        if (!replaying_ && !memoFull_)
-            endState_ = saveState();
-        replaying_ = true;
-        replayPos_ = 0;
-        return;
-    }
     rng_ = Rng(seed_);
     // Start streaming in the middle of the footprint: for large
     // arrays this is far beyond any functionally warmed region (a
@@ -219,7 +188,7 @@ ProfileUopSource::nextDataAddr()
 }
 
 sim::Uop
-ProfileUopSource::genNext()
+ProfileUopSource::next()
 {
     // Phase modulation: in the light phase a fraction of slots carry
     // no modeled resource demand.
@@ -274,44 +243,11 @@ ProfileUopSource::genNext()
     return uop;
 }
 
-sim::Uop
-ProfileUopSource::next()
-{
-    if (replaying_) {
-        if (replayPos_ < memo_.size())
-            return memo_[replayPos_++];
-        replaying_ = false;
-        restoreState(endState_);
-    }
-    const sim::Uop uop = genNext();
-    if (!memoFull_) {
-        memo_.push_back(uop);
-        if (memo_.size() >= kMemoCap) {
-            endState_ = saveState();
-            memoFull_ = true;
-        }
-    }
-    return uop;
-}
-
 int
 ProfileUopSource::nextBatch(sim::Uop *out, int max)
 {
-    int i = 0;
-    if (replaying_) {
-        const std::size_t left = memo_.size() - replayPos_;
-        const int n = static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(max), left));
-        std::copy_n(memo_.data() + replayPos_, n, out);
-        replayPos_ += n;
-        i = n;
-        if (replayPos_ == memo_.size()) {
-            replaying_ = false;
-            restoreState(endState_);
-        }
-    }
     // The class is final, so these next() calls resolve statically.
-    for (; i < max; ++i)
+    for (int i = 0; i < max; ++i)
         out[i] = next();
     return max;
 }

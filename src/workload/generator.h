@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "sim/digest.h"
 #include "sim/uop.h"
@@ -21,7 +20,7 @@ namespace smite::workload {
 /**
  * Digest of every profile field that shapes a generated stream, the
  * name included. ProfileUopSource::streamDigest() folds the seed on
- * top; the Lab keys its memo tables on the value.
+ * top.
  */
 sim::Digest profileDigest(const WorkloadProfile &profile);
 
@@ -107,25 +106,6 @@ class ProfileUopSource final : public sim::UopSource
     sim::Addr nextPc();
     sim::UopType sampleType();
     std::uint8_t sampleDepDistance();
-    sim::Uop genNext();
-
-    /**
-     * The complete mutable generation state: everything genNext()
-     * reads or writes besides the immutable profile/thresholds.
-     * Snapshots of it let a replayed stream resume live generation
-     * exactly where the recording left off.
-     */
-    struct GenState {
-        Rng rng{0};
-        sim::Addr streamCursor = 0;
-        sim::Addr regionBase = 0;
-        sim::Addr regionOffset = 0;
-        std::uint64_t dwellLeft = 0;
-        bool lowPhase = false;
-        std::uint64_t phaseLeft = 0;
-    };
-    GenState saveState() const;
-    void restoreState(const GenState &state);
 
     WorkloadProfile profile_;
     std::uint64_t seed_;
@@ -166,22 +146,6 @@ class ProfileUopSource final : public sim::UopSource
     std::uint64_t dwellLeft_ = 0; ///< uops until the next region jump
     bool lowPhase_ = false;       ///< currently in the light phase?
     std::uint64_t phaseLeft_ = 0; ///< uops until the phase flips
-
-    /**
-     * Stream memo: the generator is deterministic, so every reset()
-     * replays the exact uops already produced. Recording them (up to
-     * kMemoCap, ~24 MB) turns the repeated runs that dominate real
-     * usage — warmup passes, benchmark repeats, sensitivity sweeps —
-     * into flat array copies instead of per-uop sampling. endState_
-     * snapshots the generation state at the memo boundary so streams
-     * longer than the memo resume live generation seamlessly.
-     */
-    static constexpr std::size_t kMemoCap = std::size_t{1} << 20;
-    std::vector<sim::Uop> memo_;
-    std::size_t replayPos_ = 0;
-    bool replaying_ = false;
-    bool memoFull_ = false;
-    GenState endState_{};
 };
 
 } // namespace smite::workload

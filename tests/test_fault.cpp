@@ -2,7 +2,7 @@
  * @file
  * Tests for deterministic fault injection and the resilient
  * measurement pipeline built on top of it: SMITE_FAULTS grammar,
- * keyed/sequence decision determinism, Lab retry and multi-trial
+ * keyed decision determinism, Lab retry and multi-trial
  * policies, graceful degradation of the training harness, scheduler
  * behaviour under server failures, and — critically — that a
  * fault-free run after a chaos run reproduces the baseline exactly.
@@ -69,7 +69,7 @@ class FaultTest : public ::testing::Test
     {
         auto lab = std::make_unique<Lab>(sim::MachineConfig::ivyBridge(),
                                          2'000, 8'000);
-        // Serial so that sequence-based (nth) decisions are
+        // Serial so that nth decisions, which count checks, are
         // reproducible across runs.
         lab->setParallelism(1);
         return lab;
@@ -151,7 +151,8 @@ TEST_F(FaultTest, NthRuleFiresOnEveryNthCheck)
     plan.arm("pool.delay", SiteSpec{.nth = 4});
     int fired = 0;
     for (int i = 1; i <= 12; ++i) {
-        const bool f = plan.shouldInject("pool.delay");
+        // nth ignores the key: it counts checks.
+        const bool f = plan.shouldInject("pool.delay", std::to_string(i));
         EXPECT_EQ(f, i % 4 == 0) << "check " << i;
         fired += f ? 1 : 0;
     }
@@ -359,6 +360,72 @@ TEST_F(FaultTest, MachineJitterPerturbsResultsOnlyWhileArmed)
     const auto clean_holder = makeLab();
     Lab &clean = *clean_holder;
     EXPECT_EQ(clean.soloIpc(a), baseline);
+}
+
+TEST_F(FaultTest, MeasurementScopesNest)
+{
+    using fault::MeasurementScope;
+    EXPECT_EQ(MeasurementScope::current(), "");
+    {
+        const MeasurementScope outer("pair/a1");
+        EXPECT_EQ(MeasurementScope::current(), "pair/a1");
+        {
+            const MeasurementScope inner("solo/a2");
+            EXPECT_EQ(MeasurementScope::current(), "solo/a2");
+        }
+        EXPECT_EQ(MeasurementScope::current(), "pair/a1");
+    }
+    EXPECT_EQ(MeasurementScope::current(), "");
+}
+
+TEST_F(FaultTest, JitterChaosReproducesAcrossThreadCounts)
+{
+    // Keyed jitter: every draw is a function of the measurement
+    // attempt, the run and the placement — never of which thread got
+    // there first, or of what an earlier Lab drew.
+    FaultPlan::global().arm(
+        "machine.jitter",
+        SiteSpec{.probability = 1.0, .seed = 7, .sigma = 0.05});
+    const std::vector<workload::WorkloadProfile> profiles = {
+        workload::spec2006::byName("401.bzip2"),
+        workload::spec2006::byName("429.mcf"),
+        workload::spec2006::byName("453.povray"),
+        workload::spec2006::byName("470.lbm")};
+    const auto mode = CoLocationMode::kSmt;
+
+    struct Outcome {
+        std::vector<Characterization> chars;
+        std::vector<core::PmuProfile> pmu;
+        std::vector<std::vector<double>> pairs;
+    };
+    const auto measureAll = [&](int threads) {
+        Lab lab(sim::MachineConfig::ivyBridge(), 2'000, 8'000);
+        lab.setParallelism(threads);
+        return Outcome{lab.characterizeAll(profiles, mode),
+                       lab.pmuProfileAll(profiles),
+                       lab.measureAllPairs(profiles, mode)};
+    };
+    const Outcome serial = measureAll(1);
+    const Outcome pooled = measureAll(4);
+
+    ASSERT_EQ(pooled.chars.size(), serial.chars.size());
+    for (std::size_t i = 0; i < serial.chars.size(); ++i) {
+        SCOPED_TRACE(profiles[i].name);
+        EXPECT_EQ(pooled.chars[i].sensitivity, serial.chars[i].sensitivity);
+        EXPECT_EQ(pooled.chars[i].contentiousness,
+                  serial.chars[i].contentiousness);
+    }
+    EXPECT_EQ(pooled.pmu, serial.pmu);
+    EXPECT_EQ(pooled.pairs, serial.pairs);
+    EXPECT_GT(counter("fault.machine.jitter.injected"), 0u);
+
+    // A repeated ask gets the same draws.
+    Lab lab(sim::MachineConfig::ivyBridge(), 2'000, 8'000);
+    EXPECT_EQ(lab.soloIpc(profiles[0]), lab.soloIpc(profiles[0]));
+    EXPECT_EQ(lab.pairDegradation(profiles[1], profiles[2], mode),
+              lab.pairDegradation(profiles[1], profiles[2], mode));
+    EXPECT_EQ(lab.pairDegradation(profiles[1], profiles[2], mode),
+              serial.pairs[1][2]);
 }
 
 /** A pairing whose QoS falls linearly with instance count. */

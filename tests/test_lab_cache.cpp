@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the Lab's caches: the run log (sim::RunLog) that persists
- * simulator runs across processes, and the keys of its in-process
- * memo tables.
+ * Tests for the Lab's persistence: the run log (sim::RunLog) that
+ * carries simulator runs across processes, and the stream identities
+ * that key them in the process-wide ReplayStore.
  *
  * Every test that reloads a log writes it in a child process (a gtest
  * EXPECT_EXIT statement, re-executed in a fresh process by the
@@ -179,7 +179,7 @@ expectSame(const Measured &got, const Measured &want)
 }
 
 // One Lab asked about a profile edited under its old name measures the
-// edit rather than serving the original's memo entries.
+// edit rather than replaying the original's runs.
 TEST(LabCache, EditedProfileIsNotServedStaleWithinOneLab)
 {
     const auto &original = workload::spec2006::byName("429.mcf");
@@ -198,9 +198,9 @@ TEST(LabCache, EditedProfileIsNotServedStaleWithinOneLab)
     expectSame(served, fresh);
 }
 
-// The memo keys' profile digest is the run log's stream identity minus
-// the seed; the logged stream digests themselves must never move, or
-// every existing run log would be orphaned.
+// Runs are keyed on stream digests (the profile digest plus the seed);
+// the logged digests must never move, or every existing run log would
+// be orphaned.
 TEST(LabCache, StreamDigestsKeepRunLogKeys)
 {
     EXPECT_EQ(workload::ProfileUopSource(

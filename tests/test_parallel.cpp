@@ -3,7 +3,11 @@
  * Tests for the parallel measurement engine: the ThreadPool /
  * parallelFor primitives, the determinism contract of the Lab batch
  * APIs (parallel == serial, byte for byte), the single-flight
- * guarantee of the memo caches, and the SMITE_THREADS=1 serial path.
+ * guarantee of MemoCache and of the ReplayStore built on it, and the
+ * SMITE_THREADS=1 serial path.
+ *
+ * The ReplayStore is process-wide, so every case that counts its
+ * misses measures at intervals no other case in this binary uses.
  */
 
 #include <atomic>
@@ -18,8 +22,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "core/memo_cache.h"
 #include "core/parallel.h"
+#include "obs/metrics.h"
+#include "sim/memo_cache.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
@@ -64,6 +69,13 @@ smallSet()
 
 constexpr sim::Cycle kWarmup = 2'000;
 constexpr sim::Cycle kMeasure = 8'000;
+
+/** Runs simulated so far in this process (replay-store misses). */
+std::uint64_t
+storeMisses()
+{
+    return obs::Registry::global().counter("machine.replay.misses").value();
+}
 
 TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
@@ -142,7 +154,7 @@ TEST(ParallelFor, SmiteThreadsEnvOverridesWidth)
 
 TEST(MemoCache, SingleFlightUnderContention)
 {
-    MemoCache<int, int> cache;
+    sim::MemoCache<int, int> cache;
     std::atomic<int> computed{0};
     std::vector<std::thread> threads;
     std::vector<int> results(8, -1);
@@ -167,7 +179,7 @@ TEST(MemoCache, SingleFlightUnderContention)
 
 TEST(MemoCache, FailedComputeDoesNotPoisonKey)
 {
-    MemoCache<int, int> cache;
+    sim::MemoCache<int, int> cache;
     int calls = 0;
     // First flight throws: the exception reaches the caller and the
     // key must NOT be cached as a permanent failure.
@@ -194,7 +206,7 @@ TEST(MemoCache, FailedComputeDoesNotPoisonKey)
 
 TEST(MemoCache, WaitersObserveFlightExceptionAndKeyStaysRetryable)
 {
-    MemoCache<int, int> cache;
+    sim::MemoCache<int, int> cache;
     std::atomic<int> failures{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
@@ -253,12 +265,20 @@ TEST(Lab, MeasureAllPairsMatchesSerialExactly)
     const auto profiles = smallSet();
     const auto mode = CoLocationMode::kSmt;
 
-    Lab serial(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    // Intervals of its own: the miss count below starts from an
+    // empty store.
+    constexpr sim::Cycle warmup = 2'020;
+    Lab serial(sim::MachineConfig::ivyBridge(), warmup, kMeasure);
     serial.setParallelism(1);
-    Lab parallel(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    Lab parallel(sim::MachineConfig::ivyBridge(), warmup, kMeasure);
     parallel.setParallelism(4);
 
+    const std::uint64_t misses0 = storeMisses();
     const auto matrix = parallel.measureAllPairs(profiles, mode);
+    // One simulation per solo and per unordered pair, not per ordered
+    // pair.
+    const std::size_t n = profiles.size();
+    EXPECT_EQ(storeMisses() - misses0, n * (n - 1) / 2 + n);
     ASSERT_EQ(matrix.size(), profiles.size());
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         for (std::size_t j = 0; j < profiles.size(); ++j) {
@@ -271,9 +291,6 @@ TEST(Lab, MeasureAllPairsMatchesSerialExactly)
                                              mode));
         }
     }
-    // One simulation per unordered pair, not per ordered pair.
-    const std::size_t n = profiles.size();
-    EXPECT_EQ(parallel.stats().pairs, n * (n - 1) / 2);
 }
 
 TEST(Lab, SoloIpcAllMatchesSerialExactly)
@@ -292,10 +309,11 @@ TEST(Lab, SoloIpcAllMatchesSerialExactly)
 
 TEST(Lab, ConcurrentCacheHitsSimulateOnce)
 {
-    Lab lab(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    Lab lab(sim::MachineConfig::ivyBridge(), 2'030, kMeasure);
     const auto &a = workload::spec2006::byName("401.bzip2");
     const auto &b = workload::spec2006::byName("429.mcf");
 
+    const std::uint64_t misses0 = storeMisses();
     std::vector<std::thread> threads;
     std::vector<double> results(8);
     for (int t = 0; t < 8; ++t) {
@@ -310,17 +328,16 @@ TEST(Lab, ConcurrentCacheHitsSimulateOnce)
     for (double r : results)
         EXPECT_EQ(r, results[0]);
     // Single flight: one pair simulation and one solo per workload,
-    // no matter how many threads raced on the same key.
-    const Lab::Stats stats = lab.stats();
-    EXPECT_EQ(stats.pairs, 1u);
-    EXPECT_EQ(stats.solo_ipc, 2u);
+    // no matter how many threads raced on the same runs.
+    EXPECT_EQ(storeMisses() - misses0, 1u + 2u);
 }
 
 TEST(Lab, ConcurrentCharacterizationsSimulateOnce)
 {
-    Lab lab(sim::MachineConfig::ivyBridge(), kWarmup, kMeasure);
+    Lab lab(sim::MachineConfig::ivyBridge(), 2'040, kMeasure);
     const auto &a = workload::spec2006::byName("453.povray");
 
+    const std::uint64_t misses0 = storeMisses();
     std::vector<std::thread> threads;
     for (int t = 0; t < 6; ++t) {
         threads.emplace_back([&] {
@@ -330,10 +347,10 @@ TEST(Lab, ConcurrentCharacterizationsSimulateOnce)
     for (auto &th : threads)
         th.join();
 
-    const Lab::Stats stats = lab.stats();
-    EXPECT_EQ(stats.characterizations, 1u);
-    EXPECT_EQ(stats.ruler_baselines,
-              static_cast<std::uint64_t>(rulers::kNumDimensions));
+    // One solo run, then one Ruler baseline and one co-run per
+    // dimension.
+    EXPECT_EQ(storeMisses() - misses0,
+              1u + 2u * static_cast<std::uint64_t>(rulers::kNumDimensions));
 }
 
 TEST(Lab, PairDirectionIndependentOfCallOrder)
