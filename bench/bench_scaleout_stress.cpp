@@ -5,13 +5,13 @@
  * servers under continuous churn, on a heterogeneous Table 1 fleet
  * (Sandy Bridge-EN + Ivy Bridge classes) with mixed QoS tiers.
  *
- * Two engines run the *identical* keyed churn trace at every scale:
+ * Two engines run the *identical* keyed churn trace at every scale,
+ * both on one thread:
  *
- * - shards=1: the lockstep reference — every epoch scans every
+ * - the full-scan reference (shards=1): every epoch scans every
  *   server, the O(cluster) cost the paper-scale Cluster pays;
- * - shards=N: the streaming engine — per-shard event calendars touch
- *   only the servers with due churn, O(churn) per epoch (and the
- *   shard passes additionally spread across SMITE_THREADS).
+ * - the calendar engine (any other shard count): the event calendar
+ *   touches only the servers with due churn, O(churn) per epoch.
  *
  * Their results must be byte-identical (digest-checked here, and a
  * hard failure if not); the throughput gap between them is therefore
@@ -19,18 +19,17 @@
  * *performance*, not figures: it writes `BENCH_sched.json`
  * (schema `smite-run-report/1`), and the committed copy at the
  * repository root is the baseline `scripts/tier1.sh` re-checks with
- * `report_diff --tol 0.6`. Throughput is wall-clock medians (not CPU
- * time) because the sharded engine is allowed to win by using more
- * than one core where the machine has them.
+ * `report_diff --tol 0.6`. The `*_lockstep_*` and `*_sharded_*`
+ * result keys keep their names so fresh reports diff against older
+ * baselines; they time the reference and the calendar engine.
  *
  *   bench_scaleout_stress [output.json]   (default: BENCH_sched.json)
  *   bench_scaleout_stress --determinism
  *
- * --determinism runs the 4k fleet at shard counts 1 / 4 / 16,
- * prints the epoch timeline, digests and conservation identities,
- * and exits non-zero unless every run is identical — no timings in
- * the output, so tier-1 can byte-compare stdout across SMITE_THREADS
- * settings.
+ * --determinism runs the 4k fleet on both engines, prints the epoch
+ * timeline, digests and conservation identities, and exits non-zero
+ * unless the two runs are identical — no timings in the output, so
+ * tier-1 can byte-compare stdout across SMITE_THREADS settings.
  */
 
 #include <algorithm>
@@ -41,6 +40,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/report.h"
@@ -57,8 +57,9 @@ using scheduler::TierPolicy;
 
 namespace {
 
-/** Streaming-engine shard count used at every scale. */
-constexpr int kShards = 64;
+/** Shard arguments that select each engine (shard.h). */
+constexpr int kReference = 1;
+constexpr int kCalendar = 2;
 /** Wall-clock repeats per timing; the median is reported. */
 constexpr int kRepeats = 5;
 /** Keyed seed of the synthetic pairing tables. */
@@ -250,39 +251,32 @@ runDeterminismMode()
     const std::int64_t servers = 4000;
     const int epochs = 32;
     const ChurnConfig churn = churnFor(servers);
-    const int shard_counts[] = {1, 4, 16};
 
     std::printf("determinism mode: %" PRId64
-                " servers, %d epochs, shard counts 1/4/16\n\n",
+                " servers, %d epochs, full-scan reference vs calendar "
+                "engine\n\n",
                 servers, epochs);
 
-    std::vector<StreamResult> results;
-    bool ok = true;
-    for (const int shards : shard_counts) {
-        ShardedCluster cluster(fleetClasses(), fleetMix(servers),
-                               shards);
-        results.push_back(cluster.runStream(kTiers, churn, epochs));
-        if (!cluster.verifyAggregates()) {
-            std::printf("shards=%d: aggregate cross-check FAILED\n",
-                        shards);
-            ok = false;
-        }
-        std::printf("shards=%-3d digest %016" PRIx64 "\n", shards,
-                    results.back().digest);
-        if (!conservationHolds(results.back()))
-            ok = false;
+    ShardedCluster reference(fleetClasses(), fleetMix(servers),
+                             kReference);
+    ShardedCluster calendar(fleetClasses(), fleetMix(servers),
+                            kCalendar);
+    const StreamResult ref = reference.runStream(kTiers, churn, epochs);
+    const StreamResult cal = calendar.runStream(kTiers, churn, epochs);
+    std::printf("reference digest %016" PRIx64 "\n", ref.digest);
+    std::printf("calendar  digest %016" PRIx64 "\n", cal.digest);
+
+    bool ok = conservationHolds(ref) && conservationHolds(cal);
+    if (!reference.verifyAggregates() || !calendar.verifyAggregates()) {
+        std::printf("aggregate cross-check FAILED\n");
+        ok = false;
+    }
+    if (!sameResult(ref, cal)) {
+        std::printf("\ncalendar engine diverged from the reference\n");
+        ok = false;
     }
 
-    const StreamResult &ref = results.front();
-    for (std::size_t i = 1; i < results.size(); ++i) {
-        if (!sameResult(ref, results[i])) {
-            std::printf("\nshards=%d diverged from shards=1\n",
-                        shard_counts[i]);
-            ok = false;
-        }
-    }
-
-    std::printf("\nepoch timeline (identical for every shard count):"
+    std::printf("\nepoch timeline (identical for both engines):"
                 "\n%6s %6s %6s %6s %6s %6s %6s %10s %10s\n",
                 "epoch", "fail", "recov", "depart", "placed", "lost",
                 "events", "util", "goodput");
@@ -296,7 +290,7 @@ runDeterminismMode()
     }
     std::printf("\n");
     printResultSummary(ref);
-    std::printf("\nbyte-identical across shard counts: %s\n",
+    std::printf("\nbyte-identical across engines: %s\n",
                 ok ? "yes" : "NO");
     return ok ? 0 : 1;
 }
@@ -312,17 +306,18 @@ main(int argc, char **argv)
     const std::string out_path =
         argc > 1 ? argv[1] : "BENCH_sched.json";
 
+    const unsigned cores = std::thread::hardware_concurrency();
     obs::RunReport report("bench_scaleout_stress");
-    report.setConfig("shards", obs::json::Value(kShards));
+    report.setConfig("cores", obs::json::Value(static_cast<int>(cores)));
     report.setConfig("repeats", obs::json::Value(kRepeats));
     report.setConfig("qos_target", obs::json::Value(kTiers.qosTarget));
     report.setConfig("best_effort_floor",
                      obs::json::Value(kTiers.bestEffortFloor));
 
     std::printf("warehouse-scale scheduler stress "
-                "(lockstep reference vs streaming shards=%d, "
-                "wall-clock median of %d)\n\n",
-                kShards, kRepeats);
+                "(full-scan reference vs calendar engine, "
+                "wall-clock median of %d, %u cores)\n\n",
+                kRepeats, cores);
 
     struct Scale {
         const char *tag;
@@ -335,42 +330,42 @@ main(int argc, char **argv)
     bool ok = true;
     for (const Scale &scale : scales) {
         const ChurnConfig churn = churnFor(scale.servers);
-        ShardedCluster lockstep(fleetClasses(),
-                                fleetMix(scale.servers), 1);
-        ShardedCluster sharded(fleetClasses(),
-                               fleetMix(scale.servers), kShards);
+        ShardedCluster reference(fleetClasses(),
+                                 fleetMix(scale.servers), kReference);
+        ShardedCluster calendar(fleetClasses(),
+                                fleetMix(scale.servers), kCalendar);
 
         // Equivalence self-check first: both engines, same trace,
         // identical results — otherwise any speedup is meaningless.
         const StreamResult a =
-            lockstep.runStream(kTiers, churn, scale.epochs);
+            reference.runStream(kTiers, churn, scale.epochs);
         const StreamResult b =
-            sharded.runStream(kTiers, churn, scale.epochs);
+            calendar.runStream(kTiers, churn, scale.epochs);
         if (!sameResult(a, b) || !conservationHolds(b) ||
-            !lockstep.verifyAggregates() ||
-            !sharded.verifyAggregates()) {
-            std::printf("%s: ENGINE MISMATCH (lockstep %016" PRIx64
-                        " vs sharded %016" PRIx64 ")\n",
+            !reference.verifyAggregates() ||
+            !calendar.verifyAggregates()) {
+            std::printf("%s: ENGINE MISMATCH (reference %016" PRIx64
+                        " vs calendar %016" PRIx64 ")\n",
                         scale.tag, a.digest, b.digest);
             ok = false;
             continue;
         }
 
-        const double t_lockstep = medianSeconds([&] {
-            lockstep.runStream(kTiers, churn, scale.epochs);
+        const double t_reference = medianSeconds([&] {
+            reference.runStream(kTiers, churn, scale.epochs);
         });
-        const double t_sharded = medianSeconds([&] {
-            sharded.runStream(kTiers, churn, scale.epochs);
+        const double t_calendar = medianSeconds([&] {
+            calendar.runStream(kTiers, churn, scale.epochs);
         });
-        const double eps_lockstep = scale.epochs / t_lockstep;
-        const double eps_sharded = scale.epochs / t_sharded;
+        const double eps_reference = scale.epochs / t_reference;
+        const double eps_calendar = scale.epochs / t_calendar;
 
         std::printf("%-6s %7" PRId64 " servers, %3d epochs: "
-                    "lockstep %9.1f epochs/s, sharded %9.1f epochs/s "
+                    "reference %9.1f epochs/s, calendar %9.1f epochs/s "
                     "(%.2fx)\n",
                     scale.tag, scale.servers, scale.epochs,
-                    eps_lockstep, eps_sharded,
-                    eps_sharded / eps_lockstep);
+                    eps_reference, eps_calendar,
+                    eps_calendar / eps_reference);
         printResultSummary(b);
         std::printf("\n");
 
@@ -379,10 +374,12 @@ main(int argc, char **argv)
                          obs::json::Value(scale.servers));
         report.setConfig(tag + "_epochs",
                          obs::json::Value(scale.epochs));
+        report.addTiming(tag + "_reference_s", t_reference);
+        report.addTiming(tag + "_calendar_s", t_calendar);
         report.addResult(tag + "_lockstep_epochs_per_sec",
-                         obs::json::Value(eps_lockstep));
+                         obs::json::Value(eps_reference));
         report.addResult(tag + "_sharded_epochs_per_sec",
-                         obs::json::Value(eps_sharded));
+                         obs::json::Value(eps_calendar));
         report.addResult(tag + "_utilization",
                          obs::json::Value(b.utilization()));
         report.addResult(tag + "_goodput_utilization",

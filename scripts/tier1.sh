@@ -335,15 +335,17 @@ rm -rf "$PRED_A" "$PRED_B"
 echo "predictor zoo smoke: ok"
 
 # --- Scheduler scale-out smoke -------------------------------------
-# The warehouse-scale sharded scheduler, three gates in one run
+# The warehouse-scale streaming scheduler, three gates in one run
 # (docs/SCHEDULING.md):
 #  1. bench_scaleout_stress re-runs the 4k/32k/128k-server sweep and
 #     report_diff checks it against the committed BENCH_sched.json —
 #     throughput within tolerance, and the (exactly reproducible)
 #     utilization/goodput/digest results byte-stable;
-#  2. its --determinism mode replays the 4k fleet at shard counts
-#     1/4/16 with the default pool and forced serial, and the stdouts
-#     (timings excluded by construction) must be byte-identical;
+#  2. its --determinism mode replays the 4k fleet on the full-scan
+#     reference and the calendar engine; run with the default
+#     SMITE_THREADS and with SMITE_THREADS=1, the stdouts (timings
+#     excluded by construction) must be byte-identical, so the
+#     single-threaded stream cannot start depending on the setting;
 #  3. every scheduler.* metric the fresh report emitted must appear
 #     in the docs/OBSERVABILITY.md catalog (doc-drift check).
 SCHED_DIR="$(mktemp -d)"

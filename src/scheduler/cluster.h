@@ -15,7 +15,7 @@
  *
  * This model is deliberately the paper's: homogeneous fleet, lockstep
  * full-cluster epochs, one batch candidate per server. The
- * warehouse-scale generalization — sharded state, streaming churn
+ * warehouse-scale generalization — an event calendar, streaming churn
  * epochs, mixed QoS tiers, heterogeneous machines — lives in shard.h;
  * the layer-wide catalog is docs/SCHEDULING.md.
  */

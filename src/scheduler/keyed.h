@@ -11,11 +11,12 @@
  *   format, so the two loops can never drift apart and always replay
  *   the identical churn trace for a given SMITE_FAULTS seed.
  *
- * - The numeric keyed streams used by the sharded streaming cluster
+ * - The numeric keyed streams used by the streaming cluster
  *   (shard.h). Every draw is a pure function of
  *   (seed, salt, a, b) — typically (seed, event kind, server,
  *   occurrence index) — so the outcome is independent of placement
- *   order, shard count and thread count. This is what fixes the
+ *   order and of which engine, full scan or calendar, visits the
+ *   server. This is what fixes the
  *   original Cluster's placement-order sampling: a draw belongs to a
  *   *server*, not to the position of that server in a scan.
  *

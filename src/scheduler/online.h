@@ -57,8 +57,8 @@
  * the run report. The whole loop is serial and every fault decision
  * is keyed (via epochServerKey in keyed.h), so a run is
  * byte-deterministic for a given SMITE_FAULTS seed regardless of
- * SMITE_THREADS. For the warehouse-scale sharded/streaming variant
- * of this loop see shard.h and docs/SCHEDULING.md.
+ * SMITE_THREADS. For the warehouse-scale streaming variant of this
+ * loop see shard.h and docs/SCHEDULING.md.
  */
 
 #ifndef SMITE_SCHEDULER_ONLINE_H

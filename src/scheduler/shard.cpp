@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "core/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scheduler/keyed.h"
@@ -32,12 +31,12 @@ constexpr int kProbeBits = 6;
 ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
                                std::vector<std::int64_t> serversPerClass,
                                int shards, std::uint64_t assignSeed)
-    : classes_(std::move(classes)), shards_(shards)
+    : classes_(std::move(classes)), fullScan_(shards == 1)
 {
     if (classes_.empty() || serversPerClass.size() != classes_.size())
         throw std::invalid_argument(
             "fleet needs one server count per machine class");
-    if (shards_ < 1)
+    if (shards < 1)
         throw std::invalid_argument("shard count must be positive");
 
     std::int64_t n = 0;
@@ -67,7 +66,7 @@ ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
         maxSlots_ = std::max(maxSlots_, cap);
         n += serversPerClass[c];
     }
-    if (shards_ > n)
+    if (shards > n)
         throw std::invalid_argument("more shards than servers");
 
     // Per-class pairing-table base offsets, class-major — the same
@@ -88,7 +87,7 @@ ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
             classIdx_.push_back(static_cast<std::uint16_t>(c));
             // The pairing assignment is keyed per server id — not
             // drawn in placement/scan order — so it is identical for
-            // every shard partition of the same fleet.
+            // both engines.
             tabIdx_.push_back(
                 tab_base[c] +
                 static_cast<std::uint32_t>(
@@ -98,10 +97,6 @@ ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
             totalContexts_ += classes_[c].contextsPerServer;
         }
     }
-
-    shardStart_.resize(static_cast<std::size_t>(shards_) + 1);
-    for (int i = 0; i <= shards_; ++i)
-        shardStart_[static_cast<std::size_t>(i)] = i * n / shards_;
 }
 
 const Pairing &
@@ -116,29 +111,11 @@ ShardedCluster::pairingOf(std::int64_t s) const
     return mc.pairings[idx];
 }
 
-int
-ShardedCluster::shardOf(std::int64_t s) const
-{
-    const std::int64_t n = servers();
-    int i = static_cast<int>(s * shards_ / n);
-    i = std::min(i, shards_ - 1);
-    while (s < shardStart_[static_cast<std::size_t>(i)])
-        --i;
-    while (s >= shardStart_[static_cast<std::size_t>(i) + 1])
-        ++i;
-    return i;
-}
-
 void
 ShardedCluster::buildTabs(const TierPolicy &tiers)
 {
     tabs_.clear();
     const bool fillers = tiers.bestEffortFloor > 0.0;
-    // Guaranteed admission must clear the QoS target *and* the
-    // fairness slowdown budget; at the default budget of 1.0 the
-    // second threshold is 0 and the test collapses to the target.
-    const double admit_floor =
-        std::max(tiers.qosTarget, 1.0 - tiers.slowdownBudget);
     for (const MachineClass &mc : classes_) {
         for (const Pairing &p : mc.pairings) {
             PairTab t;
@@ -148,7 +125,7 @@ ShardedCluster::buildTabs(const TierPolicy &tiers)
             for (int k = 0; k < t.cap; ++k) {
                 t.admit[static_cast<std::size_t>(k)] =
                     p.byInstances[static_cast<std::size_t>(k)]
-                            .predictedQos >= admit_floor
+                            .predictedQos >= tiers.qosTarget
                         ? 1
                         : 0;
             }
@@ -212,44 +189,29 @@ ShardedCluster::contributionOf(std::size_t s) const
 }
 
 void
-ShardedCluster::aggSub(int shard, std::size_t s)
+ShardedCluster::Agg::add(const Agg &c, int sign)
 {
-    const Agg c = contributionOf(s);
-    Agg &a = aggs_[static_cast<std::size_t>(shard)];
-    a.upServers -= c.upServers;
-    a.latencyContexts -= c.latencyContexts;
-    a.guaranteed -= c.guaranteed;
-    a.bestEffort -= c.bestEffort;
-    a.coLocated -= c.coLocated;
-    a.violating -= c.violating;
-    a.goodGuaranteed -= c.goodGuaranteed;
-    a.goodFillers -= c.goodFillers;
+    upServers += sign * c.upServers;
+    latencyContexts += sign * c.latencyContexts;
+    guaranteed += sign * c.guaranteed;
+    bestEffort += sign * c.bestEffort;
+    coLocated += sign * c.coLocated;
+    violating += sign * c.violating;
+    goodGuaranteed += sign * c.goodGuaranteed;
+    goodFillers += sign * c.goodFillers;
 }
 
 void
-ShardedCluster::aggAdd(int shard, std::size_t s)
+ShardedCluster::scheduleEvent(std::int64_t epoch, std::uint32_t s)
 {
-    const Agg c = contributionOf(s);
-    Agg &a = aggs_[static_cast<std::size_t>(shard)];
-    a.upServers += c.upServers;
-    a.latencyContexts += c.latencyContexts;
-    a.guaranteed += c.guaranteed;
-    a.bestEffort += c.bestEffort;
-    a.coLocated += c.coLocated;
-    a.violating += c.violating;
-    a.goodGuaranteed += c.goodGuaranteed;
-    a.goodFillers += c.goodFillers;
+    // kNever is past every run's end, so it is dropped here too.
+    if (fullScan_ || epoch >= epochsLimit_)
+        return;
+    calendar_[static_cast<std::size_t>(epoch)].push_back(s);
 }
 
 void
-ShardedCluster::scheduleEvent(int shard, std::int64_t epoch,
-                              std::uint32_t s)
-{
-    calendars_[static_cast<std::size_t>(shard)][epoch].push_back(s);
-}
-
-void
-ShardedCluster::rebalanceFillers(std::size_t s, EpochDelta &delta)
+ShardedCluster::rebalanceFillers(std::size_t s, StreamEpochStats &stats)
 {
     int target = 0;
     if (up_[s] != 0) {
@@ -258,24 +220,23 @@ ShardedCluster::rebalanceFillers(std::size_t s, EpochDelta &delta)
     }
     const int cur = b_[s];
     if (target > cur)
-        delta.fillerPlaced += target - cur;
+        stats.fillerPlaced += target - cur;
     else if (cur > target)
-        delta.fillerEvicted += cur - target;
+        stats.fillerEvicted += cur - target;
     b_[s] = static_cast<std::uint8_t>(target);
 }
 
 void
-ShardedCluster::processServerEvents(int shard, std::uint32_t s,
-                                    std::int64_t epoch,
-                                    EpochDelta &delta)
+ShardedCluster::processServerEvents(std::uint32_t s, std::int64_t epoch,
+                                    StreamEpochStats &stats)
 {
     const std::size_t i = s;
     if (up_[i] == 0) {
         if (recoverAt_[i] != epoch)
             return;  // stale calendar entry / nothing due
-        ++delta.events;
-        ++delta.recoveries;
-        aggSub(shard, i);
+        ++stats.events;
+        ++stats.recoveries;
+        aggSub(i);
         up_[i] = 1;
         // The server rejoins empty; its next failure is drawn now,
         // keyed by (server, failure sequence) — never by scan order.
@@ -284,30 +245,21 @@ ShardedCluster::processServerEvents(int shard, std::uint32_t s,
             keyed::draw(churn_.seed, kSaltFail, s, failSeq_[i]));
         nextFail_[i] =
             gap == keyed::kNever ? keyed::kNever : epoch + gap;
-        if (shards_ > 1 && nextFail_[i] != keyed::kNever &&
-            nextFail_[i] < epochsLimit_)
-            scheduleEvent(shard, nextFail_[i], s);
-        rebalanceFillers(i, delta);
-        aggAdd(shard, i);
+        scheduleEvent(nextFail_[i], s);
+        rebalanceFillers(i, stats);
+        aggAdd(i);
         return;
     }
     if (nextFail_[i] == epoch) {
-        ++delta.events;
-        ++delta.failures;
-        aggSub(shard, i);
-        if (g_[i] > 0) {
-            // Evicted guaranteed jobs re-enter placement in the
-            // serial phase; queues concatenate in shard order, which
-            // is ascending server order for any shard count.
-            evictQueues_[static_cast<std::size_t>(shard)].push_back(
-                {s, static_cast<int>(g_[i])});
-            delta.evictions += g_[i];
-            g_[i] = 0;
-        }
-        if (b_[i] > 0) {
-            delta.fillerEvicted += b_[i];
-            b_[i] = 0;
-        }
+        ++stats.events;
+        ++stats.failures;
+        aggSub(i);
+        // Evicted guaranteed jobs re-enter placement after the event
+        // pass (runStream); only their count matters there.
+        stats.evictions += g_[i];
+        g_[i] = 0;
+        stats.fillerEvicted += b_[i];
+        b_[i] = 0;
         up_[i] = 0;
         const std::int64_t gap = keyed::geometricSteps(
             churn_.recoverProb,
@@ -315,10 +267,8 @@ ShardedCluster::processServerEvents(int shard, std::uint32_t s,
         ++failSeq_[i];
         recoverAt_[i] =
             gap == keyed::kNever ? keyed::kNever : epoch + gap;
-        if (shards_ > 1 && recoverAt_[i] != keyed::kNever &&
-            recoverAt_[i] < epochsLimit_)
-            scheduleEvent(shard, recoverAt_[i], s);
-        aggAdd(shard, i);
+        scheduleEvent(recoverAt_[i], s);
+        aggAdd(i);
         return;
     }
     // Guaranteed departures due this epoch (swap-remove, scanning
@@ -330,7 +280,7 @@ ShardedCluster::processServerEvents(int shard, std::uint32_t s,
         if (depEpoch_[base + static_cast<std::size_t>(j)] != epoch)
             continue;
         if (departed == 0)
-            aggSub(shard, i);
+            aggSub(i);
         depEpoch_[base + static_cast<std::size_t>(j)] =
             depEpoch_[base + static_cast<std::size_t>(g) - 1];
         --g;
@@ -338,10 +288,10 @@ ShardedCluster::processServerEvents(int shard, std::uint32_t s,
     }
     if (departed > 0) {
         g_[i] = static_cast<std::uint8_t>(g);
-        delta.departures += departed;
-        ++delta.events;
-        rebalanceFillers(i, delta);
-        aggAdd(shard, i);
+        stats.departures += departed;
+        ++stats.events;
+        rebalanceFillers(i, stats);
+        aggAdd(i);
     }
 }
 
@@ -349,7 +299,7 @@ bool
 ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
                                    std::int64_t epoch,
                                    std::int64_t jobIndex,
-                                   EpochDelta &delta)
+                                   StreamEpochStats &stats)
 {
     const std::uint64_t n = static_cast<std::uint64_t>(servers());
     std::int64_t best = -1;
@@ -383,8 +333,7 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
     if (best < 0)
         return false;
     const std::size_t i = static_cast<std::size_t>(best);
-    const int shard = shardOf(best);
-    aggSub(shard, i);
+    aggSub(i);
     const int g = g_[i];
     // The job's lifetime is keyed by (server, placement sequence):
     // a pure per-server stream, independent of who placed it when.
@@ -398,12 +347,9 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
     depEpoch_[i * static_cast<std::size_t>(maxSlots_) +
               static_cast<std::size_t>(g)] = dep_at;
     g_[i] = static_cast<std::uint8_t>(g + 1);
-    if (shards_ > 1 && dep_at != keyed::kNever &&
-        dep_at < epochsLimit_)
-        scheduleEvent(shard, dep_at,
-                      static_cast<std::uint32_t>(best));
-    rebalanceFillers(i, delta);
-    aggAdd(shard, i);
+    scheduleEvent(dep_at, static_cast<std::uint32_t>(best));
+    rebalanceFillers(i, stats);
+    aggAdd(i);
     return true;
 }
 
@@ -420,11 +366,8 @@ ShardedCluster::resetRunState()
     placeSeq_.assign(n, 0);
     depEpoch_.assign(n * static_cast<std::size_t>(maxSlots_),
                      keyed::kNever);
-    aggs_.assign(static_cast<std::size_t>(shards_), Agg{});
-    deltas_.assign(static_cast<std::size_t>(shards_), EpochDelta{});
-    calendars_.assign(static_cast<std::size_t>(shards_), {});
-    evictQueues_.assign(static_cast<std::size_t>(shards_), {});
-    dueScratch_.assign(static_cast<std::size_t>(shards_), {});
+    agg_ = Agg{};
+    calendar_.assign(static_cast<std::size_t>(epochsLimit_), {});
 }
 
 std::uint64_t
@@ -460,15 +403,11 @@ ShardedCluster::runStream(const TierPolicy &tiers,
             throw std::invalid_argument(
                 "churn probabilities must be in [0, 1]");
     }
-    if (tiers.slowdownBudget < 0.0 || tiers.slowdownBudget > 1.0)
-        throw std::invalid_argument(
-            "slowdownBudget must be in [0, 1]");
 
     obs::Span span("scheduler.stream",
                    std::to_string(servers()) + " servers / " +
-                       std::to_string(shards_) + " shards");
+                       (fullScan_ ? "full scan" : "calendar"));
 
-    tiers_ = tiers;
     churn_ = churn;
     epochsLimit_ = epochs;
     buildTabs(tiers);
@@ -482,37 +421,20 @@ ShardedCluster::runStream(const TierPolicy &tiers,
     // Bootstrap pass (the one full O(n) touch both engines share):
     // draw every server's first failure epoch and fill the
     // best-effort tier into the empty fleet.
-    core::parallelFor(
-        static_cast<std::size_t>(shards_),
-        [&](std::size_t shard) {
-            EpochDelta &delta = deltas_[shard];
-            const std::int64_t lo = shardStart_[shard];
-            const std::int64_t hi = shardStart_[shard + 1];
-            for (std::int64_t s = lo; s < hi; ++s) {
-                const std::size_t i = static_cast<std::size_t>(s);
-                const std::int64_t gap = keyed::geometricSteps(
-                    churn_.failProb,
-                    keyed::draw(churn_.seed, kSaltFail,
-                                static_cast<std::uint64_t>(s),
-                                failSeq_[i]));
-                // Drawn "at epoch -1", so the first failure can land
-                // on epoch 0.
-                nextFail_[i] = gap == keyed::kNever ? keyed::kNever
-                                                    : gap - 1;
-                if (shards_ > 1 && nextFail_[i] != keyed::kNever &&
-                    nextFail_[i] < epochsLimit_)
-                    scheduleEvent(static_cast<int>(shard),
-                                  nextFail_[i],
-                                  static_cast<std::uint32_t>(s));
-                rebalanceFillers(i, delta);
-                aggAdd(static_cast<int>(shard), i);
-            }
-        },
-        threads_);
-    for (int shard = 0; shard < shards_; ++shard) {
-        result.fillerPlaced +=
-            deltas_[static_cast<std::size_t>(shard)].fillerPlaced;
+    StreamEpochStats bootstrap;
+    for (std::uint32_t s = 0; s < classIdx_.size(); ++s) {
+        const std::size_t i = s;
+        const std::int64_t gap = keyed::geometricSteps(
+            churn_.failProb,
+            keyed::draw(churn_.seed, kSaltFail, s, failSeq_[i]));
+        // Drawn "at epoch -1", so the first failure can land on
+        // epoch 0.
+        nextFail_[i] = gap == keyed::kNever ? keyed::kNever : gap - 1;
+        scheduleEvent(nextFail_[i], s);
+        rebalanceFillers(i, bootstrap);
+        aggAdd(i);
     }
+    result.fillerPlaced = bootstrap.fillerPlaced;
 
     obs::Registry &registry = obs::Registry::global();
     obs::Gauge &util_gauge =
@@ -521,119 +443,57 @@ ShardedCluster::runStream(const TierPolicy &tiers,
         registry.gauge("scheduler.stream.goodput_utilization");
 
     for (std::int64_t epoch = 0; epoch < epochs; ++epoch) {
-        for (int shard = 0; shard < shards_; ++shard) {
-            deltas_[static_cast<std::size_t>(shard)] = EpochDelta{};
-            evictQueues_[static_cast<std::size_t>(shard)].clear();
-        }
-
-        // Phase A — the churn event pass, shard-parallel. Every
-        // mutation is shard-local (a server's state belongs to
-        // exactly one shard), so the pass is race-free; merge order
-        // below is shard index order regardless of which thread ran
-        // which shard.
-        core::parallelFor(
-            static_cast<std::size_t>(shards_),
-            [&](std::size_t shard) {
-                EpochDelta &delta = deltas_[shard];
-                if (shards_ == 1) {
-                    // Lockstep reference engine: scan every server,
-                    // the same O(n) per epoch the 4k-server Cluster
-                    // pays. Identical keyed streams, identical
-                    // results — only the work differs.
-                    const std::int64_t hi = shardStart_[1];
-                    for (std::int64_t s = 0; s < hi; ++s)
-                        processServerEvents(
-                            0, static_cast<std::uint32_t>(s), epoch,
-                            delta);
-                    return;
-                }
-                auto &calendar = calendars_[shard];
-                const auto it = calendar.find(epoch);
-                if (it == calendar.end())
-                    return;
-                std::vector<std::uint32_t> &due = dueScratch_[shard];
-                due = std::move(it->second);
-                calendar.erase(it);
-                // Ascending server order, duplicates dropped: the
-                // exact order the lockstep scan visits them in.
-                std::sort(due.begin(), due.end());
-                due.erase(std::unique(due.begin(), due.end()),
-                          due.end());
-                for (const std::uint32_t s : due)
-                    processServerEvents(static_cast<int>(shard), s,
-                                        epoch, delta);
-            },
-            threads_);
-
         StreamEpochStats stats;
         stats.epoch = epoch;
-        for (int shard = 0; shard < shards_; ++shard) {
-            const EpochDelta &d =
-                deltas_[static_cast<std::size_t>(shard)];
-            stats.failures += d.failures;
-            stats.recoveries += d.recoveries;
-            stats.departures += d.departures;
-            stats.evictions += d.evictions;
-            stats.fillerPlaced += d.fillerPlaced;
-            stats.fillerEvicted += d.fillerEvicted;
-            stats.events += d.events;
+
+        // Phase A — the churn event pass, in ascending server id.
+        if (fullScan_) {
+            // Lockstep reference engine: scan every server, the same
+            // O(n) per epoch the 4k-server Cluster pays. Identical
+            // keyed streams, identical results — only the work
+            // differs.
+            for (std::uint32_t s = 0; s < classIdx_.size(); ++s)
+                processServerEvents(s, epoch, stats);
+        } else {
+            std::vector<std::uint32_t> due =
+                std::move(calendar_[static_cast<std::size_t>(epoch)]);
+            // Duplicates dropped: each server acts at most once per
+            // epoch, exactly as in the lockstep scan.
+            std::sort(due.begin(), due.end());
+            due.erase(std::unique(due.begin(), due.end()), due.end());
+            for (const std::uint32_t s : due)
+                processServerEvents(s, epoch, stats);
         }
 
-        // Phase B — serial placement over settled global state.
-        // First the failure-evicted guaranteed jobs, then the
-        // epoch's arrivals, each by keyed power-of-d-choices probes.
-        EpochDelta serial_delta;
-        std::int64_t job = 0;
-        for (int shard = 0; shard < shards_; ++shard) {
-            for (const auto &[server, count] :
-                 evictQueues_[static_cast<std::size_t>(shard)]) {
-                (void)server;
-                for (int k = 0; k < count; ++k) {
-                    if (placeGuaranteedJob(kSaltReplace, epoch, job++,
-                                           serial_delta))
-                        ++stats.replacements;
-                    else
-                        ++stats.lost;
-                }
-            }
+        // Phase B — placement over the settled state. First the
+        // failure-evicted guaranteed jobs, then the epoch's arrivals,
+        // each by keyed power-of-d-choices probes.
+        for (std::int64_t job = 0; job < stats.evictions; ++job) {
+            if (placeGuaranteedJob(kSaltReplace, epoch, job, stats))
+                ++stats.replacements;
+            else
+                ++stats.lost;
         }
         for (int a = 0; a < churn_.arrivalsPerEpoch; ++a) {
             ++stats.arrivals;
-            if (placeGuaranteedJob(kSaltArrive, epoch, a,
-                                   serial_delta))
+            if (placeGuaranteedJob(kSaltArrive, epoch, a, stats))
                 ++stats.placed;
             else
                 ++stats.rejected;
         }
-        stats.fillerPlaced += serial_delta.fillerPlaced;
-        stats.fillerEvicted += serial_delta.fillerEvicted;
 
-        // Phase C — epoch snapshot: sum the per-shard integer
-        // aggregates in shard order. Integers only, so the totals
-        // are exact and identical for every shard partition.
-        Agg total;
-        for (int shard = 0; shard < shards_; ++shard) {
-            const Agg &a = aggs_[static_cast<std::size_t>(shard)];
-            total.upServers += a.upServers;
-            total.latencyContexts += a.latencyContexts;
-            total.guaranteed += a.guaranteed;
-            total.bestEffort += a.bestEffort;
-            total.coLocated += a.coLocated;
-            total.violating += a.violating;
-            total.goodGuaranteed += a.goodGuaranteed;
-            total.goodFillers += a.goodFillers;
-        }
-        stats.liveServers = total.upServers;
-        stats.guaranteedInstances = total.guaranteed;
-        stats.bestEffortInstances = total.bestEffort;
+        // Phase C — epoch snapshot. Integers only, so the totals are
+        // exact; utilizations derive from them here.
+        stats.liveServers = agg_.upServers;
+        stats.guaranteedInstances = agg_.guaranteed;
+        stats.bestEffortInstances = agg_.bestEffort;
         stats.utilization =
-            static_cast<double>(total.latencyContexts +
-                                total.guaranteed + total.bestEffort) /
+            static_cast<double>(agg_.latencyContexts + agg_.guaranteed +
+                                agg_.bestEffort) /
             static_cast<double>(totalContexts_);
         stats.goodputUtilization =
-            static_cast<double>(total.latencyContexts +
-                                total.goodGuaranteed +
-                                total.goodFillers) /
+            static_cast<double>(agg_.latencyContexts +
+                                agg_.goodGuaranteed + agg_.goodFillers) /
             static_cast<double>(totalContexts_);
         util_gauge.set(stats.utilization);
         goodput_gauge.set(stats.goodputUtilization);
@@ -654,63 +514,20 @@ ShardedCluster::runStream(const TierPolicy &tiers,
     }
 
     // Final snapshot + run accounting.
-    Agg total;
-    for (int shard = 0; shard < shards_; ++shard) {
-        const Agg &a = aggs_[static_cast<std::size_t>(shard)];
-        total.upServers += a.upServers;
-        total.latencyContexts += a.latencyContexts;
-        total.guaranteed += a.guaranteed;
-        total.bestEffort += a.bestEffort;
-        total.coLocated += a.coLocated;
-        total.violating += a.violating;
-        total.goodGuaranteed += a.goodGuaranteed;
-        total.goodFillers += a.goodFillers;
-    }
-    result.liveServers = total.upServers;
-    result.latencyContextsUp = total.latencyContexts;
-    result.guaranteedInstances = total.guaranteed;
-    result.bestEffortInstances = total.bestEffort;
-    result.coLocatedServers = total.coLocated;
-    result.violatingServers = total.violating;
-    result.goodGuaranteed = total.goodGuaranteed;
-    result.goodFillers = total.goodFillers;
+    result.liveServers = agg_.upServers;
+    result.latencyContextsUp = agg_.latencyContexts;
+    result.guaranteedInstances = agg_.guaranteed;
+    result.bestEffortInstances = agg_.bestEffort;
+    result.coLocatedServers = agg_.coLocated;
+    result.violatingServers = agg_.violating;
+    result.goodGuaranteed = agg_.goodGuaranteed;
+    result.goodFillers = agg_.goodFillers;
     result.digest = stateDigest();
-
-    // Fairness of the final placement: one serial O(n) scan over the
-    // per-server state (extrema do not maintain incrementally under
-    // removal, and a single end-of-run pass keeps the epoch loop's
-    // integer-only determinism contract untouched).
-    {
-        double min_sd = 0.0, max_sd = 0.0;
-        bool any = false;
-        const std::size_t n = classIdx_.size();
-        for (std::size_t s = 0; s < n; ++s) {
-            if (up_[s] == 0 || g_[s] == 0)
-                continue;
-            const PairTab &tab = tabOf(s);
-            const double sd =
-                1.0 -
-                tab.src->byInstances[static_cast<std::size_t>(g_[s]) - 1]
-                    .actualQos;
-            min_sd = any ? std::min(min_sd, sd) : sd;
-            max_sd = any ? std::max(max_sd, sd) : sd;
-            any = true;
-        }
-        if (any) {
-            result.maxSlowdown = max_sd;
-            result.slowdownSpread = max_sd - min_sd;
-        }
-    }
 
     registry.counter("scheduler.shard.epochs")
         .add(static_cast<std::uint64_t>(epochs));
-    registry.counter("scheduler.shard.passes")
-        .add(static_cast<std::uint64_t>(epochs) *
-             static_cast<std::uint64_t>(shards_));
     registry.counter("scheduler.shard.events")
         .add(static_cast<std::uint64_t>(result.events));
-    registry.gauge("scheduler.shard.count")
-        .set(static_cast<double>(shards_));
     registry.counter("scheduler.churn.arrivals")
         .add(static_cast<std::uint64_t>(result.arrivals));
     registry.counter("scheduler.churn.placed")
@@ -739,37 +556,12 @@ ShardedCluster::runStream(const TierPolicy &tiers,
 bool
 ShardedCluster::verifyAggregates() const
 {
-    if (aggs_.empty())
+    if (up_.empty())
         return false;
-    for (int shard = 0; shard < shards_; ++shard) {
-        Agg want;
-        const std::int64_t lo =
-            shardStart_[static_cast<std::size_t>(shard)];
-        const std::int64_t hi =
-            shardStart_[static_cast<std::size_t>(shard) + 1];
-        for (std::int64_t s = lo; s < hi; ++s) {
-            const Agg c = contributionOf(static_cast<std::size_t>(s));
-            want.upServers += c.upServers;
-            want.latencyContexts += c.latencyContexts;
-            want.guaranteed += c.guaranteed;
-            want.bestEffort += c.bestEffort;
-            want.coLocated += c.coLocated;
-            want.violating += c.violating;
-            want.goodGuaranteed += c.goodGuaranteed;
-            want.goodFillers += c.goodFillers;
-        }
-        const Agg &got = aggs_[static_cast<std::size_t>(shard)];
-        if (want.upServers != got.upServers ||
-            want.latencyContexts != got.latencyContexts ||
-            want.guaranteed != got.guaranteed ||
-            want.bestEffort != got.bestEffort ||
-            want.coLocated != got.coLocated ||
-            want.violating != got.violating ||
-            want.goodGuaranteed != got.goodGuaranteed ||
-            want.goodFillers != got.goodFillers)
-            return false;
-    }
-    return true;
+    Agg want;
+    for (std::size_t s = 0; s < up_.size(); ++s)
+        want.add(contributionOf(s), +1);
+    return want == agg_;
 }
 
 } // namespace smite::scheduler

@@ -1,6 +1,6 @@
 /**
  * @file
- * Warehouse-scale sharded cluster with streaming decision epochs.
+ * Warehouse-scale cluster with streaming decision epochs.
  *
  * The Cluster in cluster.h mirrors the paper's evaluation: 4,000
  * identical servers, every epoch re-scanning every server in
@@ -11,27 +11,25 @@
  * *and* a co-runner" (cf. Navarro et al.'s thread-to-core allocation
  * on heterogeneous parts). The ShardedCluster here is that rework:
  *
- * - **Sharded state.** Servers are partitioned into contiguous
- *   shards. Each shard owns its servers' placement state, a churn
- *   *event calendar* (epoch -> servers with something due) and an
- *   incrementally-maintained aggregate (live contexts, instances,
- *   violations). The per-epoch event pass runs shard-parallel on the
- *   `SMITE_THREADS` pool; shard results merge in shard index order,
- *   which is ascending server order, so output is byte-identical
- *   across thread counts *and* shard counts.
+ * - **One serial calendar engine.** Per-server placement state, one
+ *   churn *event calendar* (epoch -> servers with something due) and
+ *   one incrementally-maintained integer aggregate (live contexts,
+ *   instances, violations). Each epoch processes its due servers in
+ *   ascending id on the calling thread; the per-epoch work is
+ *   O(churn), too little for a thread fan-out to pay for.
  *
  * - **Streaming epochs.** Churn randomness is drawn from per-server
  *   keyed streams (keyed.h): instead of flipping a failure /
  *   departure coin for every server every epoch (the lockstep
  *   O(servers) scan), each event's *next occurrence epoch* is sampled
  *   geometrically when the previous one resolves and filed in the
- *   owning shard's calendar. An epoch then touches only the servers
- *   with due events plus the probe targets of new arrivals —
- *   O(churn), not O(cluster). `shards == 1` deliberately keeps the
- *   lockstep full-scan engine as the equivalence reference (the same
- *   pattern as Machine::setReferenceTicking in the simulator): both
- *   engines consume the identical keyed streams, so their results
- *   are byte-identical and the speedup is honest, measured work
+ *   calendar. An epoch then touches only the servers with due events
+ *   plus the probe targets of new arrivals — O(churn), not
+ *   O(cluster). `shards == 1` deliberately keeps the lockstep
+ *   full-scan engine as the equivalence reference (the same pattern
+ *   as Machine::setReferenceTicking in the simulator): both engines
+ *   consume the identical keyed streams, so their results are
+ *   byte-identical and the speedup is honest, measured work
  *   avoidance (bench_scaleout_stress gates it).
  *
  * - **Churn.** Three independent keyed processes: per-server failure
@@ -62,8 +60,7 @@
  *
  * Everything observable is integer-accounted (instance counts,
  * violation counts, context totals); utilizations are derived from
- * the integer totals at the end, so summation order can never break
- * cross-shard determinism. The full layer catalog, determinism
+ * the integer totals at the end. The full layer catalog, determinism
  * contract and worked examples live in docs/SCHEDULING.md.
  */
 
@@ -72,7 +69,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "scheduler/cluster.h"
@@ -105,16 +101,6 @@ struct TierPolicy {
      * the best-effort tier.
      */
     double bestEffortFloor = 0.0;
-    /**
-     * Fairness bound: max predicted slowdown (1 - predicted QoS) a
-     * guaranteed placement may inflict on its latency app, on top of
-     * the qosTarget admission test. The default 1.0 admits anything
-     * the target admits (byte-identical to the pre-fairness policy);
-     * tightening it below 1 - qosTarget trades utilization for a
-     * bounded worst-case slowdown across the fleet (the max-slowdown
-     * objective of docs/SCHEDULING.md).
-     */
-    double slowdownBudget = 1.0;
 };
 
 /** Churn knobs; all randomness is keyed per server (keyed.h). */
@@ -173,11 +159,6 @@ struct StreamResult {
     /** Order-independent fold over the final per-server state. */
     std::uint64_t digest = 0;
 
-    // Fairness of the final placement, from *actual* QoS over the
-    // co-located live servers (0 when none are co-located).
-    double maxSlowdown = 0.0;      ///< worst actual slowdown
-    double slowdownSpread = 0.0;   ///< worst minus best actual slowdown
-
     std::vector<StreamEpochStats> timeline;
 
     /** Busy contexts (latency + all batch) over owned contexts. */
@@ -216,11 +197,11 @@ struct StreamResult {
 };
 
 /**
- * The sharded, heterogeneous, churn-driven cluster. Construction
- * fixes the fleet (classes, per-server pairing assignment — keyed,
- * never placement-ordered) and the shard partition; runStream() is
- * the streaming policy loop and may be called repeatedly (each call
- * restarts from an empty placement).
+ * The heterogeneous, churn-driven cluster. Construction fixes the
+ * fleet (classes, per-server pairing assignment — keyed, never
+ * placement-ordered) and the engine; runStream() is the streaming
+ * policy loop and may be called repeatedly (each call restarts from
+ * an empty placement).
  */
 class ShardedCluster
 {
@@ -229,9 +210,10 @@ class ShardedCluster
      * @param classes the machine classes of the fleet
      * @param serversPerClass servers of each class (same length;
      *        class c occupies a contiguous block of server ids)
-     * @param shards shard count; 1 selects the lockstep full-scan
-     *        reference engine, >= 2 the streaming calendar engine —
-     *        results are byte-identical either way
+     * @param shards 1 selects the lockstep full-scan reference
+     *        engine, any other value in [2, servers] the calendar
+     *        engine; the name is historical and nothing is
+     *        partitioned. Results are byte-identical either way.
      * @param assignSeed keyed seed of the pairing assignment
      */
     ShardedCluster(std::vector<MachineClass> classes,
@@ -241,10 +223,11 @@ class ShardedCluster
     /**
      * Run @p epochs streaming decision epochs from an empty
      * placement: bootstrap the best-effort fill, then per epoch
-     * process due churn events (shard-parallel), re-place
+     * process due churn events in ascending server id, re-place
      * failure-evicted guaranteed jobs, place the epoch's arrivals
      * (both by keyed power-of-d-choices probing), and snapshot the
-     * integer aggregates into the timeline.
+     * integer aggregate into the timeline. Runs on the calling
+     * thread.
      */
     StreamResult runStream(const TierPolicy &tiers,
                            const ChurnConfig &churn, int epochs);
@@ -253,10 +236,12 @@ class ShardedCluster
     {
         return static_cast<std::int64_t>(classIdx_.size());
     }
-    int shardCount() const { return shards_; }
 
-    /** Thread override for the event pass; 0 = SMITE_THREADS/default. */
-    void setThreads(int threads) { threads_ = threads; }
+    /**
+     * Does nothing: runStream() always runs on the calling thread.
+     * Kept so existing callers compile.
+     */
+    void setThreads(int /*threads*/) {}
 
     /** Machine class of server @p s. */
     const MachineClass &machineClassOf(std::int64_t s) const
@@ -282,8 +267,8 @@ class ShardedCluster
     }
 
     /**
-     * Cross-check the incrementally-maintained shard aggregates
-     * against a full recomputation from per-server state (test hook;
+     * Cross-check the incrementally-maintained aggregate against a
+     * full recomputation from per-server state (test hook;
      * meaningful after runStream).
      */
     bool verifyAggregates() const;
@@ -304,39 +289,35 @@ class ShardedCluster
         std::vector<std::uint8_t> goodFill;   // index k in [0, cap]
     };
 
-    /** Integer aggregate of one shard's live state. */
+    /** Integer aggregate of the fleet's live state. */
     struct Agg {
         std::int64_t upServers = 0, latencyContexts = 0;
         std::int64_t guaranteed = 0, bestEffort = 0;
         std::int64_t coLocated = 0, violating = 0;
         std::int64_t goodGuaranteed = 0, goodFillers = 0;
-    };
 
-    /** Per-shard per-epoch churn deltas, merged in shard order. */
-    struct EpochDelta {
-        std::int64_t failures = 0, recoveries = 0, departures = 0;
-        std::int64_t evictions = 0;
-        std::int64_t fillerPlaced = 0, fillerEvicted = 0;
-        std::int64_t events = 0;
+        /** Adds @p sign (+1 or -1) times @p c, field by field. */
+        void add(const Agg &c, int sign);
+        bool operator==(const Agg &) const = default;
     };
-
-    int shardOf(std::int64_t s) const;
-    const PairTab &tabOf(std::size_t s) const
-    {
-        return tabs_[tabIdx_[s]];
-    }
 
     Agg contributionOf(std::size_t s) const;
-    void aggSub(int shard, std::size_t s);
-    void aggAdd(int shard, std::size_t s);
+    void aggSub(std::size_t s) { agg_.add(contributionOf(s), -1); }
+    void aggAdd(std::size_t s) { agg_.add(contributionOf(s), +1); }
 
-    void scheduleEvent(int shard, std::int64_t epoch, std::uint32_t s);
-    void rebalanceFillers(std::size_t s, EpochDelta &delta);
-    void processServerEvents(int shard, std::uint32_t s,
-                             std::int64_t epoch, EpochDelta &delta);
+    /**
+     * File server @p s under @p epoch in the calendar. A no-op for
+     * the full-scan reference, which never reads the calendar, and
+     * for epochs at or past the end of the run.
+     */
+    void scheduleEvent(std::int64_t epoch, std::uint32_t s);
+    void rebalanceFillers(std::size_t s, StreamEpochStats &stats);
+    void processServerEvents(std::uint32_t s, std::int64_t epoch,
+                             StreamEpochStats &stats);
     /** One keyed power-of-d-choices placement; true when placed. */
     bool placeGuaranteedJob(std::uint64_t salt, std::int64_t epoch,
-                            std::int64_t jobIndex, EpochDelta &delta);
+                            std::int64_t jobIndex,
+                            StreamEpochStats &stats);
     void resetRunState();
     void buildTabs(const TierPolicy &tiers);
     std::uint64_t stateDigest() const;
@@ -345,29 +326,21 @@ class ShardedCluster
     std::vector<MachineClass> classes_;
     std::vector<std::uint16_t> classIdx_;  ///< per server
     std::vector<std::uint32_t> tabIdx_;    ///< per server, into tabs_
-    std::vector<std::int64_t> shardStart_; ///< shards_ + 1 boundaries
     std::int64_t totalContexts_ = 0;
-    int shards_ = 1;
-    int threads_ = 0;
+    bool fullScan_ = false;  ///< shards == 1: the lockstep reference
     int maxSlots_ = 0;  ///< max maxInstances() over classes
 
     // Run state (rebuilt by each runStream call).
     std::vector<PairTab> tabs_;
-    TierPolicy tiers_;
     ChurnConfig churn_;
     std::int64_t epochsLimit_ = 0;  ///< events at/after this are moot
     std::vector<std::uint8_t> up_, g_, b_;
     std::vector<std::int64_t> nextFail_, recoverAt_;
     std::vector<std::uint32_t> failSeq_, placeSeq_;
     std::vector<std::int64_t> depEpoch_;  ///< n * maxSlots_
-    std::vector<Agg> aggs_;               ///< per shard
-    std::vector<EpochDelta> deltas_;      ///< per shard, per epoch
-    std::vector<std::unordered_map<std::int64_t,
-                                   std::vector<std::uint32_t>>>
-        calendars_;                       ///< per shard (streaming)
-    std::vector<std::vector<std::pair<std::uint32_t, int>>>
-        evictQueues_;                     ///< per shard, per epoch
-    std::vector<std::vector<std::uint32_t>> dueScratch_;  ///< per shard
+    Agg agg_;
+    /** epoch -> servers with something due (calendar engine only). */
+    std::vector<std::vector<std::uint32_t>> calendar_;
 };
 
 } // namespace smite::scheduler

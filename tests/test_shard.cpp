@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the warehouse-scale sharded scheduler (shard.h): the
- * shard/thread-count determinism contract, the churn conservation
- * invariants, tiered admission, and heterogeneous-fleet placement.
- * All tables are hand-built — no simulation needed.
+ * Tests for the warehouse-scale streaming scheduler (shard.h): the
+ * calendar engine against the full-scan reference, the churn
+ * conservation invariants, tiered admission, and heterogeneous-fleet
+ * placement. All tables are hand-built — no simulation needed.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "obs/metrics.h"
 #include "scheduler/keyed.h"
 #include "scheduler/shard.h"
 
@@ -153,7 +154,7 @@ TEST(ShardedCluster, RejectsBadConfiguration)
                  std::invalid_argument);
 }
 
-TEST(ShardedCluster, ShardCountDoesNotChangeResults)
+TEST(ShardedCluster, CalendarMatchesFullScanReference)
 {
     const std::vector<MachineClass> classes = {
         uniformClass("big", 6, 12, 3),
@@ -188,20 +189,19 @@ TEST(ShardedCluster, ShardCountDoesNotChangeResults)
     EXPECT_TRUE(sharded16.verifyAggregates());
 }
 
-TEST(ShardedCluster, ThreadCountDoesNotChangeResults)
+TEST(ShardedCluster, RunStreamIssuesNoPoolBatches)
 {
-    const std::vector<MachineClass> classes = {
-        uniformClass("m", 6, 12, 4)};
-    const TierPolicy tiers{0.90, 0.70};
-    const ChurnConfig churn = testChurn();
-
-    ShardedCluster serial(classes, {800}, 8);
-    serial.setThreads(1);
-    ShardedCluster threaded(classes, {800}, 8);
-    threaded.setThreads(4);
-
-    EXPECT_TRUE(sameRun(serial.runStream(tiers, churn, 32),
-                        threaded.runStream(tiers, churn, 32)));
+    // The stream runs on the calling thread whatever the thread
+    // setting: not one thread-pool batch, at bootstrap or per epoch.
+    ShardedCluster cluster({uniformClass("m", 6, 12, 4)}, {800}, 8);
+    cluster.setThreads(4);
+    obs::Counter &batches =
+        obs::Registry::global().counter("pool.batches");
+    const std::uint64_t before = batches.value();
+    const StreamResult r =
+        cluster.runStream({0.90, 0.70}, testChurn(), 32);
+    EXPECT_EQ(batches.value() - before, 0u);
+    EXPECT_GT(r.events, 0);
 }
 
 TEST(ShardedCluster, ChurnConservation)
@@ -344,49 +344,6 @@ TEST(ShardedCluster, TimelineAndTotalsAreInternallyConsistent)
     EXPECT_EQ(last.liveServers, r.liveServers);
     EXPECT_DOUBLE_EQ(last.utilization, r.utilization());
     EXPECT_DOUBLE_EQ(last.goodputUtilization, r.goodputUtilization());
-}
-
-TEST(ShardedCluster, SlowdownBudgetBoundsMaxSlowdown)
-{
-    // Tables with actual == predicted QoS, slopes 2%..4% per
-    // instance. The default budget (1.0) admits anything the 0.90
-    // target admits, so the worst co-location sits at 10% slowdown;
-    // tightening the budget to 6% raises the admission floor to QoS
-    // 0.94 and the final max slowdown must respect it.
-    const std::vector<MachineClass> classes = {
-        uniformClass("m", 6, 12, 3)};
-    const ChurnConfig churn = testChurn();
-
-    ShardedCluster loose(classes, {400}, 4);
-    const StreamResult r_loose =
-        loose.runStream({0.90, 0.0, 1.0}, churn, 30);
-    ShardedCluster tight(classes, {400}, 4);
-    const StreamResult r_tight =
-        tight.runStream({0.90, 0.0, 0.06}, churn, 30);
-
-    ASSERT_GT(r_loose.coLocatedServers, 0);
-    ASSERT_GT(r_tight.coLocatedServers, 0);
-    EXPECT_GT(r_loose.maxSlowdown, 0.06);
-    EXPECT_LE(r_tight.maxSlowdown, 0.06 + 1e-12);
-    EXPECT_LT(r_tight.maxSlowdown, r_loose.maxSlowdown);
-    EXPECT_LE(r_tight.slowdownSpread, r_tight.maxSlowdown);
-    // Bounding the worst slowdown costs packed capacity.
-    EXPECT_LT(r_tight.guaranteedInstances,
-              r_loose.guaranteedInstances);
-
-    // The default budget is the pre-fairness policy, byte for byte.
-    ShardedCluster defaulted(classes, {400}, 4);
-    const StreamResult r_default =
-        defaulted.runStream({0.90, 0.0}, churn, 30);
-    EXPECT_TRUE(sameRun(r_default, r_loose));
-    EXPECT_EQ(r_default.maxSlowdown, r_loose.maxSlowdown);
-
-    // And an out-of-range budget is rejected up front.
-    ShardedCluster bad(classes, {400}, 4);
-    EXPECT_THROW(bad.runStream({0.90, 0.0, 1.5}, churn, 8),
-                 std::invalid_argument);
-    EXPECT_THROW(bad.runStream({0.90, 0.0, -0.1}, churn, 8),
-                 std::invalid_argument);
 }
 
 } // namespace
