@@ -34,7 +34,8 @@ tcoSaving(const tco::TcoModel &model, double mean_instances)
     const double retired =
         n * mean_instances / batch_jobs_per_server;
     const double latency_util =
-        (bench::kLatencyThreads + mean_instances) / 12.0;
+        (bench::kLatencyThreads + mean_instances) /
+        scheduler::kContextsPerServer;
     const double with_smite =
         model.horizonCost(n, latency_util) +
         model.horizonCost(n - retired, 1.0);

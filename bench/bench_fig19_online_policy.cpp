@@ -11,17 +11,18 @@
  *   SMiTe-static   runPredictedPolicyWithFailures — the predicted
  *                  placement, re-placing evictions model-aware but
  *                  never reacting to delivered QoS
- *   SMiTe-online   OnlineScheduler — observes actual QoS each epoch,
+ *   SMiTe-online   runOnline — observes actual QoS each epoch,
  *                  evicts observed violators, probes observed
- *                  headroom (src/scheduler/online.h)
+ *                  headroom (src/scheduler/cluster.h)
  *   Oracle         runOraclePolicy — perfect knowledge, no churn
  *                  (upper bound)
  *
- * Both churn policies replay the identical keyed failure trace, so
- * the comparison isolates the policy. With no SMITE_FAULTS in the
- * environment the harness arms a default churn plan
- * (server.fail: p=0.02, seed=101); either way every decision is a
- * pure function of the armed seed, so stdout is byte-identical
+ * Both churn policies are runs of Cluster's one decision-epoch loop
+ * (the static one learns nothing) and replay the identical keyed
+ * failure trace, so the comparison isolates the policy. With no
+ * SMITE_FAULTS in the environment the harness arms a default churn
+ * plan (server.fail: p=0.02, seed=101); either way every decision is
+ * a pure function of the armed seed, so stdout is byte-identical
  * across runs and across SMITE_THREADS settings (the tier-1 smoke
  * pins this). Arm `scheduler.observe` to add measurement noise to
  * the online policy's QoS telemetry.
@@ -29,7 +30,7 @@
 
 #include "bench/scaleout.h"
 #include "fault/fault.h"
-#include "scheduler/online.h"
+#include "scheduler/cluster.h"
 
 using namespace smite;
 
@@ -92,16 +93,13 @@ main()
                     faults.spec("server.fail").seed),
                 kEpochs, cluster.servers());
 
-    const scheduler::OnlineScheduler online_policy(
-        cluster, scheduler::OnlineConfig{.epochs = kEpochs});
+    const scheduler::OnlineConfig online_config{.epochs = kEpochs};
     // Tolerance of two QoS points: tight enough that the trim pass
     // engages on the spreads this cluster actually exhibits.
-    const scheduler::OnlineScheduler fairness_policy(
-        cluster,
-        scheduler::OnlineConfig{
-            .epochs = kEpochs,
-            .objective = scheduler::Objective::kFairness,
-            .spreadTolerance = 0.02});
+    const scheduler::OnlineConfig fairness_config{
+        .epochs = kEpochs,
+        .objective = scheduler::Objective::kFairness,
+        .spreadTolerance = 0.02};
 
     // `util+` is raw utilization gain over the no-SMT baseline;
     // `good+` is the goodput gain, where instances on QoS-violating
@@ -125,9 +123,9 @@ main()
     for (double target : {0.95, 0.90, 0.85}) {
         const auto fixed = cluster.runPredictedPolicyWithFailures(
             target, kEpochs, "SMiTe-static");
-        auto online = online_policy.run(target);
-        auto fair =
-            fairness_policy.run(target, "SMiTe-online-fair");
+        auto online = cluster.runOnline(target, online_config);
+        auto fair = cluster.runOnline(target, fairness_config,
+                                      "SMiTe-online-fair");
         const auto oracle = cluster.runOraclePolicy(target);
         const bool dominates =
             online.final.violationRate() <= fixed.violationRate() &&
@@ -178,28 +176,28 @@ main()
     int fairness_wins = 0;
     obs::json::Value fairness_json = obs::json::Value::array();
     for (const FairnessRow &r : fairness_rows) {
-        const bool wins = r.fair.finalMaxSlowdown <
-                          r.util.finalMaxSlowdown;
+        const bool wins = r.fair.final.maxSlowdown <
+                          r.util.final.maxSlowdown;
         fairness_wins += wins ? 1 : 0;
         std::printf("%9.0f%% | %7.2f%% %7.2f%% %6.2f%% | %7.2f%% "
                     "%7.2f%% %6.2f%%\n",
                     100 * r.target,
-                    100 * r.util.finalMaxSlowdown,
-                    100 * r.util.finalSlowdownSpread,
+                    100 * r.util.final.maxSlowdown,
+                    100 * r.util.final.slowdownSpread,
                     100 * r.util.final.goodputImprovement(),
-                    100 * r.fair.finalMaxSlowdown,
-                    100 * r.fair.finalSlowdownSpread,
+                    100 * r.fair.final.maxSlowdown,
+                    100 * r.fair.final.slowdownSpread,
                     100 * r.fair.final.goodputImprovement());
         obs::json::Value row = obs::json::Value::object();
         row.set("qos_target", obs::json::Value(r.target));
         row.set("util_max_slowdown",
-                obs::json::Value(r.util.finalMaxSlowdown));
+                obs::json::Value(r.util.final.maxSlowdown));
         row.set("util_slowdown_spread",
-                obs::json::Value(r.util.finalSlowdownSpread));
+                obs::json::Value(r.util.final.slowdownSpread));
         row.set("fair_max_slowdown",
-                obs::json::Value(r.fair.finalMaxSlowdown));
+                obs::json::Value(r.fair.final.maxSlowdown));
         row.set("fair_slowdown_spread",
-                obs::json::Value(r.fair.finalSlowdownSpread));
+                obs::json::Value(r.fair.final.slowdownSpread));
         row.set("fair_fairness_evictions",
                 obs::json::Value(
                     r.fair.timeline.empty()
@@ -216,8 +214,8 @@ main()
                 "live", "instances", "util+%", "obsviol", "evict",
                 "probe", "fail", "repl", "lost");
     obs::json::Value timeline = obs::json::Value::array();
-    const double base =
-        static_cast<double>(bench::kLatencyThreads) / 12.0;
+    const double base = static_cast<double>(bench::kLatencyThreads) /
+                        scheduler::kContextsPerServer;
     for (const scheduler::EpochStats &e : timeline_run.timeline) {
         std::printf("%5d %6d %10.0f %7.2f%% %8d %7d %6d %6d %6d %5d\n",
                     e.epoch, e.liveServers, e.totalInstances,

@@ -16,7 +16,7 @@
  *     core::parallelFor — knees must be monotone nonincreasing in
  *     co-location depth and in per-instance degradation (the
  *     predicted-QoS ordering), and the harness exits nonzero if not;
- *  3. a load-aware OnlineScheduler scenario: the Web-Search knee
+ *  3. a load-aware online scheduling scenario: the Web-Search knee
  *     rows feed scheduler::LoadAwareConfig; best-effort fillers pack
  *     the idle contexts at the base load and are shed — never
  *     guaranteed instances — when keyed `des.arrival_burst` spikes
@@ -38,7 +38,7 @@
 #include "bench/common.h"
 #include "fault/fault.h"
 #include "loadgen/knee.h"
-#include "scheduler/online.h"
+#include "scheduler/cluster.h"
 
 using namespace smite;
 
@@ -241,13 +241,13 @@ main(int argc, char **argv)
     on_cfg.loadAware.baseQps = kBaseQps;
     on_cfg.loadAware.spikeFactor = 2.0;
     on_cfg.loadAware.kneeByPairing = knee_table;
-    const scheduler::OnlineScheduler policy(cluster, on_cfg);
-    const scheduler::OnlineResult run = policy.run(kQosTarget);
+    const scheduler::OnlineResult run =
+        cluster.runOnline(kQosTarget, on_cfg);
 
     scheduler::OnlineConfig off_cfg;
     off_cfg.epochs = kEpochs;
-    const scheduler::OnlineScheduler baseline(cluster, off_cfg);
-    const scheduler::OnlineResult base_run = baseline.run(kQosTarget);
+    const scheduler::OnlineResult base_run =
+        cluster.runOnline(kQosTarget, off_cfg);
 
     std::printf("%6s %8s %8s %10s %10s %10s\n", "epoch", "spikes",
                 "shed", "fillers", "guaranteed", "loadviol");

@@ -19,7 +19,7 @@
 namespace smite::bench {
 
 /** Latency threads per server in the half-loaded baseline. */
-inline constexpr int kLatencyThreads = 6;
+inline constexpr int kLatencyThreads = scheduler::kLatencyThreads;
 
 /** Servers dedicated to each latency application (paper: 1,000). */
 inline constexpr int kServersPerApp = 1000;

@@ -338,9 +338,10 @@ echo "predictor zoo smoke: ok"
 # The warehouse-scale streaming scheduler, three gates in one run
 # (docs/SCHEDULING.md):
 #  1. bench_scaleout_stress re-runs the 4k/32k/128k-server sweep and
-#     report_diff checks it against the committed BENCH_sched.json —
-#     throughput within tolerance, and the (exactly reproducible)
-#     utilization/goodput/digest results byte-stable;
+#     checks it against the committed BENCH_sched.json: the six
+#     `*_epochs_per_sec` throughputs within report_diff's tolerance,
+#     every other result (utilization, goodput, instance counts,
+#     digests; exactly reproducible) equal;
 #  2. its --determinism mode replays the 4k fleet on the full-scan
 #     reference and the calendar engine; run with the default
 #     SMITE_THREADS and with SMITE_THREADS=1, the stdouts (timings
@@ -355,6 +356,19 @@ SCHED_DIR="$(mktemp -d)"
         > sched.stdout
     "$REPO/build/tools/report_diff" --tol 0.6 \
         "$REPO/BENCH_sched.json" fresh_sched.json
+    python3 - "$REPO/BENCH_sched.json" fresh_sched.json <<'PY'
+import json, sys
+def exact(path):
+    results = json.load(open(path))["results"]
+    return {k: v for k, v in results.items()
+            if not k.endswith("_epochs_per_sec")}
+base, fresh = exact(sys.argv[1]), exact(sys.argv[2])
+moved = sorted(k for k in base.keys() | fresh.keys()
+               if base.get(k) != fresh.get(k))
+if moved:
+    sys.exit("BENCH_sched.json: deterministic results differ: " +
+             ", ".join(moved))
+PY
 
     "$REPO/build/bench/bench_scaleout_stress" --determinism \
         > det_default.stdout
@@ -381,8 +395,9 @@ echo "scheduler scale-out smoke: ok"
 # EXPERIMENTS.md):
 #  1. bench_latency_vs_load re-runs the stepped sweep + knee table +
 #     load-aware scheduler scenario and report_diff checks it against
-#     the committed BENCH_load.json (knee QPS within tolerance, the
-#     exactly-reproducible scenario counters byte-stable); every
+#     the committed BENCH_load.json with zero tolerance (the knees and
+#     scenario counters are keyed, so every result is exactly
+#     reproducible); every
 #     loadgen.* / des.-related metric it emitted must be in the
 #     docs/OBSERVABILITY.md catalog;
 #  2. determinism: the same run with the default pool and forced
@@ -401,7 +416,7 @@ LOAD_B="$(mktemp -d)"
     cd "$LOAD_A"
     "$REPO/build/bench/bench_latency_vs_load" \
         BENCH_load.json > load.stdout
-    "$REPO/build/tools/report_diff" --tol 0.6 \
+    "$REPO/build/tools/report_diff" --tol 0 \
         "$REPO/BENCH_load.json" BENCH_load.json
 
     "$REPO/build/tools/obs_check" report BENCH_load.json |

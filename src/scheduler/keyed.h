@@ -1,24 +1,12 @@
 /**
  * @file
- * Keyed randomness for the scheduler layer.
+ * Keyed randomness for the streaming cluster (shard.h).
  *
- * Two generations of churn randomness live side by side:
- *
- * - The epoch-granular string keys (`epoch<N>#server<S>`) that the
- *   static failure loop (cluster.cpp) and the OnlineScheduler
- *   (online.cpp) feed to the `server.fail` / `scheduler.observe`
- *   fault sites. epochServerKey() is the single definition of that
- *   format, so the two loops can never drift apart and always replay
- *   the identical churn trace for a given SMITE_FAULTS seed.
- *
- * - The numeric keyed streams used by the streaming cluster
- *   (shard.h). Every draw is a pure function of
- *   (seed, salt, a, b) — typically (seed, event kind, server,
- *   occurrence index) — so the outcome is independent of placement
- *   order and of which engine, full scan or calendar, visits the
- *   server. This is what fixes the
- *   original Cluster's placement-order sampling: a draw belongs to a
- *   *server*, not to the position of that server in a scan.
+ * Every draw is a pure function of (seed, salt, a, b) — typically
+ * (seed, event kind, server, occurrence index) — so the outcome is
+ * independent of placement order and of which engine, full scan or
+ * calendar, visits the server: a draw belongs to a *server*, not to
+ * the position of that server in a scan.
  *
  * geometricSteps() converts one uniform draw into a
  * time-to-next-event count by inversion, which is what lets the
@@ -32,26 +20,10 @@
 #define SMITE_SCHEDULER_KEYED_H
 
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 
-namespace smite::scheduler {
-
-/**
- * The per-(epoch, server) fault-site key shared by the static failure
- * loop and the online scheduler, so both policies replay the exact
- * same churn trace under one SMITE_FAULTS plan.
- */
-inline std::string
-epochServerKey(int epoch, std::size_t server)
-{
-    return "epoch" + std::to_string(epoch) + "#server" +
-           std::to_string(server);
-}
-
-namespace keyed {
+namespace smite::scheduler::keyed {
 
 /** Sentinel epoch for "this event never happens" (p == 0 draws). */
 inline constexpr std::int64_t kNever =
@@ -113,7 +85,6 @@ geometricSteps(double p, std::uint64_t h)
     return 1 + static_cast<std::int64_t>(k);
 }
 
-} // namespace keyed
-} // namespace smite::scheduler
+} // namespace smite::scheduler::keyed
 
 #endif // SMITE_SCHEDULER_KEYED_H

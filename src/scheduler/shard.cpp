@@ -99,18 +99,6 @@ ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
     }
 }
 
-const Pairing &
-ShardedCluster::pairingOf(std::int64_t s) const
-{
-    const MachineClass &mc = machineClassOf(s);
-    std::uint32_t idx = tabIdx_[static_cast<std::size_t>(s)];
-    for (std::size_t c = 0; c < static_cast<std::size_t>(
-                                    classIdx_[static_cast<std::size_t>(s)]);
-         ++c)
-        idx -= static_cast<std::uint32_t>(classes_[c].pairings.size());
-    return mc.pairings[idx];
-}
-
 void
 ShardedCluster::buildTabs(const TierPolicy &tiers)
 {

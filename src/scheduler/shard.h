@@ -3,13 +3,18 @@
  * Warehouse-scale cluster with streaming decision epochs.
  *
  * The Cluster in cluster.h mirrors the paper's evaluation: 4,000
- * identical servers, every epoch re-scanning every server in
- * lockstep. ROADMAP item 1 asks for 25-100x that with machine
- * heterogeneity and continuous churn, which changes the shape of the
- * problem: at 128k+ servers an epoch can no longer afford to touch
- * every server, and "place the batch job" becomes "pick a machine
- * *and* a co-runner" (cf. Navarro et al.'s thread-to-core allocation
- * on heterogeneous parts). The ShardedCluster here is that rework:
+ * identical servers, every epoch of its one decision-epoch loop
+ * (static failure runs and online runs alike) re-scanning every
+ * server in lockstep. 25-100x that fleet with machine heterogeneity
+ * and continuous churn changes the shape of the problem: at 128k+
+ * servers an epoch can no longer afford to touch every server, and
+ * "place the batch job" becomes "pick a machine *and* a co-runner"
+ * (cf. Navarro et al.'s thread-to-core allocation on heterogeneous
+ * parts). The ShardedCluster here is the scheduler's second engine,
+ * built for that. Its pairing assignment, failures and re-placement
+ * differ from Cluster's by design (keyed per server, not sequential
+ * draws; geometric keyed streams, not `server.fail` checks;
+ * power-of-d probing, not round robin), so the engines stay apart:
  *
  * - **One serial calendar engine.** Per-server placement state, one
  *   churn *event calendar* (epoch -> servers with something due) and
@@ -33,7 +38,7 @@
  *   avoidance (bench_scaleout_stress gates it).
  *
  * - **Churn.** Three independent keyed processes: per-server failure
- *   and recovery (as in the failure epochs of cluster.cpp, but
+ *   and recovery (as in Cluster's epoch loop, but
  *   placement-order-independent), per-placed-job departure (jobs
  *   finish), and a per-epoch stream of new job arrivals placed by
  *   sampled power-of-d-choices probing: d keyed probes, place on the
@@ -248,9 +253,6 @@ class ShardedCluster
     {
         return classes_[classIdx_[static_cast<std::size_t>(s)]];
     }
-
-    /** Pairing table assigned to server @p s. */
-    const Pairing &pairingOf(std::int64_t s) const;
 
     // Post-run introspection (state of the last runStream call).
     bool upAt(std::int64_t s) const

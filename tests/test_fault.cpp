@@ -8,8 +8,10 @@
  * fault-free run after a chaos run reproduces the baseline exactly.
  */
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -23,7 +25,6 @@
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "scheduler/cluster.h"
-#include "scheduler/online.h"
 #include "workload/spec2006.h"
 
 namespace smite {
@@ -430,11 +431,13 @@ TEST_F(FaultTest, JitterChaosReproducesAcrossThreadCounts)
 
 /** A pairing whose QoS falls linearly with instance count. */
 scheduler::Pairing
-linearPairing(double actual, double predicted)
+linearPairing(double actual, double predicted,
+              const std::string &latency = "svc",
+              const std::string &batch = "batch")
 {
     scheduler::Pairing p;
-    p.latencyApp = "svc";
-    p.batchApp = "batch";
+    p.latencyApp = latency;
+    p.batchApp = batch;
     for (int k = 1; k <= 6; ++k) {
         scheduler::CoLocationOption option;
         option.actualQos = 1.0 - actual * k;
@@ -486,6 +489,10 @@ TEST_F(FaultTest, ServerFailuresEvictAndReplaceInstances)
     EXPECT_EQ(result.violatedServers, 0);
     EXPECT_LE(result.totalInstances, 5.0 * cluster.servers());
     EXPECT_GE(result.totalInstances, 0.0);
+    // The static run shares the online loop but learns nothing: no
+    // observations, and no online epochs counted.
+    EXPECT_EQ(counter("scheduler.online.epochs"), 0u);
+    EXPECT_EQ(counter("scheduler.online.observations"), 0u);
     EXPECT_THROW(cluster.runPredictedPolicyWithFailures(0.90, 0),
                  std::invalid_argument);
 }
@@ -539,7 +546,105 @@ TEST_F(FaultTest, RandomPolicyRecordsIncidentOnUnreachableTarget)
     EXPECT_GE(obs::IncidentLog::global().count(), 1u);
 }
 
-TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
+/** Order-sensitive fold of a run's numbers into one 64-bit digest. */
+struct TrajectoryDigest {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void add(std::uint64_t v)
+    {
+        h = (h ^ v) * 0x100000001b3ull;
+        h ^= h >> 29;
+    }
+    void add(int v) { add(static_cast<std::uint64_t>(std::int64_t{v})); }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    void add(const scheduler::PolicyResult &r)
+    {
+        add(r.totalInstances);
+        add(r.compliantInstances);
+        add(r.coLocatedServers);
+        add(r.violatedServers);
+        add(r.downServers);
+        add(r.maxViolation);
+    }
+
+    void add(const scheduler::EpochStats &e)
+    {
+        for (const int v :
+             {e.epoch, e.failures, e.recoveries, e.failureEvictions,
+              e.replacements, e.lostInstances, e.observedViolations,
+              e.qosEvictions, e.probes, e.liveServers, e.loadSpikes,
+              e.fillersShed, e.loadViolations, e.fairnessEvictions})
+            add(v);
+        for (const double v :
+             {e.totalInstances, e.utilization, e.fillerInstances,
+              e.maxSlowdown, e.slowdownSpread})
+            add(v);
+    }
+};
+
+TEST_F(FaultTest, EpochLoopTrajectoriesArePinned)
+{
+    // The static failure loop and three online runs under pinned
+    // churn, observation noise and load spikes, each folded epoch by
+    // epoch into one digest. Any change to a step, its order or a
+    // fault key moves a digest.
+    FaultPlan &faults = FaultPlan::global();
+    faults.arm("server.fail", SiteSpec{.probability = 0.1, .seed = 41});
+    faults.arm("scheduler.observe",
+               SiteSpec{.probability = 0.5, .seed = 43, .sigma = 0.02});
+    faults.arm("des.arrival_burst",
+               SiteSpec{.probability = 0.3, .seed = 47, .sigma = 0.5});
+    // App "a" draws an optimistic or a pessimistic batch candidate;
+    // app "b" degrades steeply.
+    const scheduler::Cluster cluster(
+        {linearPairing(0.03, 0.02, "a", "x"),
+         linearPairing(0.01, 0.03, "a", "y"),
+         linearPairing(0.05, 0.04, "b", "x")},
+        {"a", "b"}, 30);
+
+    TrajectoryDigest fixed;
+    fixed.add(cluster.runPredictedPolicyWithFailures(0.90, 10));
+    EXPECT_EQ(fixed.h, 0x6559367bf84d0569ull);
+
+    const auto online = [&](const scheduler::OnlineConfig &config) {
+        const auto run = cluster.runOnline(0.90, config);
+        TrajectoryDigest d;
+        for (const scheduler::EpochStats &e : run.timeline)
+            d.add(e);
+        d.add(run.final);
+        d.add(run.final.maxSlowdown);
+        d.add(run.final.slowdownSpread);
+        return d.h;
+    };
+    EXPECT_EQ(online({.epochs = 10, .probeBudget = 6}),
+              0xaa26a7ea84fbd256ull);
+    EXPECT_EQ(online({.epochs = 10,
+                      .probeBudget = 6,
+                      .objective = scheduler::Objective::kFairness,
+                      .spreadTolerance = 0.05}),
+              0xd280adb6e3eca6f8ull);
+    scheduler::OnlineConfig load{.epochs = 10, .probeBudget = 6};
+    load.loadAware = {
+        .enabled = true,
+        .baseQps = 400.0,
+        .spikeFactor = 2.0,
+        .kneeByPairing = {{1300, 1200, 1100, 1000, 900, 800, 700},
+                          {1100, 950, 800, 650, 500, 350, 200},
+                          {1500, 1400, 1300, 1200, 1100, 1000, 900}}};
+    EXPECT_EQ(online(load), 0x737621563f6491d2ull);
+
+    // Every mechanism the digests pin fired in at least one run.
+    for (const char *name :
+         {"scheduler.replacements", "scheduler.lost_instances",
+          "scheduler.online.qos_evictions", "scheduler.online.probes",
+          "scheduler.online.fairness_evictions",
+          "scheduler.online.load_spikes",
+          "scheduler.online.fillers_shed"})
+        EXPECT_GT(counter(name), 0u) << name;
+}
+
+TEST_F(FaultTest, OnlinePolicyIsDeterministicUnderPinnedSeeds)
 {
     FaultPlan::global().arm("server.fail",
                             SiteSpec{.probability = 0.15, .seed = 17});
@@ -548,10 +653,8 @@ TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
         SiteSpec{.probability = 1.0, .seed = 23, .sigma = 0.05});
     const scheduler::Cluster cluster({linearPairing(0.03, 0.02)},
                                      {"svc"}, 50);
-    const scheduler::OnlineScheduler online(
-        cluster, scheduler::OnlineConfig{.epochs = 8});
-    const auto a = online.run(0.90);
-    const auto b = online.run(0.90);
+    const auto a = cluster.runOnline(0.90, {.epochs = 8});
+    const auto b = cluster.runOnline(0.90, {.epochs = 8});
     EXPECT_EQ(a.final.totalInstances, b.final.totalInstances);
     EXPECT_EQ(a.final.violatedServers, b.final.violatedServers);
     EXPECT_EQ(a.final.downServers, b.final.downServers);
@@ -569,7 +672,7 @@ TEST_F(FaultTest, OnlineSchedulerIsDeterministicUnderPinnedSeeds)
     EXPECT_GT(counter("fault.scheduler.observe.injected"), 0u);
 }
 
-TEST_F(FaultTest, OnlineSchedulerIntegratesFailureFlow)
+TEST_F(FaultTest, OnlinePolicyIntegratesFailureFlow)
 {
     FaultPlan::global().arm("server.fail",
                             SiteSpec{.probability = 0.2, .seed = 11});
@@ -578,9 +681,7 @@ TEST_F(FaultTest, OnlineSchedulerIntegratesFailureFlow)
     // both sides of the conservation invariant are exercised.
     const scheduler::Cluster cluster({linearPairing(0.01, 0.05)},
                                      {"svc"}, 40);
-    const scheduler::OnlineScheduler online(
-        cluster, scheduler::OnlineConfig{.epochs = 6});
-    const auto result = online.run(0.90);
+    const auto result = cluster.runOnline(0.90, {.epochs = 6});
     EXPECT_GT(counter("scheduler.server_failures"), 0u);
     EXPECT_GT(counter("scheduler.recoveries"), 0u);
     EXPECT_GT(counter("scheduler.online.epochs"), 0u);

@@ -15,7 +15,7 @@
 #include "loadgen/knee.h"
 #include "loadgen/loadgen.h"
 #include "obs/metrics.h"
-#include "scheduler/online.h"
+#include "scheduler/cluster.h"
 
 namespace smite::loadgen {
 namespace {
@@ -454,15 +454,12 @@ TEST(LoadAware, ValidatesItsConfiguration)
     config.loadAware.enabled = true;
     config.loadAware.baseQps = 0.0; // invalid
     config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
+    EXPECT_THROW(cluster.runOnline(0.90, config), std::invalid_argument);
     config.loadAware.baseQps = 400.0;
     config.loadAware.kneeByPairing.clear(); // missing table
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
+    EXPECT_THROW(cluster.runOnline(0.90, config), std::invalid_argument);
     config.loadAware.kneeByPairing = {{1500, 1400}}; // short row
-    EXPECT_THROW(scheduler::OnlineScheduler(cluster, config),
-                 std::invalid_argument);
+    EXPECT_THROW(cluster.runOnline(0.90, config), std::invalid_argument);
 }
 
 TEST(LoadAware, DisabledMatchesBaselineExactly)
@@ -475,13 +472,11 @@ TEST(LoadAware, DisabledMatchesBaselineExactly)
         {linearPairing(0.02)}, {"svc"}, 100);
     scheduler::OnlineConfig config;
     config.epochs = 10;
-    const auto baseline =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto baseline = cluster.runOnline(0.90, config);
     config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
     config.loadAware.baseQps = 400.0;
     // Not enabled: the table is inert and the run identical.
-    const auto inert =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto inert = cluster.runOnline(0.90, config);
     ASSERT_EQ(baseline.timeline.size(), inert.timeline.size());
     for (std::size_t e = 0; e < baseline.timeline.size(); ++e) {
         EXPECT_EQ(baseline.timeline[e].totalInstances,
@@ -508,8 +503,7 @@ TEST(LoadAware, KneeCapsGuaranteedAdmission)
     config.loadAware.baseQps = 400.0;
     // knee(3) = 500 >= 400 > knee(4) = 300.
     config.loadAware.kneeByPairing = {linearKnees(1100, 200)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runOnline(0.90, config);
     // 50 servers x depth 3 guaranteed; fillers cannot exceed the
     // knee either, so the total stays at the load cap.
     EXPECT_EQ(run.timeline.back().totalInstances, 150.0);
@@ -527,8 +521,7 @@ TEST(LoadAware, FillersPackIdleContextsAtBaseLoad)
     config.loadAware.baseQps = 400.0;
     // Generous knees: depth 6 still carries 900 QPS.
     config.loadAware.kneeByPairing = {linearKnees(1500, 100)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runOnline(0.90, config);
     const auto &last = run.timeline.back();
     // QoS admits 2 guaranteed (4%/instance); fillers take the rest.
     EXPECT_EQ(last.totalInstances, 100.0);
@@ -556,8 +549,7 @@ TEST(LoadAware, SpikesShedFillersNeverGuaranteed)
     config.loadAware.baseQps = 400.0;
     config.loadAware.spikeFactor = 2.0;
     config.loadAware.kneeByPairing = {linearKnees(1300, 100)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runOnline(0.90, config);
     int spikes = 0, shed = 0, load_violations = 0;
     for (const auto &e : run.timeline) {
         spikes += e.loadSpikes;
@@ -595,8 +587,7 @@ TEST(LoadAware, UndersizedGuaranteedKneeIsCountedNotEvicted)
     // Base load fits depth 5 (knee 450), but the spike (800) exceeds
     // even knee(5): the guaranteed tier itself is past its knee.
     config.loadAware.kneeByPairing = {linearKnees(1450, 200)};
-    const auto run =
-        scheduler::OnlineScheduler(cluster, config).run(0.90);
+    const auto run = cluster.runOnline(0.90, config);
     int load_violations = 0;
     for (const auto &e : run.timeline) {
         load_violations += e.loadViolations;

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "scheduler/cluster.h"
-#include "scheduler/online.h"
 
 namespace smite::scheduler {
 namespace {
@@ -146,6 +145,15 @@ TEST(Cluster, RaggedTablesRejected)
                  std::invalid_argument);
 }
 
+TEST(Cluster, RejectsTablesLongerThanSpareContexts)
+{
+    // Six latency threads leave six spare contexts: a seventh table
+    // entry would let a policy place a seventh instance and push
+    // utilization past 1.
+    const Pairing seven = linearPairing("svc", "a", 0.01, 0.01, 7);
+    EXPECT_THROW(Cluster({seven}, {"svc"}, 10), std::invalid_argument);
+}
+
 TEST(PolicyResult, ViolationRateHandlesNoCoLocations)
 {
     PolicyResult r;
@@ -184,25 +192,23 @@ TEST(Cluster, RandomPolicyRoundsMatchTargetInsteadOfTruncating)
     EXPECT_EQ(r.totalInstances, 11.0);
 }
 
-TEST(OnlineScheduler, RejectsBadConfiguration)
+TEST(ClusterOnline, RejectsBadConfiguration)
 {
     const Cluster cluster = simpleCluster(0.02, 0.02, 10);
-    EXPECT_THROW(OnlineScheduler(cluster, OnlineConfig{.epochs = 0}),
+    EXPECT_THROW(cluster.runOnline(0.90, {.epochs = 0}),
                  std::invalid_argument);
-    EXPECT_THROW(OnlineScheduler(cluster,
-                                 OnlineConfig{.headroom = -0.1}),
+    EXPECT_THROW(cluster.runOnline(0.90, {.headroom = -0.1}),
                  std::invalid_argument);
 }
 
-TEST(OnlineScheduler, StableUnderPerfectPrediction)
+TEST(ClusterOnline, StableUnderPerfectPrediction)
 {
     // Accurate model, no churn, no observation slack: the online
     // policy has nothing to react to and must keep the static
     // placement in every epoch.
     const Cluster cluster = simpleCluster(0.02, 0.02, 80);
     const auto fixed = cluster.runPredictedPolicy(0.90);
-    const OnlineScheduler online(cluster, OnlineConfig{.epochs = 8});
-    const auto result = online.run(0.90);
+    const auto result = cluster.runOnline(0.90, {.epochs = 8});
     EXPECT_EQ(result.final.totalInstances, fixed.totalInstances);
     EXPECT_EQ(result.final.violatedServers, 0);
     ASSERT_EQ(result.timeline.size(), 8u);
@@ -214,7 +220,7 @@ TEST(OnlineScheduler, StableUnderPerfectPrediction)
     }
 }
 
-TEST(OnlineScheduler, EvictsDownToOracleOnOptimisticPrediction)
+TEST(ClusterOnline, EvictsDownToOracleOnOptimisticPrediction)
 {
     // Model claims 1%/instance, reality is 5%: the static policy
     // admits 6 everywhere and violates everywhere; the online policy
@@ -224,15 +230,14 @@ TEST(OnlineScheduler, EvictsDownToOracleOnOptimisticPrediction)
     const auto fixed = cluster.runPredictedPolicy(0.90);
     const auto oracle = cluster.runOraclePolicy(0.90);
     EXPECT_EQ(fixed.violatedServers, fixed.coLocatedServers);
-    const OnlineScheduler online(cluster, OnlineConfig{.epochs = 12});
-    const auto result = online.run(0.90);
+    const auto result = cluster.runOnline(0.90, {.epochs = 12});
     EXPECT_EQ(result.final.totalInstances, oracle.totalInstances);
     EXPECT_EQ(result.final.violatedServers, 0);
     EXPECT_GT(result.timeline.front().qosEvictions, 0);
     EXPECT_EQ(result.timeline.back().qosEvictions, 0);
 }
 
-TEST(OnlineScheduler, ProbesUpToOracleOnPessimisticPrediction)
+TEST(ClusterOnline, ProbesUpToOracleOnPessimisticPrediction)
 {
     // Model claims 5%/instance, reality is 1%: the static policy
     // wastes contexts at 2 instances; probing discovers the oracle's
@@ -242,9 +247,8 @@ TEST(OnlineScheduler, ProbesUpToOracleOnPessimisticPrediction)
     const auto fixed = cluster.runPredictedPolicy(0.90);
     const auto oracle = cluster.runOraclePolicy(0.90);
     EXPECT_LT(fixed.totalInstances, oracle.totalInstances);
-    const OnlineScheduler online(
-        cluster, OnlineConfig{.epochs = 12, .probeBudget = 40});
-    const auto result = online.run(0.90);
+    const auto result =
+        cluster.runOnline(0.90, {.epochs = 12, .probeBudget = 40});
     EXPECT_EQ(result.final.totalInstances, oracle.totalInstances);
     EXPECT_EQ(result.final.violatedServers, 0);
     EXPECT_GT(result.timeline.front().probes, 0);
@@ -253,12 +257,11 @@ TEST(OnlineScheduler, ProbesUpToOracleOnPessimisticPrediction)
     EXPECT_EQ(result.timeline.back().qosEvictions, 0);
 }
 
-TEST(OnlineScheduler, ProbeBudgetBoundsPerEpochRisk)
+TEST(ClusterOnline, ProbeBudgetBoundsPerEpochRisk)
 {
     const Cluster cluster = simpleCluster(0.01, 0.05, 60);
-    const OnlineScheduler online(
-        cluster, OnlineConfig{.epochs = 6, .probeBudget = 7});
-    const auto result = online.run(0.90);
+    const auto result =
+        cluster.runOnline(0.90, {.epochs = 6, .probeBudget = 7});
     for (const EpochStats &e : result.timeline)
         EXPECT_LE(e.probes, 7);
 }
@@ -274,16 +277,14 @@ unevenCluster(int servers = 100)
                    {"a", "b"}, servers);
 }
 
-TEST(OnlineScheduler, RejectsNegativeSpreadTolerance)
+TEST(ClusterOnline, RejectsNegativeSpreadTolerance)
 {
     const Cluster cluster = simpleCluster(0.02, 0.02, 10);
-    EXPECT_THROW(
-        OnlineScheduler(cluster,
-                        OnlineConfig{.spreadTolerance = -0.01}),
-        std::invalid_argument);
+    EXPECT_THROW(cluster.runOnline(0.90, {.spreadTolerance = -0.01}),
+                 std::invalid_argument);
 }
 
-TEST(OnlineScheduler, FairnessObjectiveBoundsMaxSlowdown)
+TEST(ClusterOnline, FairnessObjectiveBoundsMaxSlowdown)
 {
     // Utilization objective: app "a" packs to QoS 0.90 (slowdown
     // 0.10), app "b" stops at one instance (slowdown 0.06) — spread
@@ -291,17 +292,14 @@ TEST(OnlineScheduler, FairnessObjectiveBoundsMaxSlowdown)
     // the "a" servers until their slowdown is within tolerance of
     // the best-off app, cutting max slowdown at a utilization cost.
     const Cluster cluster = unevenCluster();
-    const OnlineScheduler util(cluster, OnlineConfig{.epochs = 12});
-    const OnlineScheduler fair(
-        cluster, OnlineConfig{.epochs = 12,
-                              .objective = Objective::kFairness,
-                              .spreadTolerance = 0.02});
+    const auto u = cluster.runOnline(0.90, {.epochs = 12});
+    const auto f =
+        cluster.runOnline(0.90, {.epochs = 12,
+                                 .objective = Objective::kFairness,
+                                 .spreadTolerance = 0.02});
 
-    const auto u = util.run(0.90);
-    const auto f = fair.run(0.90);
-
-    EXPECT_LT(f.finalMaxSlowdown, u.finalMaxSlowdown);
-    EXPECT_LE(f.finalSlowdownSpread, 0.02 + 1e-12);
+    EXPECT_LT(f.final.maxSlowdown, u.final.maxSlowdown);
+    EXPECT_LE(f.final.slowdownSpread, 0.02 + 1e-12);
     EXPECT_LT(f.final.totalInstances, u.final.totalInstances);
 
     int util_trims = 0, fair_trims = 0;
@@ -317,21 +315,18 @@ TEST(OnlineScheduler, FairnessObjectiveBoundsMaxSlowdown)
     EXPECT_GT(u.timeline.back().slowdownSpread, 0.0);
 }
 
-TEST(OnlineScheduler, UtilizationObjectiveMatchesDefault)
+TEST(ClusterOnline, UtilizationObjectiveMatchesDefault)
 {
     // Selecting kUtilization explicitly is the pre-fairness
     // scheduler: identical placement, no trims.
     const Cluster cluster = unevenCluster(60);
-    const OnlineScheduler a(cluster, OnlineConfig{.epochs = 8});
-    const OnlineScheduler b(
-        cluster, OnlineConfig{.epochs = 8,
-                              .objective = Objective::kUtilization});
-    const auto ra = a.run(0.90);
-    const auto rb = b.run(0.90);
+    const auto ra = cluster.runOnline(0.90, {.epochs = 8});
+    const auto rb = cluster.runOnline(
+        0.90, {.epochs = 8, .objective = Objective::kUtilization});
     EXPECT_EQ(ra.final.totalInstances, rb.final.totalInstances);
     EXPECT_EQ(ra.final.violatedServers, rb.final.violatedServers);
-    EXPECT_EQ(ra.finalMaxSlowdown, rb.finalMaxSlowdown);
-    EXPECT_EQ(ra.finalSlowdownSpread, rb.finalSlowdownSpread);
+    EXPECT_EQ(ra.final.maxSlowdown, rb.final.maxSlowdown);
+    EXPECT_EQ(ra.final.slowdownSpread, rb.final.slowdownSpread);
 }
 
 } // namespace
