@@ -7,7 +7,8 @@
  * from two or three samples. This harness measures dense memory
  * sensitivity curves, rebuilds them from 2- and 3-point sparse
  * samples, and reports the interpolation error and the profiling
- * speed-up.
+ * speed-up. Every curve point is one Lab::rulerDegradation() on the
+ * shared run log.
  */
 
 #include "bench/common.h"
@@ -23,9 +24,8 @@ main()
                   "Dense sensitivity sweeps vs 2/3-point "
                   "interpolation");
 
-    const sim::Machine machine(sim::MachineConfig::ivyBridge());
-    const core::CurveProfiler profiler(machine);
-    const auto &config = machine.config();
+    core::Lab lab = bench::makeLab(sim::MachineConfig::ivyBridge());
+    const auto &config = lab.machine().config();
 
     const std::vector<std::string> victims = {
         "454.calculix", "401.bzip2", "447.dealII", "482.sphinx3"};
@@ -57,8 +57,7 @@ main()
         for (const auto &name : victims) {
             const auto &app = workload::spec2006::byName(name);
             const core::SensitivityCurve dense =
-                profiler.memoryCurve(app, level.dim,
-                                     level.denseSweep);
+                core::memoryCurve(lab, app, level.dim, level.denseSweep);
             const double err2 =
                 dense.meanAbsoluteError(dense.sparsified(2));
             const double err3 =

@@ -8,31 +8,15 @@
  *    for L1, 0.89 for L2 and 0.95 for L3).
  *  - FU rulers: duty cycle vs victim degradation within the
  *    unsaturated range.
+ *
+ * Every point is one Lab::rulerDegradation(), so the co-run and its
+ * solo reference share the Lab's intervals.
  */
-
-#include <memory>
 
 #include "bench/common.h"
 #include "stats/correlation.h"
 
 using namespace smite;
-
-namespace {
-
-double
-degradationUnderRuler(core::Lab &lab,
-                      const workload::WorkloadProfile &app,
-                      const rulers::Ruler &ruler)
-{
-    workload::ProfileUopSource victim(app, 1);
-    auto stressor = ruler.makeSource();
-    const auto counters =
-        lab.machine().runPairSmt(victim, *stressor);
-    const double solo = lab.soloIpc(app);
-    return solo > 0.0 ? (solo - counters[0].ipc()) / solo : 0.0;
-}
-
-} // namespace
 
 int
 main()
@@ -86,7 +70,7 @@ main()
             for (std::uint64_t bytes : level.workingSets) {
                 const rulers::Ruler ruler =
                     rulers::Ruler::memory(level.dim, bytes);
-                const double d = degradationUnderRuler(lab, app, ruler);
+                const double d = lab.rulerDegradation(app, ruler);
                 ws.push_back(static_cast<double>(bytes));
                 deg.push_back(d);
                 std::printf("  %4lluKB:%5.1f%%",
@@ -109,7 +93,7 @@ main()
     for (double d : {0.05, 0.10, 0.15, 0.20, 0.25}) {
         const rulers::Ruler ruler =
             rulers::Ruler::functionalUnit(rulers::Dimension::kFpAdd, d);
-        const double x = degradationUnderRuler(lab, namd, ruler);
+        const double x = lab.rulerDegradation(namd, ruler);
         duty.push_back(d);
         deg.push_back(x);
         std::printf("  duty %.2f -> degradation %5.1f%%\n", d, 100 * x);

@@ -56,10 +56,7 @@ benchMeasureCycles()
     return envCycles("SMITE_BENCH_MEASURE", sim::kDefaultMeasureCycles);
 }
 
-/**
- * Build a Lab over the shared run log. (Returned as a prvalue — the
- * Lab is non-movable since its characterizer refers to its machine.)
- */
+/** Build a Lab over the shared run log at the harness intervals. */
 inline core::Lab
 makeLab(const sim::MachineConfig &config)
 {

@@ -294,10 +294,15 @@ echo "perf smoke: ok"
 # --- Predictor zoo smoke -------------------------------------------
 # The predictor shoot-out (core/predictor.h), three gates in one run:
 #  1. bench_predictor_zoo re-runs the head-to-head at the smoke
-#     intervals and report_diff checks it against the committed
-#     BENCH_pred.json (MAE and signature-run costs are exactly
-#     reproducible; prediction latency lives in `timings`, which is
-#     never diffed);
+#     intervals with the default pool and must reproduce the
+#     committed (serial) BENCH_pred.json exactly: every result (MAE
+#     and signature-run costs; prediction latency lives in `timings`,
+#     which is never diffed) and every counter, so no simulation,
+#     trial or prediction is added or dropped. Exceptions: the pool.*
+#     counters describe the pool's width, and replay hits and waits
+#     may split differently between runs, so only their sum is
+#     compared. Histograms are not compared (pooled summation order
+#     moves the low bits of machine.ipc's sum);
 #  2. determinism: the same run with the default pool and forced
 #     serial must produce byte-identical stdout;
 #  3. every predictor.* metric the fresh report emitted must appear
@@ -309,8 +314,23 @@ PRED_B="$(mktemp -d)"
     SMITE_BENCH_WARMUP=2000 SMITE_BENCH_MEASURE=8000 \
         "$REPO/build/bench/bench_predictor_zoo" fresh_pred.json \
         > pred.stdout
-    "$REPO/build/tools/report_diff" --tol 0.6 \
+    "$REPO/build/tools/report_diff" --tol 0 \
         "$REPO/BENCH_pred.json" fresh_pred.json
+    python3 - "$REPO/BENCH_pred.json" fresh_pred.json <<'PY'
+import json, sys
+def counters(path):
+    c = json.load(open(path))["metrics"]["counters"]
+    c = {k: v for k, v in c.items() if not k.startswith("pool.")}
+    c["machine.replay.hits+waits"] = (c.pop("machine.replay.hits", 0) +
+                                      c.pop("machine.replay.waits", 0))
+    return c
+base, fresh = counters(sys.argv[1]), counters(sys.argv[2])
+moved = sorted(k for k in base.keys() | fresh.keys()
+               if base.get(k) != fresh.get(k))
+if moved:
+    sys.exit("BENCH_pred.json: counters differ: " + ", ".join(
+        f"{k} {base.get(k)} -> {fresh.get(k)}" for k in moved))
+PY
 
     "$REPO/build/tools/obs_check" report fresh_pred.json |
         grep '^predictor\.' > pred_names.txt || true

@@ -21,6 +21,49 @@ namespace smite::core {
 
 namespace {
 
+/** Aggregate IPC over a span of counter blocks. */
+double
+aggregateIpc(const std::vector<sim::CounterBlock> &counters,
+             std::size_t begin, std::size_t end)
+{
+    double sum = 0.0;
+    for (std::size_t i = begin; i < end; ++i)
+        sum += counters[i].ipc();
+    return sum;
+}
+
+/**
+ * Place @p threads instances of @p profile (seeds 1..threads) on
+ * context 0 of cores 0..threads-1. @p sources owns them and must
+ * outlive the run.
+ */
+std::vector<sim::Placement>
+placeApp(const workload::WorkloadProfile &profile, int threads,
+         std::vector<workload::ProfileUopSource> &sources)
+{
+    sources.reserve(static_cast<std::size_t>(threads));
+    std::vector<sim::Placement> placements;
+    for (int t = 0; t < threads; ++t) {
+        sources.emplace_back(profile, /*seed=*/1 + t);
+        placements.push_back(sim::Placement{t, 0, &sources.back()});
+    }
+    return placements;
+}
+
+/**
+ * Slot of co-runner @p k next to a @p threads -thread application:
+ * the sibling context of core k (SMT) or the k-th core past the
+ * application's (CMP).
+ */
+sim::Placement
+coRunnerPlacement(CoLocationMode mode, int threads, int k,
+                  sim::UopSource *source)
+{
+    return mode == CoLocationMode::kSmt
+               ? sim::Placement{k, 1, source}
+               : sim::Placement{threads + k, 0, source};
+}
+
 /** Resolve a positive-integer knob from the environment. */
 int
 envInt(const char *name, int fallback)
@@ -41,7 +84,6 @@ envInt(const char *name, int fallback)
 Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
          sim::Cycle measure)
     : machine_(config), suite_(rulers::defaultSuite(config)),
-      characterizer_(machine_, suite_, warmup, measure),
       warmup_(warmup), measure_(measure)
 {
 }
@@ -125,6 +167,86 @@ Lab::measureTrials(
     return out;
 }
 
+double
+Lab::soloRun(const workload::WorkloadProfile &profile, int threads) const
+{
+    if (threads < 1 || threads > machine_.config().numCores)
+        throw std::invalid_argument("bad thread count");
+    std::vector<workload::ProfileUopSource> sources;
+    const auto counters = machine_.run(placeApp(profile, threads, sources),
+                                       warmup_, measure_);
+    return aggregateIpc(counters, 0, counters.size());
+}
+
+double
+Lab::rulerBaseline(std::size_t d, CoLocationMode mode, int threads) const
+{
+    const rulers::Ruler &ruler = suite_[d];
+    obs::Span span("characterizer.baseline", ruler.name());
+    std::vector<std::unique_ptr<sim::UopSource>> sources;
+    std::vector<sim::Placement> placements;
+    for (int t = 0; t < threads; ++t) {
+        sources.push_back(ruler.makeSource());
+        placements.push_back(
+            coRunnerPlacement(mode, threads, t, sources.back().get()));
+    }
+    const auto counters = machine_.run(placements, warmup_, measure_);
+    return aggregateIpc(counters, 0, counters.size());
+}
+
+Characterization
+Lab::characterizeRun(const workload::WorkloadProfile &profile,
+                     CoLocationMode mode, int threads) const
+{
+    const int cores = machine_.config().numCores;
+    if (threads < 1)
+        throw std::invalid_argument("bad thread count");
+    if (mode == CoLocationMode::kSmt && threads > cores)
+        throw std::invalid_argument("too many threads for SMT mode");
+    if (mode == CoLocationMode::kCmp && 2 * threads > cores)
+        throw std::invalid_argument("too many threads for CMP mode");
+
+    obs::Span characterize_span("characterizer.characterize",
+                                profile.name + "#" + modeName(mode));
+    const double app_solo = soloRun(profile, threads);
+
+    Characterization result;
+    for (std::size_t d = 0; d < suite_.size(); ++d) {
+        const rulers::Ruler &ruler = suite_[d];
+        obs::Span dimension_span("characterizer.dimension",
+                                 ruler.name());
+
+        // Ruler baseline: the same ruler instances running alone
+        // (application-independent, so a replay after its first run).
+        const double ruler_solo = rulerBaseline(d, mode, threads);
+
+        // Co-location: app threads + ruler instances, the rulers
+        // where they sat for the baseline.
+        std::vector<workload::ProfileUopSource> app_sources;
+        std::vector<sim::Placement> placements =
+            placeApp(profile, threads, app_sources);
+        std::vector<std::unique_ptr<sim::UopSource>> co_rulers;
+        for (int t = 0; t < threads; ++t) {
+            co_rulers.push_back(ruler.makeSource());
+            placements.push_back(coRunnerPlacement(
+                mode, threads, t, co_rulers.back().get()));
+        }
+        const auto counters = machine_.run(placements, warmup_, measure_);
+
+        const double app_co = aggregateIpc(counters, 0, threads);
+        const double ruler_co =
+            aggregateIpc(counters, threads, counters.size());
+
+        // Equations 1 and 2.
+        result.sensitivity[d] =
+            app_solo > 0.0 ? (app_solo - app_co) / app_solo : 0.0;
+        result.contentiousness[d] =
+            ruler_solo > 0.0 ? (ruler_solo - ruler_co) / ruler_solo
+                             : 0.0;
+    }
+    return result;
+}
+
 std::string
 Lab::pairKey(const std::string &a, const std::string &b,
              CoLocationMode mode) const
@@ -140,8 +262,7 @@ Lab::soloIpc(const workload::WorkloadProfile &profile, int threads)
     const std::vector<double> vals =
         measureTrials(key, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
-            return std::vector<double>{
-                characterizer_.soloIpc(profile, threads)};
+            return std::vector<double>{soloRun(profile, threads)};
         });
     return vals[0];
 }
@@ -174,8 +295,37 @@ Lab::characterization(const workload::WorkloadProfile &profile,
     obs::Span span("lab.characterize", key);
     return withRetry(key, [&](const std::string &tkey) {
         fault::maybeThrow("lab.measure", tkey);
-        return characterizer_.characterize(profile, mode, threads);
+        return characterizeRun(profile, mode, threads);
     });
+}
+
+double
+Lab::rulerDegradation(const workload::WorkloadProfile &profile,
+                      const rulers::Ruler &ruler)
+{
+    const std::string intensity =
+        rulers::isFunctionalUnit(ruler.dimension())
+            ? std::to_string(ruler.dutyCycle())
+            : std::to_string(ruler.workingSet());
+    const std::string key =
+        profile.name + "|" + ruler.name() + "@" + intensity;
+    obs::Span span("lab.ruler", key);
+    // Like a pair's solo references: measured under its own
+    // retry/trial protocol, outside this one.
+    const double solo = soloIpc(profile);
+    const std::vector<double> vals =
+        measureTrials(key, [&](const std::string &tkey) {
+            fault::maybeThrow("lab.measure", tkey);
+            workload::ProfileUopSource victim(profile, /*seed=*/1);
+            const auto stressor = ruler.makeSource();
+            const double co =
+                machine_.runPairSmt(victim, *stressor, warmup_, measure_)
+                    .front()
+                    .ipc();
+            return std::vector<double>{solo > 0.0 ? (solo - co) / solo
+                                                  : 0.0};
+        });
+    return vals[0];
 }
 
 double
@@ -280,36 +430,22 @@ Lab::multiInstanceDegradation(const workload::WorkloadProfile &latency,
     const std::vector<double> vals =
         measureTrials(key, [&](const std::string &tkey) {
             fault::maybeThrow("lab.measure", tkey);
-            // Latency app: context 0 of cores 0..threads-1.
-            std::vector<workload::ProfileUopSource> app_sources;
-            app_sources.reserve(threads);
-            for (int t = 0; t < threads; ++t)
-                app_sources.emplace_back(latency, /*seed=*/1 + t);
-            std::vector<sim::Placement> placements;
-            for (int t = 0; t < threads; ++t)
-                placements.push_back(
-                    sim::Placement{t, 0, &app_sources[t]});
-
-            // Batch instances: sibling contexts (SMT) or the idle
+            // Latency app on context 0 of cores 0..threads-1; batch
+            // instances on the sibling contexts (SMT) or the idle
             // cores (CMP).
+            std::vector<workload::ProfileUopSource> app_sources;
+            std::vector<sim::Placement> placements =
+                placeApp(latency, threads, app_sources);
             std::vector<workload::ProfileUopSource> batch_sources;
-            batch_sources.reserve(instances);
-            for (int k = 0; k < instances; ++k)
-                batch_sources.emplace_back(batch, /*seed=*/100 + k);
+            batch_sources.reserve(static_cast<std::size_t>(instances));
             for (int k = 0; k < instances; ++k) {
-                if (mode == CoLocationMode::kSmt)
-                    placements.push_back(
-                        sim::Placement{k, 1, &batch_sources[k]});
-                else
-                    placements.push_back(sim::Placement{
-                        threads + k, 0, &batch_sources[k]});
+                batch_sources.emplace_back(batch, /*seed=*/100 + k);
+                placements.push_back(coRunnerPlacement(
+                    mode, threads, k, &batch_sources.back()));
             }
-
-            const auto counters =
-                machine_.run(placements, warmup_, measure_);
-            double co_ipc = 0.0;
-            for (int t = 0; t < threads; ++t)
-                co_ipc += counters[t].ipc();
+            const double co_ipc = aggregateIpc(
+                machine_.run(placements, warmup_, measure_), 0,
+                static_cast<std::size_t>(threads));
             return std::vector<double>{
                 solo > 0.0 ? (solo - co_ipc) / solo : 0.0};
         });
@@ -346,10 +482,7 @@ Lab::characterizeAll(const std::vector<workload::WorkloadProfile> &profiles,
     // single flight of dimension 0's baseline at once.
     parallelFor(
         suite_.size(),
-        [&](std::size_t d) {
-            characterizer_.rulerBaseline(d, mode, threads);
-        },
-        workers);
+        [&](std::size_t d) { rulerBaseline(d, mode, threads); }, workers);
     std::vector<Characterization> results(profiles.size());
     parallelFor(
         profiles.size(),
@@ -387,21 +520,12 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
                      CoLocationMode mode)
 {
     const std::size_t n = profiles.size();
-    const int workers = parallelism();
 
     // Solo IPCs enter every degradation; measure them first so pair
     // tasks don't serialize on the single-flight solo run of a hot
     // name. A solo failure here resurfaces from the pair that needs
     // it.
-    parallelFor(
-        n,
-        [&](std::size_t i) {
-            try {
-                soloIpc(profiles[i]);
-            } catch (const fault::MeasurementError &) {
-            }
-        },
-        workers);
+    soloIpcAll(profiles);
 
     // One task per unordered pair fills both directions from its one
     // name-ordered run; the diagonal stays 0.
@@ -425,7 +549,7 @@ Lab::measureAllPairs(const std::vector<workload::WorkloadProfile> &profiles,
                 result[i][j] = result[j][i] = std::nan("");
             }
         },
-        workers);
+        parallelism());
     return result;
 }
 
@@ -435,21 +559,11 @@ Lab::multiInstancePrefetch(
     const std::vector<workload::WorkloadProfile> &batch,
     int max_instances, CoLocationMode mode)
 {
-    const int workers = parallelism();
-
     // Every tuple of one latency app divides by the same solo IPC;
     // measure those first so the fanned-out tuples don't serialize on
     // the single-flight solo run. A failure resurfaces from the tuple
     // that needs it.
-    parallelFor(
-        latency.size(),
-        [&](std::size_t l) {
-            try {
-                soloIpc(latency[l], threads);
-            } catch (const fault::MeasurementError &) {
-            }
-        },
-        workers);
+    soloIpcAll(latency, threads);
 
     struct Tuple {
         std::size_t l;
@@ -477,7 +591,7 @@ Lab::multiInstancePrefetch(
                 // assembly loop sees the deterministic re-failure.
             }
         },
-        workers);
+        parallelism());
 }
 
 double

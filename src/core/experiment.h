@@ -1,10 +1,12 @@
 /**
  * @file
  * The experiment lab: the measurement front end over the machine
- * model that provides every measurement the paper's evaluation
- * needs — solo IPCs, PMU profiles, Ruler characterizations, pair and
- * many-instance co-location degradations. The predictors
- * (core/predictor.h) train on corpora measured through it.
+ * model and the only code in core that runs it. It provides every
+ * measurement the paper's evaluation needs — solo IPCs, PMU profiles,
+ * Ruler characterizations (Equations 1-2), single-Ruler points of the
+ * Section III-B1 sensitivity curves, pair and many-instance
+ * co-location degradations. The predictors (core/predictor.h) train
+ * on corpora measured through it.
  *
  * The Lab keeps no memo of its own: every accessor measures through
  * sim::Machine::run, and the run-level ReplayStore (sim/replay.h)
@@ -21,9 +23,9 @@
  * fresh inside each const run() call, so concurrent runs never alias.
  * The characterizeAll / measureAllPairs / soloIpcAll / pmuProfileAll
  * batch APIs fan the independent simulations of the paper's protocol
- * out across a thread pool (SMITE_THREADS or setParallelism()
- * controls the width) and assemble results in input order,
- * byte-identical to the serial loop.
+ * out with parallelFor (core/parallel.h; SMITE_THREADS or
+ * setParallelism() controls the width) and assemble results in input
+ * order, byte-identical to the serial loop.
  *
  * The Lab is also the pipeline's resilience boundary (see
  * docs/ROBUSTNESS.md). Real-machine measurement campaigns lose runs;
@@ -81,24 +83,13 @@ class Lab
         sim::Cycle warmup = sim::kDefaultWarmupCycles,
         sim::Cycle measure = sim::kDefaultMeasureCycles);
 
-    // The characterizer holds a reference to machine_; the Lab stays
-    // where it was built.
-    Lab(const Lab &) = delete;
-    Lab &operator=(const Lab &) = delete;
-
     /** The machine under test. */
     const sim::Machine &machine() const { return machine_; }
-
-    /** The default Ruler suite for this machine. */
-    const std::vector<rulers::Ruler> &rulerSuite() const { return suite_; }
-
-    /** The characterization driver. */
-    const Characterizer &characterizer() const { return characterizer_; }
 
     /**
      * Worker threads for the batch APIs: 0 (default) means the
      * SMITE_THREADS environment variable, else hardware concurrency.
-     * 1 selects the serial path (no pool).
+     * 1 selects the serial path (no worker threads).
      */
     void setParallelism(int threads) { parallelism_ = threads; }
 
@@ -136,10 +127,25 @@ class Lab
     /** The 11 PMU rates of a solo run (input to the PMU model). */
     PmuProfile pmuProfile(const workload::WorkloadProfile &profile);
 
-    /** Ruler characterization. */
+    /**
+     * Ruler characterization (Equations 1-2): @p threads instances of
+     * the application, one per core, each next to one instance of
+     * every Ruler in turn — on the sibling context (SMT) or a
+     * neighbouring core (CMP). The paper uses 6 threads for SMT and 3
+     * for CMP CloudSuite runs.
+     */
     Characterization
     characterization(const workload::WorkloadProfile &profile,
                      CoLocationMode mode, int threads = 1);
+
+    /**
+     * Degradation of one thread of @p profile (context 0 of core 0)
+     * next to one instance of @p ruler on its SMT sibling, relative
+     * to soloIpc(profile): one point of a sensitivity curve
+     * (core/sensitivity_curve.h).
+     */
+    double rulerDegradation(const workload::WorkloadProfile &profile,
+                            const rulers::Ruler &ruler);
 
     /**
      * Measured degradation of @p victim co-located with
@@ -233,6 +239,23 @@ class Lab
                                    int threads);
 
   private:
+    /**
+     * The raw runs of the protocol, outside the retry/trial wrappers
+     * (so one characterization makes one `lab.measure` check):
+     * soloRun() is the aggregate IPC of @p threads instances of the
+     * application alone, rulerBaseline() that of @p threads instances
+     * of Ruler @p d alone in their co-location slots — independent of
+     * the application, so after its first run every characterization
+     * replays it — and characterizeRun() applies Equations 1 and 2.
+     */
+    double soloRun(const workload::WorkloadProfile &profile,
+                   int threads) const;
+    double rulerBaseline(std::size_t d, CoLocationMode mode,
+                         int threads) const;
+    Characterization
+    characterizeRun(const workload::WorkloadProfile &profile,
+                    CoLocationMode mode, int threads) const;
+
     std::string pairKey(const std::string &a, const std::string &b,
                         CoLocationMode mode) const;
 
@@ -292,8 +315,7 @@ class Lab
             &fn);
 
     sim::Machine machine_;
-    std::vector<rulers::Ruler> suite_;
-    Characterizer characterizer_;
+    std::vector<rulers::Ruler> suite_;  ///< one Ruler per dimension
     sim::Cycle warmup_;
     sim::Cycle measure_;
     int parallelism_ = 0;

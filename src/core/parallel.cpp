@@ -1,9 +1,13 @@
 #include "core/parallel.h"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -87,100 +91,6 @@ defaultThreadCount()
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ThreadPool::ThreadPool(int threads)
-{
-    if (threads <= 0)
-        threads = defaultThreadCount();
-    workers_.reserve(threads - 1);
-    for (int t = 0; t < threads - 1; ++t)
-        workers_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread &w : workers_)
-        w.join();
-}
-
-void
-ThreadPool::drainBatch()
-{
-    for (;;) {
-        const std::size_t i =
-            next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= total_)
-            return;
-        try {
-            runTimed(*body_, i);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!error_)
-                error_ = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mu_);
-        if (++completed_ == total_)
-            done_cv_.notify_all();
-    }
-}
-
-void
-ThreadPool::workerLoop()
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mu_);
-            work_cv_.wait(
-                lock, [&] { return stop_ || epoch_ != seen; });
-            if (stop_)
-                return;
-            seen = epoch_;
-        }
-        drainBatch();
-    }
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    PoolMetrics &metrics = PoolMetrics::get();
-    metrics.batches.add();
-    metrics.tasks.add(n);
-    metrics.width.set(size());
-    obs::Span span("pool.batch", std::to_string(n) + " tasks x " +
-                                     std::to_string(size()) +
-                                     " workers");
-    if (workers_.empty() || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            runTimed(body, i);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        body_ = &body;
-        total_ = n;
-        completed_ = 0;
-        error_ = nullptr;
-        next_.store(0, std::memory_order_relaxed);
-        ++epoch_;
-    }
-    work_cv_.notify_all();
-    drainBatch();  // the caller is a worker too
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return completed_ == total_; });
-    body_ = nullptr;
-    if (error_)
-        std::rethrow_exception(error_);
-}
-
 void
 parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             int threads)
@@ -192,8 +102,41 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             body(i);
         return;
     }
-    ThreadPool pool(threads);
-    pool.parallelFor(n, body);
+    PoolMetrics &metrics = PoolMetrics::get();
+    metrics.batches.add();
+    metrics.tasks.add(n);
+    metrics.width.set(threads);
+    obs::Span span("pool.batch", std::to_string(n) + " tasks x " +
+                                     std::to_string(threads) +
+                                     " workers");
+
+    std::atomic<std::size_t> next{0};  // shared iteration cursor
+    std::mutex mu;
+    std::exception_ptr error;
+    const auto drain = [&] {
+        for (;;) {
+            const std::size_t i =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                return;
+            try {
+                runTimed(body, i);
+            } catch (...) {
+                const std::lock_guard<std::mutex> lock(mu);
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+    };
+    {
+        std::vector<std::jthread> workers;
+        workers.reserve(static_cast<std::size_t>(threads - 1));
+        for (int t = 1; t < threads; ++t)
+            workers.emplace_back(drain);
+        drain();  // the caller is a worker too
+    }  // joins the workers
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace smite::core

@@ -5,11 +5,12 @@
  * Every measurement the paper's protocol needs — N workloads x 7
  * Ruler dimensions x {SMT, CMP}, plus O(N^2) ordered training pairs —
  * is an independent simulation with no cross-run state, so the Lab
- * fans them out across cores. The primitives here are deliberately
- * small: a ThreadPool whose workers self-schedule loop iterations off
- * a shared atomic cursor (work-stealing-friendly dynamic scheduling;
- * no per-thread static partition to go idle early), and a
- * parallelFor() convenience wrapper.
+ * fans them out across cores. The engine is one function:
+ * parallelFor() starts its workers for one loop, they and the caller
+ * self-schedule iterations off a shared atomic cursor (dynamic
+ * scheduling; no per-thread static partition to go idle early), and
+ * it joins them before returning. Each batch is a set of whole
+ * simulations, so no persistent pool is needed.
  *
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly
  * once for every i in [0, n), in unspecified order and concurrently.
@@ -20,21 +21,14 @@
  * The worker count defaults to the SMITE_THREADS environment variable
  * when set, else std::thread::hardware_concurrency(). With one
  * thread, parallelFor degrades to a plain loop on the calling thread
- * (no pool, no locks) — the serial path.
+ * (no threads, no locks) — the serial path.
  */
 
 #ifndef SMITE_CORE_PARALLEL_H
 #define SMITE_CORE_PARALLEL_H
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace smite::core {
 
@@ -46,58 +40,12 @@ namespace smite::core {
 int defaultThreadCount();
 
 /**
- * A fixed-size pool executing one indexed loop at a time.
- *
- * The pool owns size()-1 worker threads; the thread calling
- * parallelFor() participates as the size()-th worker, so a pool of
- * size 1 owns no threads at all and runs everything inline.
- * Iterations are claimed dynamically (one atomic fetch_add per
- * iteration), so unequal iteration costs balance automatically.
- */
-class ThreadPool
-{
-  public:
-    /** @param threads logical worker count; <= 0 means default. */
-    explicit ThreadPool(int threads = 0);
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Logical worker count (including the calling thread). */
-    int size() const { return static_cast<int>(workers_.size()) + 1; }
-
-    /**
-     * Run body(i) for every i in [0, n), blocking until all
-     * iterations finish. The first exception thrown by any iteration
-     * is rethrown here (remaining iterations still run). Only one
-     * parallelFor may be active on a pool at a time.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
-  private:
-    void workerLoop();
-    /** Claim and run iterations of the current batch until empty. */
-    void drainBatch();
-
-    std::vector<std::thread> workers_;
-    std::mutex mu_;
-    std::condition_variable work_cv_;   ///< workers wait for a batch
-    std::condition_variable done_cv_;   ///< caller waits for drain
-    const std::function<void(std::size_t)> *body_ = nullptr;
-    std::atomic<std::size_t> next_{0};  ///< shared iteration cursor
-    std::size_t total_ = 0;
-    std::size_t completed_ = 0;
-    std::uint64_t epoch_ = 0;           ///< batch generation counter
-    std::exception_ptr error_;
-    bool stop_ = false;
-};
-
-/**
- * One-shot parallel loop: run body(i) for i in [0, n) on @p threads
- * workers (<= 0 = defaultThreadCount()). With one thread or n <= 1
- * this is a plain serial loop on the calling thread.
+ * Parallel loop: run body(i) for every i in [0, n) on @p threads
+ * workers (<= 0 = defaultThreadCount()), the calling thread among
+ * them, blocking until all iterations finish. The first exception
+ * thrown by any iteration is rethrown here once the remaining
+ * iterations have run. With one thread or n <= 1 this is a plain
+ * serial loop on the calling thread.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body,

@@ -1,10 +1,9 @@
 #include "core/sensitivity_curve.h"
 
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
-#include "workload/generator.h"
+#include "core/experiment.h"
 
 namespace smite::core {
 
@@ -69,54 +68,32 @@ SensitivityCurve::meanAbsoluteError(const SensitivityCurve &other) const
     return sum / static_cast<double>(points_.size());
 }
 
-CurveProfiler::CurveProfiler(const sim::Machine &machine,
-                             sim::Cycle warmup, sim::Cycle measure)
-    : machine_(machine), warmup_(warmup), measure_(measure)
-{
-}
-
-double
-CurveProfiler::degradationUnder(const workload::WorkloadProfile &profile,
-                                const rulers::Ruler &ruler) const
-{
-    workload::ProfileUopSource solo(profile, /*seed=*/1);
-    const double solo_ipc =
-        machine_.runSolo(solo, warmup_, measure_).ipc();
-
-    workload::ProfileUopSource victim(profile, /*seed=*/1);
-    auto stressor = ruler.makeSource();
-    const auto counters =
-        machine_.runPairSmt(victim, *stressor, warmup_, measure_);
-    return solo_ipc > 0.0 ? (solo_ipc - counters[0].ipc()) / solo_ipc
-                          : 0.0;
-}
-
 SensitivityCurve
-CurveProfiler::functionalUnitCurve(
-    const workload::WorkloadProfile &profile, rulers::Dimension dim,
-    const std::vector<double> &duties) const
+functionalUnitCurve(Lab &lab, const workload::WorkloadProfile &profile,
+                    rulers::Dimension dim,
+                    const std::vector<double> &duties)
 {
     std::vector<SensitivityCurve::Point> points;
     points.reserve(duties.size());
     for (double duty : duties) {
         const rulers::Ruler ruler =
             rulers::Ruler::functionalUnit(dim, duty);
-        points.push_back({duty, degradationUnder(profile, ruler)});
+        points.push_back({duty, lab.rulerDegradation(profile, ruler)});
     }
     return SensitivityCurve(std::move(points));
 }
 
 SensitivityCurve
-CurveProfiler::memoryCurve(
-    const workload::WorkloadProfile &profile, rulers::Dimension dim,
-    const std::vector<std::uint64_t> &working_sets) const
+memoryCurve(Lab &lab, const workload::WorkloadProfile &profile,
+            rulers::Dimension dim,
+            const std::vector<std::uint64_t> &working_sets)
 {
     std::vector<SensitivityCurve::Point> points;
     points.reserve(working_sets.size());
     for (std::uint64_t bytes : working_sets) {
         const rulers::Ruler ruler = rulers::Ruler::memory(dim, bytes);
         points.push_back({static_cast<double>(bytes),
-                          degradationUnder(profile, ruler)});
+                          lab.rulerDegradation(profile, ruler)});
     }
     return SensitivityCurve(std::move(points));
 }

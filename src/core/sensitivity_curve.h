@@ -10,7 +10,8 @@
  * paper profiles only the curve's endpoints and interpolates,
  * cutting characterization time from a sweep to a couple of runs.
  *
- * This module measures full curves, builds interpolants from sparse
+ * This module measures full curves through the Lab (one
+ * Lab::rulerDegradation() per point), builds interpolants from sparse
  * samples, and quantifies the interpolation error — the evidence
  * behind the "profiling in the order of seconds" claim.
  */
@@ -22,10 +23,11 @@
 #include <vector>
 
 #include "rulers/ruler.h"
-#include "sim/machine.h"
 #include "workload/profile.h"
 
 namespace smite::core {
+
+class Lab;
 
 /**
  * A measured sensitivity curve: degradation sampled at increasing
@@ -74,51 +76,26 @@ class SensitivityCurve
 };
 
 /**
- * Measure a sensitivity curve of one application against one
- * dimension on a machine.
+ * Sweep a functional-unit Ruler's duty cycle against @p profile.
+ * @param lab measures every point (Lab::rulerDegradation)
+ * @param dim one of the FU dimensions
+ * @param duties duty cycles to sample (increasing)
  */
-class CurveProfiler
-{
-  public:
-    /**
-     * @param machine machine model to measure on
-     * @param warmup warmup cycles per run
-     * @param measure measurement cycles per run
-     */
-    CurveProfiler(const sim::Machine &machine,
-                  sim::Cycle warmup = sim::kDefaultWarmupCycles,
-                  sim::Cycle measure = sim::kDefaultMeasureCycles);
+SensitivityCurve
+functionalUnitCurve(Lab &lab, const workload::WorkloadProfile &profile,
+                    rulers::Dimension dim,
+                    const std::vector<double> &duties);
 
-    /**
-     * Sweep a functional-unit Ruler's duty cycle.
-     * @param profile the victim application
-     * @param dim one of the FU dimensions
-     * @param duties duty cycles to sample (increasing)
-     */
-    SensitivityCurve
-    functionalUnitCurve(const workload::WorkloadProfile &profile,
-                        rulers::Dimension dim,
-                        const std::vector<double> &duties) const;
-
-    /**
-     * Sweep a memory Ruler's working-set size.
-     * @param profile the victim application
-     * @param dim kL1, kL2 or kL3
-     * @param working_sets footprints in bytes (increasing)
-     */
-    SensitivityCurve
-    memoryCurve(const workload::WorkloadProfile &profile,
-                rulers::Dimension dim,
-                const std::vector<std::uint64_t> &working_sets) const;
-
-  private:
-    double degradationUnder(const workload::WorkloadProfile &profile,
-                            const rulers::Ruler &ruler) const;
-
-    const sim::Machine &machine_;
-    sim::Cycle warmup_;
-    sim::Cycle measure_;
-};
+/**
+ * Sweep a memory Ruler's working-set size against @p profile.
+ * @param lab measures every point (Lab::rulerDegradation)
+ * @param dim kL1, kL2 or kL3
+ * @param working_sets footprints in bytes (increasing)
+ */
+SensitivityCurve
+memoryCurve(Lab &lab, const workload::WorkloadProfile &profile,
+            rulers::Dimension dim,
+            const std::vector<std::uint64_t> &working_sets);
 
 } // namespace smite::core
 

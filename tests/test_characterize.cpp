@@ -106,16 +106,16 @@ TEST(Characterize, CachedCharacterizationIsStable)
 
 TEST(Characterize, RejectsBadThreadCounts)
 {
-    const Characterizer &chr = lab().characterizer();
     const auto &profile = workload::spec2006::byName("401.bzip2");
-    EXPECT_THROW(chr.characterize(profile, CoLocationMode::kSmt, 0),
+    EXPECT_THROW(lab().characterization(profile, CoLocationMode::kSmt, 0),
                  std::invalid_argument);
-    EXPECT_THROW(chr.characterize(profile, CoLocationMode::kSmt, 99),
-                 std::invalid_argument);
+    EXPECT_THROW(
+        lab().characterization(profile, CoLocationMode::kSmt, 99),
+        std::invalid_argument);
     // CMP needs twice the cores.
     const int cores = lab().machine().config().numCores;
     EXPECT_THROW(
-        chr.characterize(profile, CoLocationMode::kCmp, cores),
+        lab().characterization(profile, CoLocationMode::kCmp, cores),
         std::invalid_argument);
 }
 

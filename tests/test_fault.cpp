@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -66,13 +65,12 @@ class FaultTest : public ::testing::Test
                 workload::spec2006::byName("456.hmmer")};
     }
 
-    static std::unique_ptr<Lab> makeLab()
+    static Lab makeLab()
     {
-        auto lab = std::make_unique<Lab>(sim::MachineConfig::ivyBridge(),
-                                         2'000, 8'000);
+        Lab lab(sim::MachineConfig::ivyBridge(), 2'000, 8'000);
         // Serial so that nth decisions, which count checks, are
         // reproducible across runs.
-        lab->setParallelism(1);
+        lab.setParallelism(1);
         return lab;
     }
 
@@ -188,8 +186,7 @@ TEST_F(FaultTest, LabRetriesTransientFaultsToTheBaselineValue)
     const auto &b = workload::spec2006::byName("429.mcf");
     double base_a = 0.0, base_b = 0.0;
     {
-        const auto lab_holder = makeLab();
-        Lab &lab = *lab_holder;
+        Lab lab = makeLab();
         base_a = lab.soloIpc(a);
         base_b = lab.soloIpc(b);
     }
@@ -199,8 +196,7 @@ TEST_F(FaultTest, LabRetriesTransientFaultsToTheBaselineValue)
     // solo(b) fails on check 2, its retry passes on check 3. The
     // retried value is byte-identical to the fault-free baseline.
     FaultPlan::global().arm("lab.measure", SiteSpec{.nth = 2});
-    const auto lab_holder = makeLab();
-    Lab &lab = *lab_holder;
+    Lab lab = makeLab();
     EXPECT_EQ(lab.soloIpc(a), base_a);
     EXPECT_EQ(lab.soloIpc(b), base_b);
     EXPECT_EQ(counter("fault.lab.measure.injected"), 1u);
@@ -213,8 +209,7 @@ TEST_F(FaultTest, LabGivesUpAfterRetryBudgetAndRecordsIncident)
     // Probability 1: every attempt of every measurement fails.
     FaultPlan::global().arm("lab.measure",
                             SiteSpec{.probability = 1.0});
-    const auto lab_holder = makeLab();
-    Lab &lab = *lab_holder;
+    Lab lab = makeLab();
     const auto &a = workload::spec2006::byName("429.mcf");
     EXPECT_THROW(lab.soloIpc(a), MeasurementError);
     EXPECT_GE(counter("lab.retries"), 2u);  // attempts 1 and 2 retried
@@ -227,8 +222,7 @@ TEST_F(FaultTest, MedianOfTrialsSuppressesJitter)
     const auto &a = workload::spec2006::byName("470.lbm");
     double baseline = 0.0;
     {
-        const auto lab_holder = makeLab();
-        Lab &lab = *lab_holder;
+        Lab lab = makeLab();
         baseline = lab.soloIpc(a);
     }
     resetGlobals();
@@ -236,8 +230,7 @@ TEST_F(FaultTest, MedianOfTrialsSuppressesJitter)
     FaultPlan::global().arm(
         "machine.jitter",
         SiteSpec{.probability = 1.0, .seed = 3, .sigma = 0.2});
-    const auto lab_holder = makeLab();
-    Lab &lab = *lab_holder;
+    Lab lab = makeLab();
     lab.setTrials(5);
     const double noisy = lab.soloIpc(a);
     EXPECT_TRUE(std::isfinite(noisy));
@@ -248,8 +241,7 @@ TEST_F(FaultTest, MedianOfTrialsSuppressesJitter)
 
     // Disarm → trials collapse back to the exact baseline.
     resetGlobals();
-    const auto clean_holder = makeLab();
-    Lab &clean = *clean_holder;
+    Lab clean = makeLab();
     clean.setTrials(5);
     EXPECT_EQ(clean.soloIpc(a), baseline);
 }
@@ -269,9 +261,9 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     std::vector<double> base_coeffs;
     double base_pred = 0.0;
     {
-        const auto lab_holder = makeLab();
+        Lab lab = makeLab();
         const core::TrainingCorpus corpus =
-            core::trainingCorpus(*lab_holder, train, mode);
+            core::trainingCorpus(lab, train, mode);
         const SmitePredictor model = SmitePredictor::train(corpus.samples);
         base_coeffs = model.coefficients();
         base_pred = predictFirstPair(model, corpus);
@@ -288,8 +280,7 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     FaultPlan::global().arm("lab.measure",
                             SiteSpec{.probability = 0.07, .seed = 13});
     {
-        const auto lab_holder = makeLab();
-        Lab &lab = *lab_holder;
+        Lab lab = makeLab();
         lab.setMaxAttempts(1);  // no retries: faults become drops
         const SmitePredictor model = SmitePredictor::train(
             core::trainingCorpus(lab, train, mode).samples);
@@ -303,9 +294,9 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     // Determinism: disarm everything, rerun → byte-identical model.
     resetGlobals();
     {
-        const auto lab_holder = makeLab();
+        Lab lab = makeLab();
         const core::TrainingCorpus corpus =
-            core::trainingCorpus(*lab_holder, train, mode);
+            core::trainingCorpus(lab, train, mode);
         const SmitePredictor model = SmitePredictor::train(corpus.samples);
         EXPECT_EQ(model.coefficients(), base_coeffs);
         EXPECT_EQ(predictFirstPair(model, corpus), base_pred);
@@ -318,8 +309,7 @@ TEST_F(FaultTest, CharacterizeAllMarksFailedEntriesInvalid)
 {
     FaultPlan::global().arm("lab.measure",
                             SiteSpec{.probability = 0.6, .seed = 5});
-    const auto lab_holder = makeLab();
-    Lab &lab = *lab_holder;
+    Lab lab = makeLab();
     lab.setMaxAttempts(1);
     const auto profiles = trainingSet();
     const std::vector<Characterization> chars =
@@ -339,8 +329,7 @@ TEST_F(FaultTest, MachineJitterPerturbsResultsOnlyWhileArmed)
     const auto &a = workload::spec2006::byName("433.milc");
     double baseline = 0.0;
     {
-        const auto lab_holder = makeLab();
-        Lab &lab = *lab_holder;
+        Lab lab = makeLab();
         baseline = lab.soloIpc(a);
     }
     resetGlobals();
@@ -349,8 +338,7 @@ TEST_F(FaultTest, MachineJitterPerturbsResultsOnlyWhileArmed)
         "machine.jitter",
         SiteSpec{.probability = 1.0, .seed = 11, .sigma = 0.1});
     {
-        const auto lab_holder = makeLab();
-        Lab &lab = *lab_holder;
+        Lab lab = makeLab();
         const double jittered = lab.soloIpc(a);
         EXPECT_NE(jittered, baseline);
         EXPECT_TRUE(std::isfinite(jittered));
@@ -358,8 +346,7 @@ TEST_F(FaultTest, MachineJitterPerturbsResultsOnlyWhileArmed)
     }
 
     resetGlobals();
-    const auto clean_holder = makeLab();
-    Lab &clean = *clean_holder;
+    Lab clean = makeLab();
     EXPECT_EQ(clean.soloIpc(a), baseline);
 }
 

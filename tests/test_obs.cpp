@@ -87,7 +87,7 @@ TEST_F(ObsTest, JsonParseRejectsMalformedDocuments)
     EXPECT_FALSE(error.empty());
 }
 
-TEST_F(ObsTest, CounterIsExactUnderThreadPool)
+TEST_F(ObsTest, CounterIsExactUnderParallelFor)
 {
     obs::Counter &hits =
         obs::Registry::global().counter("test.pool.hits");

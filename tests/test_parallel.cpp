@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel measurement engine: the ThreadPool /
- * parallelFor primitives, the determinism contract of the Lab batch
+ * Tests for the parallel measurement engine: the parallelFor
+ * primitive, the determinism contract of the Lab batch
  * APIs (parallel == serial, byte for byte), the single-flight
  * guarantee of MemoCache and of the ReplayStore built on it, and the
  * SMITE_THREADS=1 serial path.
@@ -117,17 +117,30 @@ TEST(ParallelFor, PropagatesExceptions)
         std::runtime_error);
 }
 
-TEST(ParallelFor, PoolIsReusableAcrossBatches)
+TEST(ParallelFor, ThrowingIterationStillRunsTheRest)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    for (int round = 0; round < 3; ++round) {
-        std::atomic<int> sum{0};
-        pool.parallelFor(50, [&](std::size_t i) {
-            sum.fetch_add(static_cast<int>(i), std::memory_order_relaxed);
-        });
-        EXPECT_EQ(sum.load(), 49 * 50 / 2);
+    // The documented contract: the first exception is rethrown once,
+    // after every other iteration has run. The other iterations are
+    // slow, so later indices are still unclaimed when index 7 throws
+    // and a loop that stopped at the first exception would skip them.
+    std::vector<std::atomic<int>> hits(16);
+    int caught = 0;
+    try {
+        parallelFor(
+            hits.size(),
+            [&](std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                if (i == 7)
+                    throw std::runtime_error("boom");
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            },
+            4);
+    } catch (const std::runtime_error &) {
+        ++caught;
     }
+    EXPECT_EQ(caught, 1);
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, SmiteThreadsOneDegradesToSerialPath)

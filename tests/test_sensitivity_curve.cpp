@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for sensitivity curves and sparse interpolation.
+ * Tests for sensitivity curves, sparse interpolation and the Lab's
+ * single-Ruler measurement behind every curve point.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
 #include "core/sensitivity_curve.h"
+#include "workload/generator.h"
 #include "workload/spec2006.h"
 
 namespace smite::core {
@@ -81,29 +84,59 @@ TEST(SensitivityCurve, ErrorDecreasesWithMorePoints)
     EXPECT_LT(err3, err2);
 }
 
-TEST(CurveProfiler, MemoryCurveIsMonotoneForResidentVictim)
+TEST(CurveSweep, MemoryCurveIsMonotoneForResidentVictim)
 {
     // A bigger ruler working set cannot make an L1-resident victim
     // faster; the measured curve should be (weakly) increasing.
-    const sim::Machine machine(sim::MachineConfig::ivyBridge());
-    const core::CurveProfiler profiler(machine, 10000, 50000);
+    Lab lab(sim::MachineConfig::ivyBridge(), 10000, 50000);
     const auto &app = workload::spec2006::byName("454.calculix");
-    const auto curve = profiler.memoryCurve(
-        app, rulers::Dimension::kL1, {8192, 16384, 32768});
+    const auto curve = memoryCurve(lab, app, rulers::Dimension::kL1,
+                                   {8192, 16384, 32768});
     const auto &pts = curve.points();
     ASSERT_EQ(pts.size(), 3u);
     EXPECT_GE(pts[2].degradation, pts[0].degradation - 0.03);
 }
 
-TEST(CurveProfiler, FunctionalUnitCurveGrowsWithDuty)
+TEST(CurveSweep, FunctionalUnitCurveGrowsWithDuty)
 {
-    const sim::Machine machine(sim::MachineConfig::ivyBridge());
-    const core::CurveProfiler profiler(machine, 10000, 50000);
+    Lab lab(sim::MachineConfig::ivyBridge(), 10000, 50000);
     const auto &app = workload::spec2006::byName("444.namd");
-    const auto curve = profiler.functionalUnitCurve(
-        app, rulers::Dimension::kFpAdd, {0.05, 0.15, 1.0});
+    const auto curve = functionalUnitCurve(
+        lab, app, rulers::Dimension::kFpAdd, {0.05, 0.15, 1.0});
     const auto &pts = curve.points();
     EXPECT_GT(pts[2].degradation, pts[0].degradation);
+}
+
+TEST(Lab, RulerDegradationUsesLabIntervals)
+{
+    // Both runs behind a curve point — the co-run and its solo
+    // reference — use the Lab's intervals, not the machine defaults.
+    constexpr sim::Cycle warmup = 2'000;
+    constexpr sim::Cycle measure = 8'000;
+    Lab lab(sim::MachineConfig::ivyBridge(), warmup, measure);
+    const sim::Machine &machine = lab.machine();
+    const auto &app = workload::spec2006::byName("447.dealII");
+
+    workload::ProfileUopSource alone(app, /*seed=*/1);
+    const double solo = machine.runSolo(alone, warmup, measure).ipc();
+    ASSERT_GT(solo, 0.0);
+    const auto expected = [&](const rulers::Ruler &ruler) {
+        workload::ProfileUopSource victim(app, /*seed=*/1);
+        const auto stressor = ruler.makeSource();
+        const double co =
+            machine.runPairSmt(victim, *stressor, warmup, measure)[0]
+                .ipc();
+        return (solo - co) / solo;
+    };
+
+    const auto small = rulers::Ruler::memory(rulers::Dimension::kL1, 8192);
+    const auto large =
+        rulers::Ruler::memory(rulers::Dimension::kL1, 32768);
+    const double d_small = lab.rulerDegradation(app, small);
+    const double d_large = lab.rulerDegradation(app, large);
+    EXPECT_EQ(d_small, expected(small));
+    EXPECT_EQ(d_large, expected(large));
+    EXPECT_NE(d_small, d_large);
 }
 
 } // namespace
