@@ -75,14 +75,13 @@ main()
                 "lbm IPC", "libq IPC", "lbm|lbm deg",
                 "calculix|omnetpp");
     // The variants are independent measurements on independent
-    // machine clones; fan them out and print in order afterwards.
+    // machines; fan them out and print in order afterwards.
     struct Row {
         double lbm_ipc, libq_ipc, lbm_deg, mix_deg;
     };
     std::vector<Row> rows(variants.size());
     core::parallelFor(variants.size(), [&](std::size_t i) {
-        const sim::Machine machine =
-            sim::Machine(variants[i].config).clone();
+        const sim::Machine machine(variants[i].config);
         rows[i] = Row{soloIpc(machine, lbm), soloIpc(machine, libq),
                       pairDeg(machine, lbm, lbm),
                       pairDeg(machine, calculix, omnetpp)};

@@ -103,9 +103,9 @@ main()
     const auto train = workload::spec2006::evenNumbered();
     const auto mode = core::CoLocationMode::kSmt;
     const sim::Cycle warmup =
-        bench::envCycles("SMITE_SCALING_WARMUP", 10'000);
+        obs::envPositive<sim::Cycle>("SMITE_SCALING_WARMUP", 10'000);
     const sim::Cycle measure =
-        bench::envCycles("SMITE_SCALING_MEASURE", 40'000);
+        obs::envPositive<sim::Cycle>("SMITE_SCALING_MEASURE", 40'000);
 
     std::printf("%zu workloads, warmup=%llu measure=%llu cycles, "
                 "host reports %u hardware threads\n\n",

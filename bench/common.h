@@ -16,27 +16,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/parallel.h"
 #include "core/smite.h"
+#include "obs/env.h"
 #include "obs/obs.h"
 
 namespace smite::bench {
-
-/** Positive integer environment override, else @p fallback. */
-inline sim::Cycle
-envCycles(const char *name, sim::Cycle fallback)
-{
-    if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const long long v = std::strtoll(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<sim::Cycle>(v);
-    }
-    return fallback;
-}
 
 /**
  * Simulation intervals for the harnesses: the paper-length defaults,
@@ -46,14 +33,15 @@ envCycles(const char *name, sim::Cycle fallback)
 inline sim::Cycle
 benchWarmupCycles()
 {
-    return envCycles("SMITE_BENCH_WARMUP", sim::kDefaultWarmupCycles);
+    return obs::envPositive("SMITE_BENCH_WARMUP", sim::kDefaultWarmupCycles);
 }
 
 /** @copydoc benchWarmupCycles */
 inline sim::Cycle
 benchMeasureCycles()
 {
-    return envCycles("SMITE_BENCH_MEASURE", sim::kDefaultMeasureCycles);
+    return obs::envPositive("SMITE_BENCH_MEASURE",
+                            sim::kDefaultMeasureCycles);
 }
 
 /** Build a Lab over the shared run log at the harness intervals. */

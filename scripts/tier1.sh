@@ -12,6 +12,19 @@ REPO="$PWD"
 
 JOBS="${JOBS:-$(nproc)}"
 
+# Doc-drift check: every metric or span name listed in FILE (one per
+# line) must appear, backticked, in the docs/OBSERVABILITY.md catalog.
+check_catalog() {
+    local missing=0 name
+    while read -r name; do
+        if ! grep -qF "\`$name\`" "$REPO/docs/OBSERVABILITY.md"; then
+            echo "undocumented observability name: $name ($1)" >&2
+            missing=1
+        fi
+    done < "$1"
+    [ "$missing" -eq 0 ]
+}
+
 # --- Doc inventory gate --------------------------------------------
 # Source files come and go; the docs that point at them must follow.
 #  1. each `src/<module>` row of DESIGN.md section 3 names exactly the
@@ -104,14 +117,7 @@ trap 'rm -rf "$OBS_DIR"' EXIT
     "$REPO/build/tools/obs_check" report \
         bench_fig10_spec_smt_prediction.report.json >> names.txt
 
-    missing=0
-    while read -r name; do
-        if ! grep -qF "\`$name\`" "$REPO/docs/OBSERVABILITY.md"; then
-            echo "undocumented observability name: $name" >&2
-            missing=1
-        fi
-    done < names.txt
-    [ "$missing" -eq 0 ]
+    check_catalog names.txt
 
     # With both variables unset, a harness must emit nothing.
     "$REPO/build/bench/bench_table1_machines" > /dev/null
@@ -334,14 +340,7 @@ PY
 
     "$REPO/build/tools/obs_check" report fresh_pred.json |
         grep '^predictor\.' > pred_names.txt || true
-    missing=0
-    while read -r name; do
-        if ! grep -qF "\`$name\`" "$REPO/docs/OBSERVABILITY.md"; then
-            echo "undocumented predictor metric: $name" >&2
-            missing=1
-        fi
-    done < pred_names.txt
-    [ "$missing" -eq 0 ]
+    check_catalog pred_names.txt
 )
 (
     cd "$PRED_B"
@@ -398,14 +397,7 @@ PY
 
     "$REPO/build/tools/obs_check" report fresh_sched.json |
         grep '^scheduler\.' > sched_names.txt
-    missing=0
-    while read -r name; do
-        if ! grep -qF "\`$name\`" "$REPO/docs/OBSERVABILITY.md"; then
-            echo "undocumented scheduler metric: $name" >&2
-            missing=1
-        fi
-    done < sched_names.txt
-    [ "$missing" -eq 0 ]
+    check_catalog sched_names.txt
 )
 rm -rf "$SCHED_DIR"
 echo "scheduler scale-out smoke: ok"
@@ -441,14 +433,7 @@ LOAD_B="$(mktemp -d)"
 
     "$REPO/build/tools/obs_check" report BENCH_load.json |
         grep -E '^(loadgen|fault\.des)\.' > load_names.txt || true
-    missing=0
-    while read -r name; do
-        if ! grep -qF "\`$name\`" "$REPO/docs/OBSERVABILITY.md"; then
-            echo "undocumented loadgen metric: $name" >&2
-            missing=1
-        fi
-    done < load_names.txt
-    [ "$missing" -eq 0 ]
+    check_catalog load_names.txt
 )
 (
     cd "$LOAD_B"

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 
 #include "core/parallel.h"
+#include "obs/env.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -64,21 +63,6 @@ coRunnerPlacement(CoLocationMode mode, int threads, int k,
                : sim::Placement{threads + k, 0, source};
 }
 
-/** Resolve a positive-integer knob from the environment. */
-int
-envInt(const char *name, int fallback)
-{
-    if (const char *env = std::getenv(name)) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<int>(n);
-        std::fprintf(stderr, "smite: %s='%s' invalid, using %d\n",
-                     name, env, fallback);
-    }
-    return fallback;
-}
-
 } // namespace
 
 Lab::Lab(const sim::MachineConfig &config, sim::Cycle warmup,
@@ -107,7 +91,7 @@ Lab::maxAttempts() const
 {
     if (maxAttempts_ > 0)
         return maxAttempts_;
-    return envInt("SMITE_LAB_RETRIES", 3);
+    return obs::envPositive("SMITE_LAB_RETRIES", 3);
 }
 
 int
@@ -115,7 +99,7 @@ Lab::trials() const
 {
     if (trials_ > 0)
         return trials_;
-    return envInt("SMITE_LAB_TRIALS", 1);
+    return obs::envPositive("SMITE_LAB_TRIALS", 1);
 }
 
 void

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <string>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -81,14 +81,9 @@ runTimed(const std::function<void(std::size_t)> &body, std::size_t i)
 int
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("SMITE_THREADS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<int>(n);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return obs::envPositive("SMITE_THREADS",
+                            hw > 0 ? static_cast<int>(hw) : 1);
 }
 
 void

@@ -136,15 +136,6 @@ class Predictor
     double predictDegradation(const WorkloadSignature &victim,
                               const WorkloadSignature &aggressor) const;
 
-    /** Predicted QoS = 1 - predictDegradation(). */
-    double
-    predictQos(const WorkloadSignature &victim,
-               const std::vector<const WorkloadSignature *> &aggressors)
-        const
-    {
-        return 1.0 - predictDegradation(victim, aggressors);
-    }
-
   protected:
     /** Unguarded model arithmetic over validated signatures. */
     virtual double rawDegradation(

@@ -8,32 +8,18 @@
 #include <utility>
 #include <vector>
 
+#include "fault/keyed.h"
 #include "obs/metrics.h"
 
 namespace smite::fault {
 
 namespace {
 
-/** SplitMix64 finalizer: a strong 64-bit avalanche mix. */
-std::uint64_t
-mix(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-/** FNV-1a over a string (seeds and key hashing). */
+/** FNV-1a over a string (seeds and key hashing), standard basis. */
 std::uint64_t
 hashString(std::string_view s)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001B3ull;
-    }
-    return h;
+    return Digest(Digest::kFnvBasis).bytes(s).value();
 }
 
 /** Uniform in (0, 1] from a mixed hash (never exactly 0 for log()). */
@@ -47,8 +33,8 @@ uniform(std::uint64_t h)
 double
 standardNormal(std::uint64_t h)
 {
-    const double u1 = uniform(mix(h));
-    const double u2 = uniform(mix(h ^ 0xA5A5A5A5A5A5A5A5ull));
+    const double u1 = uniform(mix64(h));
+    const double u2 = uniform(mix64(h ^ 0xA5A5A5A5A5A5A5A5ull));
     return std::sqrt(-2.0 * std::log(u1)) *
            std::cos(2.0 * std::numbers::pi * u2);
 }
@@ -226,7 +212,7 @@ FaultPlan::decide(Site &s, std::uint64_t key_hash)
     if (s.spec.nth > 0)
         fire = index % s.spec.nth == 0;
     else if (s.spec.probability > 0.0)
-        fire = uniform(mix(s.seed ^ key_hash)) <= s.spec.probability;
+        fire = uniform(mix64(s.seed ^ key_hash)) <= s.spec.probability;
     if (fire)
         s.injected->add();
     return fire;
@@ -250,7 +236,7 @@ FaultPlan::gaussian(const std::string &site, std::string_view key)
     if (s == nullptr || s->spec.sigma == 0.0)
         return 0.0;
     return s->spec.sigma *
-           standardNormal(mix(s->seed ^ hashString(key)));
+           standardNormal(mix64(s->seed ^ hashString(key)));
 }
 
 void

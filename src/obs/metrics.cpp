@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+
+#include "obs/env.h"
 
 namespace smite::obs {
 
 namespace {
-
-/** Env flag semantics shared with the trace layer: set and not "0". */
-bool
-readEnvFlag(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-}
 
 std::atomic<int> &
 metricsOverride()
@@ -33,7 +25,7 @@ metricsEnabled()
     const int forced = metricsOverride().load(std::memory_order_relaxed);
     if (forced >= 0)
         return forced != 0;
-    static const bool from_env = readEnvFlag("SMITE_METRICS");
+    static const bool from_env = envFlag("SMITE_METRICS", false);
     return from_env;
 }
 

@@ -3,20 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+
+#include "obs/env.h"
 
 namespace smite::obs {
 
 namespace {
-
-bool
-readEnvFlag(const char *name)
-{
-    const char *env = std::getenv(name);
-    return env != nullptr && env[0] != '\0' &&
-           !(env[0] == '0' && env[1] == '\0');
-}
 
 /** Small dense thread ids for the trace (0 = first thread seen). */
 int
@@ -45,7 +38,7 @@ traceEnabled()
 }
 
 TraceSession::TraceSession()
-    : enabled_(readEnvFlag("SMITE_TRACE")), epoch_ns_(steadyNanos())
+    : enabled_(envFlag("SMITE_TRACE", false)), epoch_ns_(steadyNanos())
 {
 }
 

@@ -7,43 +7,23 @@
 
 #include "fault/fault.h"
 #include "queueing/keyed_stream.h"
+#include "stats/summary.h"
 
 namespace smite::queueing {
-
-namespace {
-
-/**
- * Interpolated empirical percentile of an unsorted sample vector
- * (sorts a copy).
- */
-double
-samplePercentile(std::vector<double> samples, double p)
-{
-    if (samples.empty())
-        throw std::logic_error("no samples");
-    if (p <= 0.0 || p >= 1.0)
-        throw std::invalid_argument("percentile must be in (0, 1)");
-    std::sort(samples.begin(), samples.end());
-    const double pos = p * static_cast<double>(samples.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, samples.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-} // namespace
 
 double
 OpenLoopResult::percentile(double p, std::size_t from,
                            std::size_t to) const
 {
+    if (p <= 0.0 || p >= 1.0)
+        throw std::invalid_argument("percentile must be in (0, 1)");
     std::vector<double> window;
     const std::size_t end = std::min(to, responseTimes.size());
     for (std::size_t i = from; i < end; ++i) {
         if (responseTimes[i] >= 0.0)
             window.push_back(responseTimes[i]);
     }
-    return samplePercentile(std::move(window), p);
+    return stats::quantile(std::move(window), p);
 }
 
 double

@@ -2,17 +2,16 @@
  * @file
  * Keyed randomness for the open-loop queueing layer.
  *
- * Same discipline as the scheduler's keyed churn streams
- * (src/scheduler/keyed.h, kept separate so the queueing layer stays
- * below the scheduler in the dependency order): every draw is a pure
- * function of (seed, salt, a, b) — typically (seed, event kind,
- * stream id, occurrence index) — so an arrival gap or a service time
- * belongs to a *request*, not to the order in which requests happened
- * to be simulated. That is what makes open-loop load runs
- * byte-identical across repeats, across co-locations sharing one
- * seed (common random numbers, which keeps knee searches monotone in
- * the degraded service rate), and across SMITE_THREADS settings when
- * a harness fans independent simulations across the pool.
+ * Every draw is fault::draw (fault/keyed.h) under this layer's domain
+ * constant: a pure function of (seed, salt, a, b) — typically (seed,
+ * event kind, stream id, occurrence index) — so an arrival gap or a
+ * service time belongs to a *request*, not to the order in which
+ * requests happened to be simulated. That is what makes open-loop
+ * load runs byte-identical across repeats, across co-locations
+ * sharing one seed (common random numbers, which keeps knee searches
+ * monotone in the degraded service rate), and across SMITE_THREADS
+ * settings when a harness fans independent simulations across the
+ * pool.
  */
 
 #ifndef SMITE_QUEUEING_KEYED_STREAM_H
@@ -21,40 +20,24 @@
 #include <cmath>
 #include <cstdint>
 
+#include "fault/keyed.h"
+
 namespace smite::queueing::keyed {
+
+/** Domain constant separating queueing draws from other layers'. */
+inline constexpr std::uint64_t kDomain = 0x9e0c2b7d1f8a5e3bull;
 
 /** Salts separating the queueing layer's event-kind streams. */
 inline constexpr std::uint64_t kSaltArrival = 0x41525256ull;  // "ARRV"
 inline constexpr std::uint64_t kSaltService = 0x53455256ull;  // "SERV"
 inline constexpr std::uint64_t kSaltPhase = 0x50485345ull;    // "PHSE"
 
-/** SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 /** One keyed 64-bit draw: a pure function of (seed, salt, a, b). */
 inline std::uint64_t
 draw(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
      std::uint64_t b)
 {
-    std::uint64_t h = mix64(seed ^ 0x9e0c2b7d1f8a5e3bull);
-    h = mix64(h ^ salt);
-    h = mix64(h ^ a);
-    return mix64(h ^ b);
-}
-
-/** Map a 64-bit draw to a uniform double in [0, 1). */
-inline double
-toUnit(std::uint64_t h)
-{
-    // 53 mantissa bits: the usual exact uniform-double construction.
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return fault::draw(kDomain, seed, salt, a, b);
 }
 
 /**
@@ -68,7 +51,7 @@ toUnit(std::uint64_t h)
 inline double
 exponentialUnit(std::uint64_t h)
 {
-    return -std::log1p(-toUnit(h));
+    return -std::log1p(-fault::toUnit(h));
 }
 
 } // namespace smite::queueing::keyed

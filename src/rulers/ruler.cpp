@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/digest.h"
+#include "fault/keyed.h"
 #include "sim/types.h"
 
 namespace smite::rulers {
@@ -63,7 +63,7 @@ class FuRulerSource : public sim::UopSource
     streamDigest() const override
     {
         // Fully deterministic in (type, duty): replay-eligible.
-        return sim::Digest{}
+        return fault::Digest{}
             .str("ruler.fu")
             .u64(static_cast<std::uint64_t>(type_))
             .f64(duty_)
@@ -184,7 +184,7 @@ class RandomMemRulerSource : public sim::UopSource
     {
         // The LFSR seed is a class constant, so the working set is
         // the whole identity.
-        return sim::Digest{}
+        return fault::Digest{}
             .str("ruler.randmem")
             .u64(workingSet_)
             .value();
@@ -264,7 +264,7 @@ class StrideMemRulerSource : public sim::UopSource
     std::uint64_t
     streamDigest() const override
     {
-        return sim::Digest{}.str("ruler.stride").u64(half_).value();
+        return fault::Digest{}.str("ruler.stride").u64(half_).value();
     }
 
   private:

@@ -2,8 +2,9 @@
  * @file
  * Keyed randomness for the streaming cluster (shard.h).
  *
- * Every draw is a pure function of (seed, salt, a, b) — typically
- * (seed, event kind, server, occurrence index) — so the outcome is
+ * Every draw is fault::draw (fault/keyed.h) under this layer's domain
+ * constant: a pure function of (seed, salt, a, b) — typically (seed,
+ * event kind, server, occurrence index) — so the outcome is
  * independent of placement order and of which engine, full scan or
  * calendar, visits the server: a draw belongs to a *server*, not to
  * the position of that server in a scan.
@@ -23,43 +24,27 @@
 #include <cstdint>
 #include <limits>
 
+#include "fault/keyed.h"
+
 namespace smite::scheduler::keyed {
 
 /** Sentinel epoch for "this event never happens" (p == 0 draws). */
 inline constexpr std::int64_t kNever =
     std::numeric_limits<std::int64_t>::max();
 
-/** SplitMix64 finalizer: a cheap, well-mixed 64-bit permutation. */
-inline std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+/** Domain constant separating scheduler draws from other layers'. */
+inline constexpr std::uint64_t kDomain = 0x5851f42d4c957f2dull;
 
-/**
- * One keyed 64-bit draw: a pure function of (seed, salt, a, b). The
- * salt separates event kinds (failure vs departure vs probe...), so
- * streams never collide even for equal (a, b).
- */
+// Shared primitives, also called by the scale-out harnesses.
+using fault::mix64;
+using fault::toUnit;
+
+/** One keyed 64-bit draw: a pure function of (seed, salt, a, b). */
 inline std::uint64_t
 draw(std::uint64_t seed, std::uint64_t salt, std::uint64_t a,
      std::uint64_t b)
 {
-    std::uint64_t h = mix64(seed ^ 0x5851f42d4c957f2dull);
-    h = mix64(h ^ salt);
-    h = mix64(h ^ a);
-    return mix64(h ^ b);
-}
-
-/** Map a 64-bit draw to a uniform double in [0, 1). */
-inline double
-toUnit(std::uint64_t h)
-{
-    // 53 mantissa bits: the usual exact uniform-double construction.
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
+    return fault::draw(kDomain, seed, salt, a, b);
 }
 
 /**

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "fault/keyed.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/digest.h"
 
 namespace smite::sim {
 
@@ -344,7 +344,7 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
         key.push_back(digest);
     }
     const auto key_digest = [&] {
-        Digest d;
+        fault::Digest d;
         for (const std::uint64_t word : key)
             d.u64(word);
         return std::to_string(d.value());

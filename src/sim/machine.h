@@ -47,15 +47,6 @@ class Machine
     explicit Machine(const MachineConfig &config) : config_(config) {}
 
     /**
-     * An independent machine with the same configuration. A Machine
-     * holds no microarchitectural state between runs (run() builds it
-     * fresh on each call, which is also why run() is const and safe
-     * to call concurrently); cloning exists so parallel drivers can
-     * be explicit that per-run state never aliases.
-     */
-    Machine clone() const { return Machine(config_); }
-
-    /**
      * Execute the placed streams for warmup + measure cycles.
      *
      * Each placed context is given a disjoint address-space offset so

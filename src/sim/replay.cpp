@@ -5,33 +5,26 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 
 #include "fault/fault.h"
+#include "fault/keyed.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
-#include "sim/digest.h"
 
 namespace smite::sim {
 
 namespace {
 
-bool
-envEnabled()
-{
-    // Kill-switch contract (docs/ROBUSTNESS.md): exactly "0" disables
-    // replay; anything else (including unset) leaves it on.
-    const char *v = std::getenv("SMITE_SIM_MEMO");
-    return !(v != nullptr && v[0] == '0' && v[1] == '\0');
-}
-
 std::atomic<bool> &
 enabledFlag()
 {
-    static std::atomic<bool> flag{envEnabled()};
+    // Kill-switch contract (docs/ROBUSTNESS.md): exactly "0" disables
+    // replay; anything else (including unset) leaves it on.
+    static std::atomic<bool> flag{obs::envFlag("SMITE_SIM_MEMO", true)};
     return flag;
 }
 
@@ -71,7 +64,7 @@ std::string
 formatRecord(const ReplayKey &key, const ReplayEntry &entry)
 {
     std::string line;
-    Digest digest;
+    fault::Digest digest;
     const auto put = [&](std::uint64_t word) {
         line += std::to_string(word) + ' ';
         digest.u64(word);
@@ -100,7 +93,7 @@ parseRecord(const std::string &line, ReplayKey &key, ReplayEntry &entry)
     if (!in.eof() || words.size() < 4 ||
         words.size() != 7 + (3 + kBlockWords) * words[3])
         return false;
-    Digest digest;
+    fault::Digest digest;
     for (std::size_t i = 0; i + 1 < words.size(); ++i)
         digest.u64(words[i]);
     if (digest.value() != words.back())
@@ -124,7 +117,7 @@ parseRecord(const std::string &line, ReplayKey &key, ReplayEntry &entry)
 void
 corruptLine(std::string &line)
 {
-    switch (Digest().str(line).value() % 3) {
+    switch (fault::Digest().str(line).value() % 3) {
     case 0:
         line[line.size() / 2] ^= 0x10;
         break;
@@ -185,7 +178,7 @@ setReplayEnabled(bool on)
 std::uint64_t
 configDigest(const MachineConfig &config)
 {
-    Digest d;
+    fault::Digest d;
     d.str("machine.config");
     d.str(config.name);
     d.str(config.microarchitecture);

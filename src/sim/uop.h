@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "sim/types.h"
 
@@ -77,24 +76,6 @@ execLatency(UopType type)
       case UopType::kLoad:   return 0;  // memory system supplies latency
       case UopType::kStore:  return 1;
       default:               return 1;
-    }
-}
-
-/** Human-readable name of a uop type. */
-constexpr std::string_view
-uopTypeName(UopType type)
-{
-    switch (type) {
-      case UopType::kFpMul:  return "FP_MUL";
-      case UopType::kFpAdd:  return "FP_ADD";
-      case UopType::kFpShf:  return "FP_SHF";
-      case UopType::kIntAdd: return "INT_ADD";
-      case UopType::kIntMul: return "INT_MUL";
-      case UopType::kBranch: return "BRANCH";
-      case UopType::kLoad:   return "LOAD";
-      case UopType::kStore:  return "STORE";
-      case UopType::kNop:    return "NOP";
-      default:               return "?";
     }
 }
 

@@ -18,22 +18,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-minOf(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        throw std::invalid_argument("min of empty sample");
-    return *std::min_element(xs.begin(), xs.end());
-}
-
-double
-maxOf(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        throw std::invalid_argument("max of empty sample");
-    return *std::max_element(xs.begin(), xs.end());
-}
-
-double
 quantile(std::vector<double> xs, double p)
 {
     if (xs.empty())

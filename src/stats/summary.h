@@ -15,12 +15,6 @@ namespace smite::stats {
 /** Arithmetic mean. @throws std::invalid_argument if empty. */
 double mean(const std::vector<double> &xs);
 
-/** Minimum value. @throws std::invalid_argument if empty. */
-double minOf(const std::vector<double> &xs);
-
-/** Maximum value. @throws std::invalid_argument if empty. */
-double maxOf(const std::vector<double> &xs);
-
 /**
  * Empirical p-th quantile with linear interpolation,
  * p in [0, 1]. @throws std::invalid_argument if empty or p invalid.

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "sim/digest.h"
+#include "fault/keyed.h"
 
 namespace smite::workload {
 
@@ -15,10 +15,10 @@ constexpr sim::Addr kBytesPerUop = 4;
 
 } // namespace
 
-sim::Digest
+fault::Digest
 profileDigest(const WorkloadProfile &profile)
 {
-    sim::Digest d;
+    fault::Digest d;
     d.str("workload.profile");
     d.str(profile.name);
     d.u64(static_cast<std::uint64_t>(profile.specNumber));
@@ -96,7 +96,7 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
 std::uint64_t
 ProfileUopSource::streamDigest() const
 {
-    sim::Digest d = profileDigest(profile_);
+    fault::Digest d = profileDigest(profile_);
     d.u64(seed_);
     return d.value();
 }

@@ -10,7 +10,7 @@
 #include <array>
 #include <cstdint>
 
-#include "sim/digest.h"
+#include "fault/keyed.h"
 #include "sim/uop.h"
 #include "workload/profile.h"
 #include "workload/rng.h"
@@ -22,7 +22,7 @@ namespace smite::workload {
  * name included. ProfileUopSource::streamDigest() folds the seed on
  * top.
  */
-sim::Digest profileDigest(const WorkloadProfile &profile);
+fault::Digest profileDigest(const WorkloadProfile &profile);
 
 /**
  * Uop stream generator driven by a WorkloadProfile.

@@ -178,6 +178,20 @@ TEST_F(FaultTest, GaussianDrawsMatchSigma)
     // Keyed draws replay exactly.
     EXPECT_EQ(plan.gaussian("machine.jitter", "k0"),
               plan.gaussian("machine.jitter", "k0"));
+
+    // A seed-0 site seeds itself from its name, so these pin both
+    // hash paths (site seed and key) to their recorded values.
+    plan.arm("machine.jitter", SiteSpec{.probability = 1.0, .sigma = 1.0});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  plan.gaussian("machine.jitter", "k|1")),
+              0x3fe619b6f13a2c99ull);
+    plan.arm("lab.measure", SiteSpec{.probability = 0.5});
+    std::uint64_t mask = 0;
+    for (int i = 0; i < 32; ++i) {
+        if (plan.shouldInject("lab.measure", "key" + std::to_string(i)))
+            mask |= std::uint64_t{1} << i;
+    }
+    EXPECT_EQ(mask, 0x3336ad59u);
 }
 
 TEST_F(FaultTest, LabRetriesTransientFaultsToTheBaselineValue)

@@ -34,8 +34,8 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/keyed.h"
 #include "sim/cache.h"
-#include "sim/digest.h"
 #include "sim/machine.h"
 #include "sim/replay.h"
 #include "sim/tlb.h"
@@ -501,7 +501,7 @@ TEST(GoldenMachine, GoldensPinReplayLogVersion)
     constexpr std::string_view kPinnedVersion = "smite-replay v1";
     constexpr std::uint64_t kPinnedDigest = 0x3a7ca232f8c644f8ull;
 
-    Digest digest;
+    fault::Digest digest;
     for (const GoldenScenario &scenario : goldens()) {
         for (const auto &placement : scenario.expected) {
             for (const std::uint64_t value : placement)

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/parallel.h"
+#include "obs/env.h"
 #include "obs/obs.h"
 
 namespace obs = smite::obs;
@@ -322,6 +325,38 @@ TEST_F(ObsTest, MetricsEnabledHonoursTestOverride)
     EXPECT_TRUE(obs::metricsEnabled());
     obs::setMetricsEnabledForTesting(false);
     EXPECT_FALSE(obs::metricsEnabled());
+}
+
+/** Every SMITE_* knob goes through these two parsers. */
+TEST_F(ObsTest, EnvKnobsParseOneWay)
+{
+    const char *name = "SMITE_TEST_ENV_KNOB";
+    unsetenv(name);
+    EXPECT_TRUE(obs::envFlag(name, true));
+    EXPECT_FALSE(obs::envFlag(name, false));
+    EXPECT_EQ(obs::envPositive(name, 7), 7);
+
+    const auto flag = [&](const char *value, bool fallback) {
+        setenv(name, value, 1);
+        return obs::envFlag(name, fallback);
+    };
+    EXPECT_TRUE(flag("", true));
+    EXPECT_FALSE(flag("", false));
+    EXPECT_FALSE(flag("0", true));
+    EXPECT_TRUE(flag("1", false));
+    EXPECT_TRUE(flag("00", false));
+
+    const auto count = [&](const char *value) {
+        setenv(name, value, 1);
+        return obs::envPositive(name, 7);
+    };
+    EXPECT_EQ(count("12"), 12);
+    // Invalid values fall back (with a stderr warning); an int knob
+    // also rejects what does not fit an int.
+    for (const char *bad : {"", "0", "-3", "12x", "abc", "99999999999"})
+        EXPECT_EQ(count(bad), 7) << "'" << bad << "'";
+    EXPECT_EQ(obs::envPositive<std::uint64_t>(name, 7), 99999999999u);
+    unsetenv(name);
 }
 
 namespace {

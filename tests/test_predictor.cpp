@@ -160,8 +160,6 @@ TEST(PredictorZoo, PredictionsAreBoundedAndDeterministic)
             EXPECT_LE(deg, 1.0);
             EXPECT_EQ(p->predictDegradation(*s.victim, *s.aggressor),
                       deg);
-            EXPECT_EQ(p->predictQos(*s.victim, {s.aggressor}),
-                      1.0 - deg);
         }
         // Solo: no aggressors, no degradation.
         EXPECT_EQ(p->predictDegradation(

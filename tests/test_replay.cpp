@@ -25,7 +25,6 @@
 #include "workload/generator.h"
 #include "workload/rng.h"
 #include "workload/spec2006.h"
-#include "workload/trace_file.h"
 
 namespace smite::sim {
 namespace {
@@ -184,53 +183,6 @@ TEST(ReplayStore, DisabledPathTouchesNoStores)
     }
     EXPECT_EQ(counter("machine.replay.hits"), hits0);
     EXPECT_EQ(counter("machine.replay.misses"), misses0);
-}
-
-/**
- * Trace replays carry a contents-based digest, so machine runs over
- * them are replay-eligible like every other production source.
- */
-TEST(ReplayStore, TraceReplaySourceHasStableDigest)
-{
-    std::vector<Uop> uops;
-    workload::Rng rng(0x7712ull);
-    for (int i = 0; i < 64; ++i) {
-        Uop u;
-        u.type = static_cast<UopType>(
-            rng.nextU64() % static_cast<std::uint64_t>(
-                                UopType::kNumTypes));
-        u.srcDist1 = static_cast<int>(rng.nextU64() % 8);
-        u.addr = rng.nextU64() % 4096;
-        u.pc = 64 * i;
-        uops.push_back(u);
-    }
-
-    const workload::TraceReplaySource a(uops);
-    EXPECT_NE(a.streamDigest(), 0u);
-    // Same contents, distinct object: same digest.
-    const workload::TraceReplaySource b(uops);
-    EXPECT_EQ(a.streamDigest(), b.streamDigest());
-    // Any content mutation must move the digest.
-    auto mutated = uops;
-    mutated[10].addr ^= 1;
-    const workload::TraceReplaySource c(std::move(mutated));
-    EXPECT_NE(a.streamDigest(), c.streamDigest());
-
-    // And the machine keys on it: a repeated run over a fresh source
-    // with the same contents is a store hit, byte-identically.
-    ReplayGuard guard(true);
-    const Machine machine(MachineConfig::ivyBridge());
-    const auto run_trace = [&] {
-        workload::TraceReplaySource src(uops);
-        // Warmup distinct from every other test in this binary keeps
-        // the key's first sighting here.
-        return machine.runSolo(src, 2'029, 3'100);
-    };
-    const std::uint64_t hits0 = counter("machine.replay.hits");
-    const auto first = run_trace();
-    const auto second = run_trace();
-    EXPECT_EQ(counter("machine.replay.hits"), hits0 + 1);
-    EXPECT_EQ(flatten(first), flatten(second));
 }
 
 /**

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
+#include "queueing/keyed_stream.h"
 #include "scheduler/keyed.h"
 #include "scheduler/shard.h"
 
@@ -120,6 +121,13 @@ TEST(Keyed, DrawIsAPureFunctionOfItsKey)
     const double u = keyed::toUnit(a);
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
+    // Pinned values: each layer keeps its own domain constant, so the
+    // scheduler's churn and the queueing layer's request streams stay
+    // where committed baselines recorded them.
+    EXPECT_EQ(a, 0xb3dd13693e31a4f0ull);
+    EXPECT_EQ(
+        queueing::keyed::draw(7, queueing::keyed::kSaltService, 42, 3),
+        0x2ac5a8e1cad53b04ull);
 }
 
 TEST(ShardedCluster, RejectsBadConfiguration)

@@ -134,12 +134,10 @@ TEST(Pearson, RejectsBadInput)
     EXPECT_THROW(pearson({1, 2}, {1, 2, 3}), std::invalid_argument);
 }
 
-TEST(Summary, MeanMinMax)
+TEST(Summary, Mean)
 {
     const std::vector<double> xs = {3, 1, 4, 1, 5};
     EXPECT_NEAR(mean(xs), 2.8, 1e-12);
-    EXPECT_EQ(minOf(xs), 1.0);
-    EXPECT_EQ(maxOf(xs), 5.0);
     EXPECT_THROW(mean({}), std::invalid_argument);
 }
 

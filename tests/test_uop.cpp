@@ -39,13 +39,6 @@ TEST(Uop, ExecLatencies)
     EXPECT_EQ(execLatency(UopType::kLoad), 0u);  // memory adds it
 }
 
-TEST(Uop, Names)
-{
-    EXPECT_EQ(uopTypeName(UopType::kFpMul), "FP_MUL");
-    EXPECT_EQ(uopTypeName(UopType::kBranch), "BRANCH");
-    EXPECT_EQ(uopTypeName(UopType::kNop), "NOP");
-}
-
 TEST(Uop, AddressHelpers)
 {
     EXPECT_EQ(lineAddr(0), 0u);
