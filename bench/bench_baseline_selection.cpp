@@ -40,8 +40,8 @@ main()
             for (std::size_t j = 0; j < apps.size(); ++j) {
                 if (i == j)
                     continue;
-                data.first.push_back(
-                    core::PmuPredictor::features(sigs[i], {&sigs[j]}));
+                data.first.push_back(core::Predictor::features(
+                    core::PredictorKind::kPmu, sigs[i], {&sigs[j]}));
                 data.second.push_back(
                     lab.pairDegradation(apps[i], apps[j], mode));
             }

@@ -31,10 +31,10 @@ runMode(core::Lab &lab, core::CoLocationMode mode, int threads,
                 threads);
     const core::TrainingCorpus corpus =
         core::trainingCorpus(lab, train, mode);
-    const core::SmitePredictor smite =
-        core::SmitePredictor::train(corpus.samples);
-    const core::PmuPredictor pmu =
-        core::PmuPredictor::train(corpus.samples);
+    const core::Predictor smite =
+        core::Predictor::train(core::PredictorKind::kSmite, corpus.samples);
+    const core::Predictor pmu =
+        core::Predictor::train(core::PredictorKind::kPmu, corpus.samples);
 
     // Fan out everything the reporting loop needs: test-set and
     // CloudSuite signatures, and the full (latency app, batch,

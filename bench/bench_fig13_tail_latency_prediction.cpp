@@ -32,7 +32,8 @@ main()
     const int threads = 6;
     const auto train = workload::spec2006::oddNumbered();
     const auto test = workload::spec2006::evenNumbered();
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, train, mode).samples);
     const std::vector<core::WorkloadSignature> test_sigs =
         core::signaturesOf(lab, test, mode);

@@ -28,7 +28,8 @@ main()
     const auto batch = workload::spec2006::evenNumbered();
     const auto &latency = workload::cloudsuite::all();
 
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, train, mode).samples);
     const auto pairings =
         bench::buildAvgPerfPairings(lab, model, latency, batch);

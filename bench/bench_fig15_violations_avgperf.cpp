@@ -19,7 +19,8 @@ main()
 
     core::Lab lab = bench::makeLab(sim::MachineConfig::sandyBridgeEN());
     const auto mode = core::CoLocationMode::kSmt;
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, workload::spec2006::oddNumbered(), mode)
             .samples);
     const auto pairings = bench::buildAvgPerfPairings(

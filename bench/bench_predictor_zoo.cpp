@@ -1,9 +1,9 @@
 /**
  * @file
- * Predictor-zoo shoot-out (beyond the paper): every predictor behind
- * the core::Predictor interface — the paper's SMiTe Ruler regression,
- * its PMU-counter baseline, the MISE-style memory-rate estimator and
- * the Alves-Drummond saturating interference model — trained on the
+ * Predictor-zoo shoot-out (beyond the paper): every
+ * core::PredictorKind — the paper's SMiTe Ruler regression, its
+ * PMU-counter baseline, the MISE-style memory-rate estimator and the
+ * Alves-Drummond saturating interference model — trained on the
  * identical measured-pair corpus and scored head-to-head on the same
  * held-out pairs, on both Table 1 machines.
  *
@@ -22,7 +22,7 @@
  *
  * The committed BENCH_pred.json at the repository root is the
  * baseline: `scripts/tier1.sh` re-runs this harness and diffs the
- * fresh report against it with `report_diff --tol 0.6`, and
+ * fresh report against it with `report_diff --tol 0`, and
  * byte-compares stdout across SMITE_THREADS settings (stdout carries
  * results and cost only, so it is deterministic by construction).
  *

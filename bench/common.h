@@ -194,10 +194,10 @@ runSpecPredictionExperiment(core::Lab &lab, core::CoLocationMode mode,
                 train.size(), core::modeName(mode), lab.parallelism());
     const core::TrainingCorpus corpus =
         core::trainingCorpus(lab, train, mode);
-    const core::SmitePredictor smite =
-        core::SmitePredictor::train(corpus.samples);
-    const core::PmuPredictor pmu =
-        core::PmuPredictor::train(corpus.samples);
+    const core::Predictor smite =
+        core::Predictor::train(core::PredictorKind::kSmite, corpus.samples);
+    const core::Predictor pmu =
+        core::Predictor::train(core::PredictorKind::kPmu, corpus.samples);
 
     // Fan the test-set measurements out before the reporting loop so
     // the serial printing below runs entirely on replay-store hits.

@@ -59,7 +59,7 @@ prefetchScaleoutGrid(core::Lab &lab,
  * model scaled to the instance count.
  */
 inline std::vector<scheduler::Pairing>
-buildAvgPerfPairings(core::Lab &lab, const core::SmitePredictor &model,
+buildAvgPerfPairings(core::Lab &lab, const core::Predictor &model,
                      const std::vector<workload::WorkloadProfile> &latency,
                      const std::vector<workload::WorkloadProfile> &batch)
 {
@@ -100,7 +100,7 @@ buildAvgPerfPairings(core::Lab &lab, const core::SmitePredictor &model,
  * degradation.
  */
 inline std::vector<scheduler::Pairing>
-buildTailPairings(core::Lab &lab, const core::SmitePredictor &model,
+buildTailPairings(core::Lab &lab, const core::Predictor &model,
                   const std::vector<workload::WorkloadProfile> &latency,
                   const std::vector<workload::WorkloadProfile> &batch)
 {

@@ -44,7 +44,8 @@ main(int argc, char **argv)
     // use the whole training suite; see bench_fig14).
     std::printf("training the prediction model...\n");
     using workload::spec2006::byName;
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(
             lab,
             {byName("401.bzip2"), byName("429.mcf"), byName("433.milc"),

@@ -66,7 +66,8 @@ main()
     // model knows about — no cross-product profiling (Section III-D).
     std::printf("\ntraining the model once on the SPEC training "
                 "split...\n");
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, workload::spec2006::evenNumbered(), mode)
             .samples);
 

@@ -56,7 +56,8 @@ main()
     //    benchmarks (the paper's training split).
     std::printf("\ntraining Equation 3 on the even-numbered SPEC "
                 "benchmarks...\n");
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, workload::spec2006::evenNumbered(), mode)
             .samples);
 

@@ -26,12 +26,16 @@ check_catalog() {
 }
 
 # --- Doc inventory gate --------------------------------------------
-# Source files come and go; the docs that point at them must follow.
+# Source files and types come and go; the docs that point at them must
+# follow.
 #  1. each `src/<module>` row of DESIGN.md section 3 names exactly the
 #     .h/.cpp files in that directory (`x.h/.cpp` names both);
 #  2. every backticked source path (`src/...` or `<dir>/<file>.h|.cpp`,
 #     the latter relative to the repo root or to src/) in the
-#     top-level docs, docs/*.md and the verify skill exists.
+#     top-level docs, docs/*.md and the verify skill exists;
+#  3. every backticked qualified C++ name (`ns::Name`,
+#     `Class::member`) in those docs is made of identifiers that occur
+#     in src/, bench/, tools/, tests/ or examples/.
 python3 - <<'PY'
 import pathlib, re, sys
 root = pathlib.Path(".")
@@ -77,6 +81,20 @@ for doc in docs:
                 continue
             if not any(c.exists() for c in candidates):
                 bad.append(f"{doc}:{n}: no such source path `{tok}`")
+
+# 3. Every backticked qualified C++ name in the docs is made of
+#    identifiers the code still contains.
+code_ids = set()
+for d in ("src", "bench", "tools", "tests", "examples"):
+    for p in (root / d).rglob("*"):
+        if p.suffix in (".h", ".cpp"):
+            code_ids |= set(re.findall(r"\w+", p.read_text()))
+for doc in docs:
+    for n, line in enumerate((root / doc).read_text().splitlines(), 1):
+        for tok in re.findall(r"`([^`]+)`", line):
+            for name in re.findall(r"\w+(?:::\w+)+", tok):
+                if any(i not in code_ids for i in name.split("::")):
+                    bad.append(f"{doc}:{n}: no such C++ name `{name}`")
 for problem in bad:
     print(problem, file=sys.stderr)
 sys.exit(1 if bad else 0)

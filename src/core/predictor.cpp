@@ -68,30 +68,28 @@ signatureFinite(const WorkloadSignature &s)
     return true;
 }
 
-/**
- * Fit one predictor's regression on the corpus: one @p features row
- * per sample (the victim next to its one aggressor), targets the
- * measured degradations. Needs more samples than features.
- */
-template <typename Features>
-stats::LinearModel
-fitCorpus(const std::vector<PredictorSample> &samples,
-          std::size_t num_features, const char *feature_kind,
-          double ridge, Features features)
+/** What distinguishes one PredictorKind's fit, beyond its features. */
+struct KindTraits {
+    std::string_view name;
+    std::size_t numFeatures;
+    const char *featureNoun;  ///< "need more samples than ..."
+    double ridge;             ///< default L2 regularizer
+    bool readsRulers;         ///< signature needs the Ruler co-runs
+};
+
+/** Indexed by PredictorKind. */
+constexpr KindTraits kKindTraits[] = {
+    {"smite", rulers::kNumDimensions, "sharing dimensions", 1e-8, true},
+    {"pmu", 2 * sim::kNumPmuRates, "PMU features", 1e-6, false},
+    {"mise", 4, "MISE features", 1e-8, false},
+    {"alves-drummond", rulers::kNumDimensions, "sharing dimensions", 1e-8,
+     true},
+};
+
+const KindTraits &
+traits(PredictorKind kind)
 {
-    if (samples.size() <= num_features) {
-        throw std::invalid_argument(
-            std::string("need more samples than ") + feature_kind);
-    }
-    std::vector<std::vector<double>> x;
-    std::vector<double> y;
-    x.reserve(samples.size());
-    y.reserve(samples.size());
-    for (const PredictorSample &s : samples) {
-        x.push_back(features(*s.victim, {s.aggressor}));
-        y.push_back(s.degradation);
-    }
-    return stats::LinearModel::fit(x, y, ridge);
+    return kKindTraits[static_cast<std::size_t>(kind)];
 }
 
 /** Minimum solo IPC a prediction denominator may rest on. */
@@ -123,6 +121,92 @@ invalidCounter()
 
 } // namespace
 
+Predictor
+Predictor::train(PredictorKind kind,
+                 const std::vector<PredictorSample> &samples,
+                 std::optional<double> ridge)
+{
+    const KindTraits &t = traits(kind);
+    obs::Span span("predictor.fit", std::string(t.name));
+    if (samples.size() <= t.numFeatures) {
+        throw std::invalid_argument(
+            std::string("need more samples than ") + t.featureNoun);
+    }
+    // One feature row per sample (the victim next to its one
+    // aggressor), targets the measured degradations.
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    x.reserve(samples.size());
+    y.reserve(samples.size());
+    for (const PredictorSample &s : samples) {
+        x.push_back(features(kind, *s.victim, {s.aggressor}));
+        y.push_back(s.degradation);
+    }
+    return Predictor(kind, stats::LinearModel::fit(
+                               x, y, ridge.value_or(t.ridge)));
+}
+
+std::vector<double>
+Predictor::features(PredictorKind kind, const WorkloadSignature &victim,
+                    const std::vector<const WorkloadSignature *> &aggressors)
+{
+    switch (kind) {
+    case PredictorKind::kSmite: {
+        const Characterization combined =
+            combinedContentiousness(aggressors);
+        std::vector<double> x(rulers::kNumDimensions);
+        for (int d = 0; d < rulers::kNumDimensions; ++d) {
+            x[d] = victim.characterization.sensitivity[d] *
+                   combined.contentiousness[d];
+        }
+        return x;
+    }
+    case PredictorKind::kPmu: {
+        const PmuProfile combined = combinedPmu(aggressors);
+        std::vector<double> x;
+        x.reserve(2 * sim::kNumPmuRates);
+        x.insert(x.end(), victim.pmu.begin(), victim.pmu.end());
+        x.insert(x.end(), combined.begin(), combined.end());
+        return x;
+    }
+    case PredictorKind::kMise: {
+        const sim::CounterBlock &v = victim.soloCounters;
+        const double v_dram = soloRate(v.l3Misses, v.cycles);
+        const double v_l3 = soloRate(v.l2Misses, v.cycles);
+        double a_dram = 0.0, a_l3 = 0.0;
+        for (const WorkloadSignature *a : aggressors) {
+            const sim::CounterBlock &c = a->soloCounters;
+            a_dram += soloRate(c.l3Misses, c.cycles);
+            a_l3 += soloRate(c.l2Misses, c.cycles);
+        }
+        return {v_dram, a_dram, v_dram * a_dram, v_l3 * a_l3};
+    }
+    case PredictorKind::kAlvesDrummond: {
+        const Characterization combined =
+            combinedContentiousness(aggressors);
+        std::vector<double> x(rulers::kNumDimensions);
+        for (int d = 0; d < rulers::kNumDimensions; ++d) {
+            x[d] = victim.characterization.sensitivity[d] *
+                   (1.0 - std::exp(-combined.contentiousness[d]));
+        }
+        return x;
+    }
+    }
+    throw std::logic_error("unreachable");
+}
+
+std::string_view
+Predictor::name() const
+{
+    return traits(kind_).name;
+}
+
+int
+Predictor::signatureRuns() const
+{
+    return traits(kind_).readsRulers ? 1 + rulers::kNumDimensions : 1;
+}
+
 double
 Predictor::predictDegradation(
     const WorkloadSignature &victim,
@@ -149,7 +233,7 @@ Predictor::predictDegradation(
         return 1.0;
     }
 
-    const double raw = rawDegradation(victim, aggressors);
+    const double raw = model_.predict(features(kind_, victim, aggressors));
     if (!std::isfinite(raw)) {
         invalidCounter().add();
         obs::IncidentLog::global().record(
@@ -168,130 +252,6 @@ Predictor::predictDegradation(const WorkloadSignature &victim,
                               const WorkloadSignature &aggressor) const
 {
     return predictDegradation(victim, {&aggressor});
-}
-
-std::vector<double>
-SmitePredictor::features(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors)
-{
-    const Characterization combined = combinedContentiousness(aggressors);
-    std::vector<double> x(rulers::kNumDimensions);
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        x[d] = victim.characterization.sensitivity[d] *
-               combined.contentiousness[d];
-    }
-    return x;
-}
-
-SmitePredictor
-SmitePredictor::train(const std::vector<PredictorSample> &samples,
-                      double ridge)
-{
-    return SmitePredictor(fitCorpus(samples, rulers::kNumDimensions,
-                                    "sharing dimensions", ridge,
-                                    features));
-}
-
-double
-SmitePredictor::rawDegradation(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors) const
-{
-    return model_.predict(features(victim, aggressors));
-}
-
-std::vector<double>
-PmuPredictor::features(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors)
-{
-    const PmuProfile combined = combinedPmu(aggressors);
-    std::vector<double> x;
-    x.reserve(2 * sim::kNumPmuRates);
-    x.insert(x.end(), victim.pmu.begin(), victim.pmu.end());
-    x.insert(x.end(), combined.begin(), combined.end());
-    return x;
-}
-
-PmuPredictor
-PmuPredictor::train(const std::vector<PredictorSample> &samples,
-                    double ridge)
-{
-    return PmuPredictor(fitCorpus(samples, 2 * sim::kNumPmuRates,
-                                  "PMU features", ridge, features));
-}
-
-double
-PmuPredictor::rawDegradation(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors) const
-{
-    return model_.predict(features(victim, aggressors));
-}
-
-std::vector<double>
-MisePredictor::features(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors)
-{
-    const sim::CounterBlock &v = victim.soloCounters;
-    const double v_dram = soloRate(v.l3Misses, v.cycles);
-    const double v_l3 = soloRate(v.l2Misses, v.cycles);
-    double a_dram = 0.0, a_l3 = 0.0;
-    for (const WorkloadSignature *a : aggressors) {
-        const sim::CounterBlock &c = a->soloCounters;
-        a_dram += soloRate(c.l3Misses, c.cycles);
-        a_l3 += soloRate(c.l2Misses, c.cycles);
-    }
-    return {v_dram, a_dram, v_dram * a_dram, v_l3 * a_l3};
-}
-
-MisePredictor
-MisePredictor::train(const std::vector<PredictorSample> &samples,
-                     double ridge)
-{
-    return MisePredictor(fitCorpus(samples, kNumFeatures,
-                                   "MISE features", ridge, features));
-}
-
-double
-MisePredictor::rawDegradation(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors) const
-{
-    return model_.predict(features(victim, aggressors));
-}
-
-std::vector<double>
-AlvesDrummondPredictor::features(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors)
-{
-    const Characterization combined = combinedContentiousness(aggressors);
-    std::vector<double> x(rulers::kNumDimensions);
-    for (int d = 0; d < rulers::kNumDimensions; ++d) {
-        x[d] = victim.characterization.sensitivity[d] *
-               (1.0 - std::exp(-combined.contentiousness[d]));
-    }
-    return x;
-}
-
-AlvesDrummondPredictor
-AlvesDrummondPredictor::train(const std::vector<PredictorSample> &samples,
-                              double ridge)
-{
-    return AlvesDrummondPredictor(
-        fitCorpus(samples, rulers::kNumDimensions, "sharing dimensions",
-                  ridge, features));
-}
-
-double
-AlvesDrummondPredictor::rawDegradation(
-    const WorkloadSignature &victim,
-    const std::vector<const WorkloadSignature *> &aggressors) const
-{
-    return model_.predict(features(victim, aggressors));
 }
 
 WorkloadSignature
@@ -378,14 +338,10 @@ trainPredictorZoo(Lab &lab,
 {
     TrainingCorpus corpus = trainingCorpus(lab, training_set, mode);
     PredictorZoo zoo;
-    zoo.predictors.push_back(std::make_unique<SmitePredictor>(
-        SmitePredictor::train(corpus.samples)));
-    zoo.predictors.push_back(std::make_unique<PmuPredictor>(
-        PmuPredictor::train(corpus.samples)));
-    zoo.predictors.push_back(std::make_unique<MisePredictor>(
-        MisePredictor::train(corpus.samples)));
-    zoo.predictors.push_back(std::make_unique<AlvesDrummondPredictor>(
-        AlvesDrummondPredictor::train(corpus.samples)));
+    for (const PredictorKind kind : kAllPredictorKinds) {
+        zoo.predictors.push_back(std::make_unique<Predictor>(
+            Predictor::train(kind, corpus.samples)));
+    }
     zoo.signatures = std::move(corpus.signatures);
 
     static obs::Counter &trained =

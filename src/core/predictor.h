@@ -1,28 +1,19 @@
 /**
  * @file
- * The predictor zoo: one interface over every QoS/slowdown predictor.
+ * The predictor zoo: one predictor type over every QoS/slowdown model.
  *
  * SMiTe's Ruler regression (Equation 3) and the PMU-counter baseline
  * (Equation 9) are two points in a larger design space of
  * interference predictors. This module pins the shared contract —
  * characterize a workload once into a WorkloadSignature, then predict
  * the degradation of a victim next to an arbitrary co-runner set —
- * and populates the space with four implementations, each a linear
- * regression over its own feature row:
- *
- *  - SmitePredictor: the paper's Ruler model (Equation 3);
- *  - PmuPredictor:   the paper's PMU baseline (Equation 9);
- *  - MisePredictor:  a MISE-style estimator (Subramanian et al.,
- *    "Predictable Performance and Fairness Through Accurate Slowdown
- *    Estimation in Shared Main Memory Systems"): slowdown is driven
- *    by memory-request behaviour, reduced here to a regression over
- *    the simulator's existing solo cache/DRAM counter rates and their
- *    victim x aggressor interference products;
- *  - AlvesDrummondPredictor: the cross-application interference model
- *    of Alves & Drummond ("A Quantitative Model for Predicting
- *    Cross-application Interference in Virtual Environments"):
- *    per-dimension sensitivity scaled by a *saturating* function of
- *    aggregate co-runner pressure, fit by least squares.
+ * and populates the space with four kinds (PredictorKind), each a
+ * linear regression over its own feature row: the paper's two, a
+ * MISE-style estimator (Subramanian et al., "Predictable Performance
+ * and Fairness Through Accurate Slowdown Estimation in Shared Main
+ * Memory Systems") and the cross-application interference model of
+ * Alves & Drummond ("A Quantitative Model for Predicting
+ * Cross-application Interference in Virtual Environments").
  *
  * All four train on the same measured-pair corpus (trainingCorpus)
  * so head-to-head comparisons (bench_predictor_zoo) are apples to
@@ -35,6 +26,7 @@
 #define SMITE_CORE_PREDICTOR_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,30 +87,87 @@ struct PredictorSample {
 };
 
 /**
- * A trained QoS/slowdown predictor.
+ * Which regression a Predictor fits: each kind is one feature row
+ * over the same signatures, fit by least squares on the same corpus.
  *
- * The public predict entry points are non-virtual and the only way
- * to a prediction: they validate the signatures, delegate to
- * rawDegradation(), clamp the result into [0, 1] and maintain the
- * `predictor.*` counters. Implementations only provide the raw model
- * arithmetic.
+ *  - kSmite: the paper's Ruler regression (Section III-C1, Equation 3),
+ *      Deg(A|B) = sum_i c_i * Sen_i^A * Con_i^B + c_0,
+ *    one feature per sharing dimension, x_i = Sen_i^A * sum_B Con_i^B;
+ *  - kPmu: the paper's PMU-counter baseline (Section IV-B1,
+ *    Equation 9), the strongest model the paper could build without
+ *    Rulers,
+ *      Deg(A|B) = sum_i (c_i^A PMU_i^A + c_i^B PMU_i^B) + c_0,
+ *    over the victim's eleven solo-run rates, then the co-runners'
+ *    summed rates;
+ *  - kMise: MISE observes that slowdown tracks the ratio of
+ *    memory-request service rates alone vs. shared. Without a
+ *    per-request DRAM model in the loop, the reduction regresses on
+ *    the solo memory-demand rates the simulator already counts (DRAM
+ *    = l3Misses, shared L3 = l2Misses, per solo cycle): the victim's
+ *    DRAM demand, the aggregate aggressor DRAM demand, and the DRAM
+ *    and L3 victim x aggressor products (a memory-bound victim next
+ *    to memory-bound aggressors slows the most);
+ *  - kAlvesDrummond: per dimension, the victim's sensitivity scaled by
+ *    a saturating exponential of the aggregate co-runner pressure,
+ *      x_i = Sen_i^A * (1 - exp(-sum_B Con_i^B)):
+ *    doubling an already-contended resource's pressure does not
+ *    double the interference.
+ */
+enum class PredictorKind { kSmite, kPmu, kMise, kAlvesDrummond };
+
+/** Every kind, in zoo order. */
+inline constexpr PredictorKind kAllPredictorKinds[] = {
+    PredictorKind::kSmite, PredictorKind::kPmu, PredictorKind::kMise,
+    PredictorKind::kAlvesDrummond};
+
+/**
+ * A trained QoS/slowdown predictor: a PredictorKind and the linear
+ * model fit over its feature row.
+ *
+ * The predict entry points are the only way to a prediction: they
+ * validate the signatures, evaluate the model, clamp the result into
+ * [0, 1] and maintain the `predictor.*` counters.
  */
 class Predictor
 {
   public:
-    virtual ~Predictor() = default;
+    /**
+     * Fit @p kind on the shared corpus, one feature row per sample.
+     * @param ridge L2 regularizer; unset uses the kind's default
+     *        (1e-8, or 1e-6 for kPmu, whose rates are collinear, e.g.
+     *        L2 hits vs L1 misses, so the normal equations stay
+     *        well-posed)
+     * @throws std::invalid_argument without more samples than features
+     */
+    static Predictor train(PredictorKind kind,
+                           const std::vector<PredictorSample> &samples,
+                           std::optional<double> ridge = std::nullopt);
+
+    /** @p kind's feature row for @p victim next to the @p aggressors. */
+    static std::vector<double> features(
+        PredictorKind kind, const WorkloadSignature &victim,
+        const std::vector<const WorkloadSignature *> &aggressors);
 
     /** Short stable identifier ("smite", "pmu", "mise", "alves-drummond"). */
-    virtual std::string_view name() const = 0;
+    std::string_view name() const;
 
     /**
      * Machine runs needed to build a *new* workload's signature as
-     * far as this predictor reads it (Ruler-based predictors pay one
-     * solo run plus one co-run per dimension; counter-based ones pay
-     * a single solo run). Shared ruler baselines amortize across
+     * far as this predictor reads it (Ruler-based kinds pay one solo
+     * run plus one co-run per dimension; counter-based ones pay a
+     * single solo run). Shared ruler baselines amortize across
      * workloads and are excluded.
      */
-    virtual int signatureRuns() const = 0;
+    int signatureRuns() const;
+
+    /** The fitted coefficients c_i, in feature order. */
+    const std::vector<double> &coefficients() const
+    {
+        return model_.weights();
+    }
+
+    /** The constant term c_0 (residual interference). */
+    double constantTerm() const { return model_.intercept(); }
 
     /**
      * Predicted degradation (1 - QoS) of @p victim co-located with
@@ -136,203 +185,12 @@ class Predictor
     double predictDegradation(const WorkloadSignature &victim,
                               const WorkloadSignature &aggressor) const;
 
-  protected:
-    /** Unguarded model arithmetic over validated signatures. */
-    virtual double rawDegradation(
-        const WorkloadSignature &victim,
-        const std::vector<const WorkloadSignature *> &aggressors)
-        const = 0;
-};
-
-/**
- * The paper's Ruler regression (Section III-C1, Equation 3): the
- * degradation of victim A is a linear combination of the
- * per-dimension products of A's sensitivity and the co-runners'
- * summed contentiousness,
- *
- *   Deg(A|B) = sum_i c_i * Sen_i^A * Con_i^B + c_0,
- *
- * with the coefficients fit by least squares against measured pair
- * degradations.
- */
-class SmitePredictor final : public Predictor
-{
-  public:
-    /**
-     * Fit Equation 3 on the shared corpus.
-     * @param ridge small L2 regularizer for numerical robustness
-     * @throws std::invalid_argument without more samples than
-     *         sharing dimensions
-     */
-    static SmitePredictor train(const std::vector<PredictorSample> &samples,
-                                double ridge = 1e-8);
-
-    std::string_view name() const override { return "smite"; }
-    int signatureRuns() const override
-    {
-        return 1 + rulers::kNumDimensions;
-    }
-
-    /** Feature row: x_i = Sen_i^A * sum_B Con_i^B. */
-    static std::vector<double> features(
-        const WorkloadSignature &victim,
-        const std::vector<const WorkloadSignature *> &aggressors);
-
-    /** The per-dimension coefficients c_i (in dimension order). */
-    const std::vector<double> &coefficients() const
-    {
-        return model_.weights();
-    }
-
-    /** The constant term c_0 (residual interference). */
-    double constantTerm() const { return model_.intercept(); }
-
-  protected:
-    double rawDegradation(const WorkloadSignature &victim,
-                          const std::vector<const WorkloadSignature *>
-                              &aggressors) const override;
-
   private:
-    explicit SmitePredictor(stats::LinearModel model)
-        : model_(std::move(model))
+    Predictor(PredictorKind kind, stats::LinearModel model)
+        : kind_(kind), model_(std::move(model))
     {}
 
-    stats::LinearModel model_;
-};
-
-/**
- * The paper's PMU-counter baseline (Section IV-B1, Equation 9): the
- * strongest model the paper could build without Rulers, a linear
- * regression over the eleven solo-run counter rates of the victim and
- * of its co-runners,
- *
- *   Deg(A|B) = sum_i (c_i^A PMU_i^A + c_i^B PMU_i^B) + c_0.
- */
-class PmuPredictor final : public Predictor
-{
-  public:
-    /**
-     * Fit Equation 9 on the shared corpus.
-     * @param ridge small L2 regularizer; PMU rates are collinear
-     *        (e.g. L2 hits vs L1 misses), so a nonzero default keeps
-     *        the normal equations well-posed
-     * @throws std::invalid_argument without more samples than
-     *         2 * kNumPmuRates
-     */
-    static PmuPredictor train(const std::vector<PredictorSample> &samples,
-                              double ridge = 1e-6);
-
-    std::string_view name() const override { return "pmu"; }
-    int signatureRuns() const override { return 1; }
-
-    /**
-     * Feature row: the victim's rates, then the co-runners' summed
-     * rates.
-     */
-    static std::vector<double> features(
-        const WorkloadSignature &victim,
-        const std::vector<const WorkloadSignature *> &aggressors);
-
-  protected:
-    double rawDegradation(const WorkloadSignature &victim,
-                          const std::vector<const WorkloadSignature *>
-                              &aggressors) const override;
-
-  private:
-    explicit PmuPredictor(stats::LinearModel model)
-        : model_(std::move(model))
-    {}
-
-    stats::LinearModel model_;
-};
-
-/**
- * MISE-style slowdown estimator from memory-request behaviour.
- *
- * MISE observes that slowdown tracks the ratio of memory-request
- * service rates alone vs. shared. Without a per-request DRAM model in
- * the loop, the zoo's reduction regresses degradation on the solo
- * memory-demand rates the simulator already counts — the victim's
- * DRAM and shared-L3 demand per cycle, the aggregate aggressor
- * demand, and their products (the interference terms: a memory-bound
- * victim next to memory-bound aggressors slows the most). Four
- * features; see features().
- */
-class MisePredictor final : public Predictor
-{
-  public:
-    /** Number of regression features. */
-    static constexpr int kNumFeatures = 4;
-
-    /** Fit the memory-rate regression on the shared corpus. */
-    static MisePredictor train(const std::vector<PredictorSample> &samples,
-                               double ridge = 1e-8);
-
-    std::string_view name() const override { return "mise"; }
-    int signatureRuns() const override { return 1; }
-
-    /**
-     * Feature row of one (victim, aggressor set): victim DRAM demand
-     * per cycle, aggregate aggressor DRAM demand, and the DRAM and
-     * shared-L3 interference products.
-     */
-    static std::vector<double> features(
-        const WorkloadSignature &victim,
-        const std::vector<const WorkloadSignature *> &aggressors);
-
-  protected:
-    double rawDegradation(const WorkloadSignature &victim,
-                          const std::vector<const WorkloadSignature *>
-                              &aggressors) const override;
-
-  private:
-    explicit MisePredictor(stats::LinearModel model)
-        : model_(std::move(model))
-    {}
-
-    stats::LinearModel model_;
-};
-
-/**
- * Alves-Drummond cross-application interference model over the
- * characterization vectors: per dimension, the victim's sensitivity
- * scaled by a saturating exponential of the aggregate co-runner
- * contentiousness,
- *
- *   x_i = Sen_i^A * (1 - exp(-sum_B Con_i^B)),
- *
- * fit by least squares. The saturation is the model's point: doubling
- * an already-contended resource's pressure does not double the
- * interference.
- */
-class AlvesDrummondPredictor final : public Predictor
-{
-  public:
-    /** Fit the saturating-feature regression on the shared corpus. */
-    static AlvesDrummondPredictor
-    train(const std::vector<PredictorSample> &samples, double ridge = 1e-8);
-
-    std::string_view name() const override { return "alves-drummond"; }
-    int signatureRuns() const override
-    {
-        return 1 + rulers::kNumDimensions;
-    }
-
-    /** Saturating feature row (one per sharing dimension). */
-    static std::vector<double> features(
-        const WorkloadSignature &victim,
-        const std::vector<const WorkloadSignature *> &aggressors);
-
-  protected:
-    double rawDegradation(const WorkloadSignature &victim,
-                          const std::vector<const WorkloadSignature *>
-                              &aggressors) const override;
-
-  private:
-    explicit AlvesDrummondPredictor(stats::LinearModel model)
-        : model_(std::move(model))
-    {}
-
+    PredictorKind kind_;
     stats::LinearModel model_;
 };
 
@@ -360,19 +218,19 @@ struct TrainingCorpus {
  * Lab's parallel batch APIs). One drop rule serves every fit: a
  * sample resting on a failed measurement — anything behind either
  * signature, or the pair itself — is left out, counted in
- * `lab.dropped_samples` and logged. Each predictor's train() then
- * fits on the samples.
+ * `lab.dropped_samples` and logged. Predictor::train() then fits
+ * each kind on the samples.
  */
 TrainingCorpus
 trainingCorpus(Lab &lab,
                const std::vector<workload::WorkloadProfile> &training_set,
                CoLocationMode mode);
 
-/** The four predictors trained on one shared corpus. */
+/** Every PredictorKind trained on one shared corpus. */
 struct PredictorZoo {
     /** Signatures of the training set, in input order. */
     std::vector<WorkloadSignature> signatures;
-    /** Trained predictors: smite, pmu, mise, alves-drummond. */
+    /** Trained predictors, in kAllPredictorKinds order. */
     std::vector<std::unique_ptr<Predictor>> predictors;
 };
 

@@ -7,7 +7,8 @@
  *   using namespace smite;
  *   const auto mode = core::CoLocationMode::kSmt;
  *   core::Lab lab(sim::MachineConfig::ivyBridge());
- *   const auto model = core::SmitePredictor::train(
+ *   const auto model = core::Predictor::train(
+ *       core::PredictorKind::kSmite,
  *       core::trainingCorpus(lab, workload::spec2006::evenNumbered(),
  *                            mode).samples);
  *   const auto a = core::signatureOf(

@@ -89,8 +89,11 @@ parseRecord(const std::string &line, ReplayKey &key, ReplayEntry &entry)
     std::vector<std::uint64_t> words;
     for (std::uint64_t word; in >> word;)
         words.push_back(word);
-    // 4 + 3n key words, n counter blocks, two tallies, the digest.
-    if (!in.eof() || words.size() < 4 ||
+    // 4 + 3n key words, n counter blocks, two tallies, the digest;
+    // the untrusted n is bounded by the line's length before the
+    // multiply, which could otherwise wrap.
+    if (!in.eof() || words.size() < 7 ||
+        words[3] > (words.size() - 7) / (3 + kBlockWords) ||
         words.size() != 7 + (3 + kBlockWords) * words[3])
         return false;
     fault::Digest digest;

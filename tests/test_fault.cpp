@@ -32,7 +32,8 @@ namespace {
 using core::Characterization;
 using core::CoLocationMode;
 using core::Lab;
-using core::SmitePredictor;
+using core::Predictor;
+using core::PredictorKind;
 using fault::FaultPlan;
 using fault::MeasurementError;
 using fault::SiteSpec;
@@ -265,7 +266,7 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     const auto train = trainingSet();
     const auto mode = CoLocationMode::kSmt;
     // Corpus signatures 0 and 1: 401.bzip2 next to 429.mcf.
-    const auto predictFirstPair = [](const SmitePredictor &model,
+    const auto predictFirstPair = [](const Predictor &model,
                                      const core::TrainingCorpus &corpus) {
         return model.predictDegradation(corpus.signatures[0],
                                         corpus.signatures[1]);
@@ -278,7 +279,8 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
         Lab lab = makeLab();
         const core::TrainingCorpus corpus =
             core::trainingCorpus(lab, train, mode);
-        const SmitePredictor model = SmitePredictor::train(corpus.samples);
+        const Predictor model =
+            Predictor::train(PredictorKind::kSmite, corpus.samples);
         base_coeffs = model.coefficients();
         base_pred = predictFirstPair(model, corpus);
     }
@@ -296,7 +298,8 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
     {
         Lab lab = makeLab();
         lab.setMaxAttempts(1);  // no retries: faults become drops
-        const SmitePredictor model = SmitePredictor::train(
+        const Predictor model = Predictor::train(
+            PredictorKind::kSmite,
             core::trainingCorpus(lab, train, mode).samples);
         // Training degraded but completed: finite coefficients.
         for (const double c : model.coefficients())
@@ -311,7 +314,8 @@ TEST_F(FaultTest, TrainSmiteSurvivesChaosAndReproducesCleanBaseline)
         Lab lab = makeLab();
         const core::TrainingCorpus corpus =
             core::trainingCorpus(lab, train, mode);
-        const SmitePredictor model = SmitePredictor::train(corpus.samples);
+        const Predictor model =
+            Predictor::train(PredictorKind::kSmite, corpus.samples);
         EXPECT_EQ(model.coefficients(), base_coeffs);
         EXPECT_EQ(predictFirstPair(model, corpus), base_pred);
         EXPECT_EQ(counter("lab.dropped_samples"), 0u);

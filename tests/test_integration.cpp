@@ -36,7 +36,8 @@ trainingSubset()
 TEST(Integration, EndToEndPredictionBeatsBaselines)
 {
     const auto mode = CoLocationMode::kSmt;
-    const SmitePredictor model = SmitePredictor::train(
+    const Predictor model = Predictor::train(
+        PredictorKind::kSmite,
         trainingCorpus(lab(), trainingSubset(), mode).samples);
 
     // Held-out applications spanning compute-, branch- and
@@ -69,12 +70,13 @@ TEST(Integration, EndToEndPredictionBeatsBaselines)
     EXPECT_LT(smite_err / n, 0.12);
 }
 
-TEST(Integration, PmuPredictorTrainsAndPredictsInRange)
+TEST(Integration, PmuBaselineTrainsAndPredictsInRange)
 {
     const auto mode = CoLocationMode::kSmt;
     // The PMU baseline needs > 22 samples: 9 apps give 72 ordered
     // pairs.
-    const PmuPredictor model = PmuPredictor::train(
+    const Predictor model = Predictor::train(
+        PredictorKind::kPmu,
         trainingCorpus(lab(), trainingSubset(), mode).samples);
     const double pred = model.predictDegradation(
         signatureOf(lab(), workload::spec2006::byName("453.povray"), mode),
@@ -85,7 +87,8 @@ TEST(Integration, PmuPredictorTrainsAndPredictsInRange)
 
 TEST(Integration, SmiteCoefficientsAreFinite)
 {
-    const SmitePredictor model = SmitePredictor::train(
+    const Predictor model = Predictor::train(
+        PredictorKind::kSmite,
         trainingCorpus(lab(), trainingSubset(), CoLocationMode::kSmt)
             .samples);
     for (double c : model.coefficients())

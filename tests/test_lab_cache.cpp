@@ -24,6 +24,7 @@
 
 #include "core/experiment.h"
 #include "fault/fault.h"
+#include "fault/keyed.h"
 #include "obs/metrics.h"
 #include "sim/replay.h"
 #include "workload/cloudsuite.h"
@@ -235,13 +236,25 @@ TEST(LabCache, ReloadReplaysEveryRun)
     std::remove(path.c_str());
 }
 
-// (5) Garbage and a torn last line are skipped with file:line
-// warnings; the intact records still replay.
+// (5) Garbage, an overflowing placement count and a torn last line
+// are skipped with file:line warnings; the intact records still
+// replay.
 TEST(LabCache, SkipsMalformedLinesWithLocation)
 {
     const std::string path = freshLog("smite_runlog_bad.txt");
     const auto &app = workload::spec2006::byName("456.hmmer");
     writeInChild([&] { Lab(kIvb, path, 840, 2'000).soloIpc(app); });
+
+    // A correctly digested 7-word line whose placement count 2^63
+    // wraps (3 + block words) * count around to 0 in 64 bits.
+    std::string overflow;
+    fault::Digest digest;
+    for (const std::uint64_t word :
+         {1ull, 2ull, 3ull, 9223372036854775808ull, 5ull, 6ull}) {
+        overflow += std::to_string(word) + " ";
+        digest.u64(word);
+    }
+    overflow += std::to_string(digest.value());
 
     std::vector<std::string> lines = readLines(path);
     ASSERT_EQ(lines.size(), 2u);  // version line + one solo run
@@ -249,6 +262,7 @@ TEST(LabCache, SkipsMalformedLinesWithLocation)
         std::ofstream out(path, std::ios::app);
         out << "garbage line\n";
         out << "1 2 3\n";
+        out << overflow << "\n";
         out << lines[1].substr(0, lines[1].size() / 2);  // torn
     }
 
@@ -256,7 +270,7 @@ TEST(LabCache, SkipsMalformedLinesWithLocation)
     testing::internal::CaptureStderr();
     Lab reloaded(kIvb, path, 840, 2'000);
     const std::string warnings = testing::internal::GetCapturedStderr();
-    for (const int lineno : {3, 4, 5})
+    for (const int lineno : {3, 4, 5, 6})
         EXPECT_NE(warnings.find(path + ":" + std::to_string(lineno)),
                   std::string::npos)
             << warnings;

@@ -1,12 +1,12 @@
 /**
  * @file
  * Conformance suite for the predictor zoo (core/predictor.h): every
- * implementation behind the core::Predictor interface must honour the
- * same contract — predictions in [0, 1], solo predicts zero,
- * unusable or adversarial signatures fall back to the conservative
- * worst case with the `predictor.*` counters ticking — plus the
- * paper's two regressions on synthetic data (Equation 3 and
- * Equation 9 recovery, feature layouts, minimum sample counts) and a
+ * PredictorKind must honour the same contract — predictions in
+ * [0, 1], solo predicts zero, unusable or adversarial signatures fall
+ * back to the conservative worst case with the `predictor.*` counters
+ * ticking — plus each kind's feature row pinned on hand-built
+ * signatures, the paper's two regressions on synthetic data
+ * (Equation 3 and Equation 9 recovery, minimum sample counts) and a
  * real-Lab end-to-end smoke of trainPredictorZoo at tiny intervals.
  */
 
@@ -16,8 +16,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -113,19 +111,13 @@ pairwiseCorpus(int n, std::uint64_t seed,
     return corpus;
 }
 
-/** All four implementations trained on one synthetic corpus. */
-std::vector<std::unique_ptr<Predictor>>
+/** Every kind trained on one synthetic corpus, in zoo order. */
+std::vector<Predictor>
 trainedZoo(const SyntheticCorpus &corpus)
 {
-    std::vector<std::unique_ptr<Predictor>> zoo;
-    zoo.push_back(std::make_unique<SmitePredictor>(
-        SmitePredictor::train(corpus.samples)));
-    zoo.push_back(std::make_unique<PmuPredictor>(
-        PmuPredictor::train(corpus.samples)));
-    zoo.push_back(std::make_unique<MisePredictor>(
-        MisePredictor::train(corpus.samples)));
-    zoo.push_back(std::make_unique<AlvesDrummondPredictor>(
-        AlvesDrummondPredictor::train(corpus.samples)));
+    std::vector<Predictor> zoo;
+    for (const PredictorKind kind : kAllPredictorKinds)
+        zoo.push_back(Predictor::train(kind, corpus.samples));
     return zoo;
 }
 
@@ -133,18 +125,35 @@ TEST(PredictorZoo, NamesAreUniqueAndCostsSensible)
 {
     const SyntheticCorpus corpus = makeCorpus(8);
     const auto zoo = trainedZoo(corpus);
-    std::set<std::string> names;
-    for (const auto &p : zoo) {
-        names.insert(std::string(p->name()));
-        EXPECT_GE(p->signatureRuns(), 1) << p->name();
-    }
-    EXPECT_EQ(names.size(), zoo.size());
+    std::vector<std::string> names;
+    for (const Predictor &p : zoo)
+        names.emplace_back(p.name());
+    EXPECT_EQ(names, (std::vector<std::string>{"smite", "pmu", "mise",
+                                               "alves-drummond"}));
     // Ruler-based predictors pay one co-run per dimension on top of
     // the solo run; counter-based ones read a single solo run.
-    EXPECT_EQ(zoo[0]->signatureRuns(), 1 + rulers::kNumDimensions);
-    EXPECT_EQ(zoo[1]->signatureRuns(), 1);
-    EXPECT_EQ(zoo[2]->signatureRuns(), 1);
-    EXPECT_EQ(zoo[3]->signatureRuns(), 1 + rulers::kNumDimensions);
+    EXPECT_EQ(zoo[0].signatureRuns(), 1 + rulers::kNumDimensions);
+    EXPECT_EQ(zoo[1].signatureRuns(), 1);
+    EXPECT_EQ(zoo[2].signatureRuns(), 1);
+    EXPECT_EQ(zoo[3].signatureRuns(), 1 + rulers::kNumDimensions);
+}
+
+TEST(PredictorZoo, DefaultRidgeIsPerKind)
+{
+    // 1e-8 for every kind but the collinear PMU rates (1e-6).
+    const SyntheticCorpus corpus = makeCorpus(8);
+    for (const auto &[kind, ridge] :
+         {std::pair{PredictorKind::kSmite, 1e-8},
+          std::pair{PredictorKind::kPmu, 1e-6},
+          std::pair{PredictorKind::kMise, 1e-8},
+          std::pair{PredictorKind::kAlvesDrummond, 1e-8}}) {
+        const Predictor fit = Predictor::train(kind, corpus.samples);
+        SCOPED_TRACE(std::string(fit.name()));
+        const Predictor explicit_fit =
+            Predictor::train(kind, corpus.samples, ridge);
+        EXPECT_EQ(fit.coefficients(), explicit_fit.coefficients());
+        EXPECT_EQ(fit.constantTerm(), explicit_fit.constantTerm());
+    }
 }
 
 TEST(PredictorZoo, PredictionsAreBoundedAndDeterministic)
@@ -152,22 +161,22 @@ TEST(PredictorZoo, PredictionsAreBoundedAndDeterministic)
     const SyntheticCorpus corpus = makeCorpus(8);
     const auto zoo = trainedZoo(corpus);
     for (const auto &p : zoo) {
-        SCOPED_TRACE(std::string(p->name()));
+        SCOPED_TRACE(std::string(p.name()));
         for (const PredictorSample &s : corpus.samples) {
             const double deg =
-                p->predictDegradation(*s.victim, *s.aggressor);
+                p.predictDegradation(*s.victim, *s.aggressor);
             EXPECT_GE(deg, 0.0);
             EXPECT_LE(deg, 1.0);
-            EXPECT_EQ(p->predictDegradation(*s.victim, *s.aggressor),
+            EXPECT_EQ(p.predictDegradation(*s.victim, *s.aggressor),
                       deg);
         }
         // Solo: no aggressors, no degradation.
-        EXPECT_EQ(p->predictDegradation(
+        EXPECT_EQ(p.predictDegradation(
                       corpus.signatures[0],
                       std::vector<const WorkloadSignature *>{}),
                   0.0);
         // Multi-aggressor sets stay bounded too.
-        const double multi = p->predictDegradation(
+        const double multi = p.predictDegradation(
             corpus.signatures[0],
             {&corpus.signatures[1], &corpus.signatures[2],
              &corpus.signatures[3]});
@@ -183,7 +192,7 @@ TEST(PredictorZoo, AdversarialSignaturesFallBackToWorstCase)
     workload::Rng rng(0xD155ull);
 
     for (const auto &p : zoo) {
-        SCOPED_TRACE(std::string(p->name()));
+        SCOPED_TRACE(std::string(p.name()));
 
         // A signature whose measurement failed.
         WorkloadSignature invalid = syntheticSignature(rng, "invalid");
@@ -204,16 +213,16 @@ TEST(PredictorZoo, AdversarialSignaturesFallBackToWorstCase)
                 counter("predictor.invalid_inputs");
             const std::uint64_t incidents0 =
                 obs::IncidentLog::global().count();
-            EXPECT_EQ(p->predictDegradation(*victim,
-                                            corpus.signatures[1]),
+            EXPECT_EQ(p.predictDegradation(*victim,
+                                           corpus.signatures[1]),
                       1.0);
             EXPECT_EQ(counter("predictor.invalid_inputs"),
                       invalid0 + 1);
             EXPECT_GT(obs::IncidentLog::global().count(), incidents0);
         }
         // An adversarial *aggressor* is caught the same way.
-        EXPECT_EQ(p->predictDegradation(corpus.signatures[0],
-                                        poisoned),
+        EXPECT_EQ(p.predictDegradation(corpus.signatures[0],
+                                       poisoned),
                   1.0);
     }
 }
@@ -240,20 +249,20 @@ TEST(PredictorZoo, OutOfRangeRawPredictionsAreClampedAndCounted)
 
     for (const auto &[corpus, bound] :
          {std::pair{&high, 1.0}, std::pair{&low, 0.0}}) {
-        for (const auto &p : trainedZoo(*corpus)) {
-            SCOPED_TRACE(std::string(p->name()) + " toward " +
+        for (const Predictor &p : trainedZoo(*corpus)) {
+            SCOPED_TRACE(std::string(p.name()) + " toward " +
                          std::to_string(bound));
             const std::uint64_t predictions0 =
                 counter("predictor.predictions");
             const std::uint64_t clamped0 = counter("predictor.clamped");
-            EXPECT_EQ(p->predictDegradation(saturated, saturated), bound);
+            EXPECT_EQ(p.predictDegradation(saturated, saturated), bound);
             EXPECT_EQ(counter("predictor.predictions"), predictions0 + 1);
             EXPECT_EQ(counter("predictor.clamped"), clamped0 + 1);
         }
     }
 }
 
-TEST(SmitePredictor, FeaturesArePerDimensionProducts)
+TEST(SmiteKind, FeaturesArePerDimensionProducts)
 {
     WorkloadSignature victim, a1, a2;
     for (int d = 0; d < rulers::kNumDimensions; ++d) {
@@ -261,9 +270,11 @@ TEST(SmitePredictor, FeaturesArePerDimensionProducts)
         a1.characterization.contentiousness[d] = 0.2 * (d + 1);
         a2.characterization.contentiousness[d] = 0.05;
     }
-    const auto x = SmitePredictor::features(victim, {&a1});
+    const auto x =
+        Predictor::features(PredictorKind::kSmite, victim, {&a1});
     ASSERT_EQ(x.size(), static_cast<size_t>(rulers::kNumDimensions));
-    const auto x2 = SmitePredictor::features(victim, {&a1, &a2});
+    const auto x2 =
+        Predictor::features(PredictorKind::kSmite, victim, {&a1, &a2});
     for (int d = 0; d < rulers::kNumDimensions; ++d) {
         // One co-runner: exactly Sen_i^A * Con_i^B, bit for bit.
         EXPECT_EQ(x[d], victim.characterization.sensitivity[d] *
@@ -274,7 +285,7 @@ TEST(SmitePredictor, FeaturesArePerDimensionProducts)
     }
 }
 
-TEST(SmitePredictor, RecoversSyntheticEquation3)
+TEST(SmiteKind, RecoversSyntheticEquation3)
 {
     // A world that obeys Equation 3 exactly: the unregularized fit
     // must reproduce its coefficients and predictions.
@@ -291,7 +302,8 @@ TEST(SmitePredictor, RecoversSyntheticEquation3)
         return deg;
     };
     const SyntheticCorpus corpus = pairwiseCorpus(120, 77, eq3);
-    const SmitePredictor model = SmitePredictor::train(corpus.samples, 0.0);
+    const Predictor model =
+        Predictor::train(PredictorKind::kSmite, corpus.samples, 0.0);
     ASSERT_EQ(model.coefficients().size(),
               static_cast<size_t>(rulers::kNumDimensions));
     for (int d = 0; d < rulers::kNumDimensions; ++d)
@@ -315,23 +327,24 @@ TEST(SmitePredictor, RecoversSyntheticEquation3)
                 std::clamp(eq3(victim, both), 0.0, 1.0), 1e-8);
 }
 
-TEST(PmuPredictor, FeatureLayoutIsVictimThenAggressors)
+TEST(PmuKind, FeatureLayoutIsVictimThenAggressors)
 {
     WorkloadSignature victim, a1, a2;
     victim.pmu[0] = 1.5;
     a1.pmu[0] = 2.5;
     a2.pmu[0] = 0.5;
-    const auto x = PmuPredictor::features(victim, {&a1});
+    const auto x =
+        Predictor::features(PredictorKind::kPmu, victim, {&a1});
     ASSERT_EQ(x.size(), 2u * sim::kNumPmuRates);
     EXPECT_EQ(x[0], 1.5);
     EXPECT_EQ(x[sim::kNumPmuRates], 2.5);
     // A co-runner set: the aggressor half is the summed rates.
-    EXPECT_EQ(PmuPredictor::features(victim, {&a1, &a2})
-                  [sim::kNumPmuRates],
+    EXPECT_EQ(Predictor::features(PredictorKind::kPmu, victim,
+                                  {&a1, &a2})[sim::kNumPmuRates],
               3.0);
 }
 
-TEST(PmuPredictor, RecoversSyntheticEquation9)
+TEST(PmuKind, RecoversSyntheticEquation9)
 {
     workload::Rng rng(55);
     std::vector<double> wa(sim::kNumPmuRates), wb(sim::kNumPmuRates);
@@ -348,7 +361,8 @@ TEST(PmuPredictor, RecoversSyntheticEquation9)
         return deg;
     };
     const SyntheticCorpus corpus = pairwiseCorpus(200, 56, eq9);
-    const PmuPredictor model = PmuPredictor::train(corpus.samples, 0.0);
+    const Predictor model =
+        Predictor::train(PredictorKind::kPmu, corpus.samples, 0.0);
     for (const PredictorSample &s : corpus.samples) {
         EXPECT_NEAR(model.predictDegradation(*s.victim, *s.aggressor),
                     std::clamp(s.degradation, 0.0, 1.0), 1e-6);
@@ -359,26 +373,68 @@ TEST(PredictorZoo, PaperModelsNeedMoreSamplesThanFeatures)
 {
     const auto flat = [](const WorkloadSignature &,
                          const WorkloadSignature &) { return 0.1; };
-    const int smite_features = rulers::kNumDimensions;
-    const int pmu_features = 2 * sim::kNumPmuRates;
-    EXPECT_THROW(
-        SmitePredictor::train(pairwiseCorpus(smite_features, 3, flat)
-                                  .samples),
-        std::invalid_argument);
-    EXPECT_NO_THROW(
-        SmitePredictor::train(pairwiseCorpus(smite_features + 1, 3, flat)
-                                  .samples));
-    EXPECT_THROW(
-        PmuPredictor::train(pairwiseCorpus(pmu_features, 3, flat).samples),
-        std::invalid_argument);
-    EXPECT_NO_THROW(PmuPredictor::train(
-        pairwiseCorpus(pmu_features + 1, 3, flat).samples));
+    // Feature counts: 7 sharing dimensions, 2 x 11 PMU rates, 4 MISE
+    // memory terms, 7 saturating dimensions.
+    const int features[] = {7, 22, 4, 7};
+    for (const PredictorKind kind : kAllPredictorKinds) {
+        const int n = features[static_cast<int>(kind)];
+        SCOPED_TRACE(n);
+        EXPECT_THROW(
+            Predictor::train(kind, pairwiseCorpus(n, 3, flat).samples),
+            std::invalid_argument);
+        EXPECT_NO_THROW(
+            Predictor::train(kind, pairwiseCorpus(n + 1, 3, flat).samples));
+    }
 }
 
-TEST(PmuPredictor, NonFiniteRateFallsBackToWorstCase)
+TEST(MiseKind, FeaturesAreMemoryRatesAndInterferenceProducts)
+{
+    // Power-of-two cycle counts keep every rate and product exact.
+    WorkloadSignature victim, a1, a2;
+    victim.soloCounters.cycles = 1'024;
+    victim.soloCounters.l3Misses = 64;   // v_dram = 0.0625
+    victim.soloCounters.l2Misses = 256;  // v_l3   = 0.25
+    a1.soloCounters.cycles = 2'048;
+    a1.soloCounters.l3Misses = 128;      // 0.0625
+    a1.soloCounters.l2Misses = 1'024;    // 0.5
+    a2.soloCounters.cycles = 512;
+    a2.soloCounters.l3Misses = 16;       // 0.03125
+    a2.soloCounters.l2Misses = 64;       // 0.125
+    // {v_dram, a_dram, v_dram * a_dram, v_l3 * a_l3}, the aggressor
+    // rates summed over the set.
+    const std::vector<double> x =
+        Predictor::features(PredictorKind::kMise, victim, {&a1, &a2});
+    EXPECT_EQ(x, (std::vector<double>{0.0625, 0.09375, 0.005859375,
+                                      0.15625}));
+}
+
+TEST(AlvesDrummondKind, FeaturesSaturateSummedContentiousness)
+{
+    WorkloadSignature victim, a1, a2;
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        victim.characterization.sensitivity[d] = 0.1 * (d + 1);
+        a1.characterization.contentiousness[d] = 0.2 * (d + 1);
+        a2.characterization.contentiousness[d] = 0.05;
+    }
+    const std::vector<double> x = Predictor::features(
+        PredictorKind::kAlvesDrummond, victim, {&a1, &a2});
+    ASSERT_EQ(x.size(), static_cast<size_t>(rulers::kNumDimensions));
+    for (int d = 0; d < rulers::kNumDimensions; ++d) {
+        // Sen_i * (1 - exp(-sum Con_i)), bit for bit.
+        const double con = a1.characterization.contentiousness[d] +
+                           a2.characterization.contentiousness[d];
+        EXPECT_EQ(x[d], victim.characterization.sensitivity[d] *
+                            (1.0 - std::exp(-con)));
+    }
+    // Dimension 0: 0.1 * (1 - exp(-0.25)).
+    EXPECT_NEAR(x[0], 0.022119921692859514, 1e-17);
+}
+
+TEST(PmuKind, NonFiniteRateFallsBackToWorstCase)
 {
     const SyntheticCorpus corpus = makeCorpus(8);
-    const PmuPredictor model = PmuPredictor::train(corpus.samples);
+    const Predictor model =
+        Predictor::train(PredictorKind::kPmu, corpus.samples);
     WorkloadSignature victim = corpus.signatures[0];
     victim.pmu[3] = std::numeric_limits<double>::infinity();
 

@@ -201,7 +201,8 @@ cmdPredict(const Options &opts)
                               : workload::spec2006::oddNumbered();
     std::fprintf(stderr, "training Equation 3 on the %s-numbered SPEC "
                  "benchmarks...\n", opts.trainEven ? "even" : "odd");
-    const core::SmitePredictor model = core::SmitePredictor::train(
+    const core::Predictor model = core::Predictor::train(
+        core::PredictorKind::kSmite,
         core::trainingCorpus(lab, training, opts.mode).samples);
 
     const double predicted = model.predictDegradation(
