@@ -28,7 +28,9 @@
  * tier-1 smoke pins this, clean and under a pinned `des.*` chaos
  * plan). The machine-readable knees and scenario aggregates go to
  * BENCH_load.json (schema `smite-run-report/1`; argv[1] overrides
- * the path), diffed against the committed baseline in tier-1.
+ * the path), diffed against the committed baseline in tier-1 under
+ * the gate declared in main(): the whole report exact, except the
+ * pool.* metrics, which follow the pool's width.
  */
 
 #include <iterator>
@@ -114,6 +116,10 @@ main(int argc, char **argv)
     bench::banner("Latency vs load (beyond the paper)",
                   "open-loop knee finding and load-aware admission");
     obs::RunReport report("bench_latency_vs_load");
+    report.addGate("metrics.counters.pool.*", obs::json::Value("ignore"));
+    report.addGate("metrics.gauges.pool.*", obs::json::Value("ignore"));
+    report.addGate("metrics.histograms.pool.*", obs::json::Value("ignore"));
+    report.addGate("*", obs::json::Value(0));
 
     // --- 1. Stepped sweep: the latency-vs-load curve ---------------
     // Web-Search under 10% degradation, two DES server instances,

@@ -12,9 +12,10 @@
  * assembled batch results must be byte-identical at every thread
  * count (exit status 1 otherwise).
  *
- * Simulated cycles per measurement default to a reduced interval so
- * the sweep finishes in minutes; override with SMITE_SCALING_WARMUP /
- * SMITE_SCALING_MEASURE (cycles) to reproduce the full-length runs.
+ * Simulated cycles per measurement default to a reduced interval
+ * (10,000 warmup, 40,000 measure) so the sweep finishes in minutes;
+ * SMITE_BENCH_WARMUP / SMITE_BENCH_MEASURE override them as in every
+ * harness, and the report's config records the intervals simulated.
  */
 
 #include <chrono>
@@ -103,9 +104,12 @@ main()
     const auto train = workload::spec2006::evenNumbered();
     const auto mode = core::CoLocationMode::kSmt;
     const sim::Cycle warmup =
-        obs::envPositive<sim::Cycle>("SMITE_SCALING_WARMUP", 10'000);
+        obs::envPositive<sim::Cycle>("SMITE_BENCH_WARMUP", 10'000);
     const sim::Cycle measure =
-        obs::envPositive<sim::Cycle>("SMITE_SCALING_MEASURE", 40'000);
+        obs::envPositive<sim::Cycle>("SMITE_BENCH_MEASURE", 40'000);
+    obs_scope.report().setConfig("warmup_cycles", obs::json::Value(warmup));
+    obs_scope.report().setConfig("measure_cycles",
+                                 obs::json::Value(measure));
 
     std::printf("%zu workloads, warmup=%llu measure=%llu cycles, "
                 "host reports %u hardware threads\n\n",

@@ -22,9 +22,11 @@
  *
  * The committed BENCH_pred.json at the repository root is the
  * baseline: `scripts/tier1.sh` re-runs this harness and diffs the
- * fresh report against it with `report_diff --tol 0`, and
- * byte-compares stdout across SMITE_THREADS settings (stdout carries
- * results and cost only, so it is deterministic by construction).
+ * fresh report against it with `report_diff` under the gate declared
+ * in main() (every result and counter exact, except the counters
+ * that depend on the pool's width or timing), and byte-compares
+ * stdout across SMITE_THREADS settings (stdout carries results and
+ * cost only, so it is deterministic by construction).
  *
  *   bench_predictor_zoo [output.json]   (default: BENCH_pred.json)
  */
@@ -187,6 +189,19 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_pred.json";
     bench::ReportScope scope("bench_predictor_zoo");
     obs::RunReport &report = scope.report();
+    // pool.* counters follow the pool's width, and whether a repeated
+    // replay ask counts as a hit or a wait depends on thread timing.
+    // machine.runs = hits + waits + misses + bypassed, so exact runs,
+    // misses and bypassed still pin hits + waits. Histograms are not
+    // compared: pooled summation order moves the low bits of
+    // machine.ipc's sum.
+    report.addGate("metrics.counters.pool.*", obs::json::Value("ignore"));
+    report.addGate("metrics.counters.machine.replay.hits",
+                   obs::json::Value("ignore"));
+    report.addGate("metrics.counters.machine.replay.waits",
+                   obs::json::Value("ignore"));
+    report.addGate("results.*", obs::json::Value(0));
+    report.addGate("metrics.counters.*", obs::json::Value(0));
     bench::banner("Predictor zoo (beyond the paper)",
                   "SMiTe vs PMU vs MISE-style vs Alves-Drummond "
                   "predictors, one corpus, head to head");

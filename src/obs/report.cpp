@@ -13,6 +13,8 @@ RunReport::toJson() const
     json::Value doc = json::Value::object();
     doc.set("schema", json::Value(kRunReportSchema));
     doc.set("name", json::Value(name_));
+    if (!gate_.fields().empty())
+        doc.set("gate", gate_);
     doc.set("config", config_);
     doc.set("timings", timings_);
     doc.set("results", results_);

@@ -15,6 +15,7 @@
  * {
  *   "schema":  "smite-run-report/1",
  *   "name":    "bench_fig10_spec_smt_prediction",
+ *   "gate":    { "results.*": 0 },            // only when declared
  *   "config":  { "machine": "Ivy Bridge", "threads": 8, ... },
  *   "timings": { "total_s": 12.34, ... },
  *   "results": { "smite_avg_error": 0.064, ... },
@@ -27,7 +28,9 @@
  *
  * The `partial` / `incidents` pair appears only on runs that absorbed
  * failures (see obs/incident.h): consumers can treat their absence as
- * "every measurement completed".
+ * "every measurement completed". The `gate` appears only when the
+ * harness declared one (addGate()): it tells report_diff how to
+ * compare a fresh run against this report (obs/diff.h).
  *
  * Emission is the caller's decision; the bench reporter writes the
  * file only when SMITE_METRICS or SMITE_TRACE is set, so default runs
@@ -77,6 +80,18 @@ class RunReport
     }
 
     /**
+     * Declare one compare rule for when this report is a baseline
+     * (obs/diff.h): leaves whose dotted path matches @p pattern
+     * compare within the relative tolerance @p rule (0 is exact), or
+     * not at all when @p rule is "ignore". The first matching
+     * pattern, in declaration order, wins.
+     */
+    void addGate(const std::string &pattern, json::Value rule)
+    {
+        gate_.set(pattern, std::move(rule));
+    }
+
+    /**
      * Flag this run as degraded: some measurements failed and the
      * results were assembled without them. @p incidents lists what
      * was lost (typically IncidentLog::global().snapshot()).
@@ -104,6 +119,7 @@ class RunReport
 
   private:
     std::string name_;
+    json::Value gate_ = json::Value::object();
     json::Value config_ = json::Value::object();
     json::Value timings_ = json::Value::object();
     json::Value results_ = json::Value::object();

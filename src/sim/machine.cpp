@@ -370,6 +370,12 @@ Machine::run(const std::vector<Placement> &placements, Cycle warmup,
             return live;
         });
     } else {
+        // Registered on first use, so runs that never bypass the
+        // store never emit it: machine.runs = hits + waits + misses +
+        // bypassed.
+        static obs::Counter &bypassed =
+            obs::Registry::global().counter("machine.replay.bypassed");
+        bypassed.add();
         entry = runLive(placements, warmup, measure);
     }
     std::vector<CounterBlock> results = std::move(entry.results);

@@ -70,7 +70,8 @@ using ReplayKey = std::vector<std::uint64_t>;
 
 /**
  * The process-wide run-outcome store, instrumented as
- * `machine.replay.{hits,misses,waits}`.
+ * `machine.replay.{hits,misses,waits}`; Machine::run() counts the runs
+ * that skip it as `machine.replay.bypassed`.
  */
 MemoCache<ReplayKey, ReplayEntry> &replayStore();
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -395,10 +396,12 @@ TEST_F(ObsTest, DiffReportsFlagsNumericDriftBeyondTolerance)
     ASSERT_EQ(diffs.size(), 1u);
     EXPECT_EQ(diffs[0].path, "results.rmse");
 
-    // A loose tolerance accepts the same drift.
-    obs::ReportDiffOptions loose;
-    loose.tolerance = 0.1;
-    EXPECT_TRUE(obs::diffReports(a, b, loose).empty());
+    // A baseline whose gate is loose accepts the same drift.
+    const json::Value loose = mustParse(
+        R"({"name":"x","gate":{"results.*":0.1},"results":{"rmse":0.031}})");
+    const json::Value fresh = mustParse(
+        R"({"name":"x","gate":{"results.*":0.1},"results":{"rmse":0.032}})");
+    EXPECT_TRUE(obs::diffReports(loose, fresh).empty());
 }
 
 TEST_F(ObsTest, DiffReportsFlagsMissingKeysAndTypeChanges)
@@ -425,8 +428,145 @@ TEST_F(ObsTest, DiffReportsFlagsPartialVersusComplete)
     ASSERT_EQ(diffs.size(), 1u);
     EXPECT_EQ(diffs[0].path, "partial");
     EXPECT_EQ(diffs[0].detail, "partial vs complete");
-    // Metrics only compared on request.
     EXPECT_TRUE(obs::diffReports(a, a).empty());
+}
+
+TEST_F(ObsTest, GateFirstMatchingPatternWins)
+{
+    const auto doc = [](const char *gate, const char *rate) {
+        return mustParse(std::string(R"({"name":"x","gate":)") + gate +
+                         R"(,"results":{"fast_rate":)" + rate +
+                         R"(,"digest":5}})");
+    };
+    const char *fast_first = R"({"results.fast_*":0.6,"results.*":0})";
+    const char *exact_first = R"({"results.*":0,"results.fast_*":0.6})";
+
+    EXPECT_TRUE(obs::diffReports(doc(fast_first, "100"),
+                                 doc(fast_first, "50"))
+                    .empty());
+    const auto slow = obs::diffReports(doc(fast_first, "100"),
+                                       doc(fast_first, "30"));
+    ASSERT_EQ(slow.size(), 1u);
+    EXPECT_EQ(slow[0].path, "results.fast_rate");
+
+    // The same rules in the other order: `results.*` matches first.
+    const auto exact = obs::diffReports(doc(exact_first, "100"),
+                                        doc(exact_first, "50"));
+    ASSERT_EQ(exact.size(), 1u);
+    EXPECT_EQ(exact[0].path, "results.fast_rate");
+}
+
+TEST_F(ObsTest, GateFailsOneSidedKeysOnlyUnderToleranceRule)
+{
+    const char *gate = R"("gate":{"metrics.counters.pool.*":"ignore",)"
+                       R"("metrics.counters.*":0})";
+    const auto doc = [&](const char *counters) {
+        return mustParse(std::string(R"({"name":"x",)") + gate +
+                         R"(,"metrics":{"counters":)" + counters + "}}");
+    };
+    const json::Value pooled =
+        doc(R"({"pool.batches":3,"pool.tasks":40,"lab.trials":5})");
+    EXPECT_TRUE(obs::diffReports(pooled, doc(R"({"lab.trials":5})")).empty());
+    EXPECT_TRUE(obs::diffReports(doc(R"({"lab.trials":5})"), pooled).empty());
+
+    const auto lost =
+        obs::diffReports(pooled, doc(R"({"pool.batches":3})"));
+    ASSERT_EQ(lost.size(), 1u);
+    EXPECT_EQ(lost[0].path, "metrics.counters.lab.trials");
+    EXPECT_EQ(lost[0].detail, "present vs missing");
+
+    const auto added = obs::diffReports(
+        doc(R"({"lab.trials":5})"),
+        doc(R"({"lab.trials":5,"machine.replay.bypassed":1})"));
+    ASSERT_EQ(added.size(), 1u);
+    EXPECT_EQ(added[0].path, "metrics.counters.machine.replay.bypassed");
+    EXPECT_EQ(added[0].detail, "missing vs present");
+}
+
+TEST_F(ObsTest, GateLeavesUnmatchedPathsUncompared)
+{
+    const json::Value a = mustParse(
+        R"({"name":"x","gate":{"results.*":0},"config":{"threads":4},)"
+        R"("timings":{"total_s":1},"results":{"a":1},)"
+        R"("metrics":{"counters":{"lab.trials":5}}})");
+    const json::Value b = mustParse(
+        R"({"name":"x","gate":{"results.*":0},"config":{"threads":1},)"
+        R"("results":{"a":1},"metrics":{"counters":{"lab.trials":7,)"
+        R"("pool.batches":2},"gauges":{}}})");
+    EXPECT_TRUE(obs::diffReports(a, b).empty());
+}
+
+TEST_F(ObsTest, GateNamePartialAndGateAlwaysCompareExactly)
+{
+    const json::Value a = mustParse(
+        R"({"name":"x","gate":{"*":"ignore"},"results":{"a":1}})");
+    const json::Value b = mustParse(
+        R"({"name":"y","gate":{"*":"ignore"},"results":{"a":2},)"
+        R"("partial":true,"incidents":["lost"]})");
+    const auto diffs = obs::diffReports(a, b);
+    ASSERT_EQ(diffs.size(), 2u);
+    EXPECT_EQ(diffs[0].path, "name");
+    EXPECT_EQ(diffs[1].path, "partial");
+
+    // A harness whose gate drifted from the baseline's fails, and so
+    // does one that stopped declaring it or only reordered its rules.
+    const auto gate_diff = [](const char *baseline, const char *fresh) {
+        const auto doc = [](const char *gate) {
+            return mustParse(std::string(R"({"name":"x",)") + gate +
+                             R"("results":{"a":1}})");
+        };
+        return obs::diffReports(doc(baseline), doc(fresh));
+    };
+    const char *sched = R"("gate":{"results.*_per_sec":0.6,"results.*":0},)";
+    const char *reordered =
+        R"("gate":{"results.*":0,"results.*_per_sec":0.6},)";
+    const char *drifted = R"("gate":{"results.*_per_sec":0.5,"results.*":0},)";
+    EXPECT_TRUE(gate_diff(sched, sched).empty());
+    for (const char *fresh : {reordered, drifted, ""}) {
+        const auto gate_diffs = gate_diff(sched, fresh);
+        ASSERT_EQ(gate_diffs.size(), 1u) << fresh;
+        EXPECT_EQ(gate_diffs[0].path, "gate");
+    }
+    EXPECT_EQ(gate_diff(sched, "")[0].detail,
+              R"({"results.*_per_sec":0.59999999999999998,"results.*":0})"
+              " vs no gate");
+}
+
+TEST_F(ObsTest, GateMalformedIsRejected)
+{
+    const json::Value b = mustParse(R"({"name":"x","results":{"a":1}})");
+    for (const char *gate :
+         {R"([])", R"("exact")", R"({"results.*":-1})",
+          R"({"results.*":1e999})", R"({"results.*":-1e999})",
+          R"({"results.*":"exact"})", R"({"results.*":true})",
+          R"({"results.*":null})", R"({"results.*":{}})"}) {
+        const json::Value a = mustParse(
+            std::string(R"({"name":"x","gate":)") + gate +
+            R"(,"results":{"a":1}})");
+        EXPECT_THROW(obs::diffReports(a, b), std::invalid_argument)
+            << gate;
+    }
+}
+
+TEST_F(ObsTest, RunReportEmitsDeclaredGateAfterName)
+{
+    obs::RunReport plain("plain");
+    EXPECT_EQ(plain.toJson().find("gate"), nullptr);
+
+    obs::RunReport report("gated");
+    report.addGate("results.*_per_sec", json::Value(0.6));
+    report.addGate("results.*", json::Value(0));
+    report.addResult("a_per_sec", json::Value(100.0));
+    const json::Value doc = report.toJson();
+    ASSERT_GE(doc.fields().size(), 3u);
+    EXPECT_EQ(doc.fields()[2].first, "gate");
+    const auto &rules = doc.find("gate")->fields();
+    ASSERT_EQ(rules.size(), 2u);
+    EXPECT_EQ(rules[0].first, "results.*_per_sec");
+    EXPECT_EQ(rules[0].second.asNumber(), 0.6);
+    EXPECT_EQ(rules[1].first, "results.*");
+    EXPECT_EQ(rules[1].second.asNumber(), 0.0);
+    EXPECT_TRUE(obs::diffReports(doc, doc).empty());
 }
 
 TEST_F(ObsTest, PartialReportEmitsIncidents)

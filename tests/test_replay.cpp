@@ -231,6 +231,65 @@ TEST(ReplayStore, CrossLabRunsReplay)
     EXPECT_EQ(pairs2, pairs1);
 }
 
+/** A profile stream that hides its identity (digest 0: no replay). */
+class AnonymousSource : public UopSource
+{
+  public:
+    explicit AnonymousSource(const char *name)
+        : inner_(workload::spec2006::byName(name))
+    {
+    }
+    Uop next() override { return inner_.next(); }
+    void reset() override { inner_.reset(); }
+
+  private:
+    workload::ProfileUopSource inner_;
+};
+
+/**
+ * Every run is exactly one replay hit, wait, miss or bypass, so exact
+ * machine.runs, misses and bypassed pin hits + waits — what the
+ * BENCH_pred.json gate relies on when it ignores hits and waits.
+ */
+TEST(ReplayStore, RunsAreHitsWaitsMissesOrBypasses)
+{
+    const auto snapshot = [] {
+        return std::array<std::uint64_t, 5>{
+            counter("machine.runs"), counter("machine.replay.hits"),
+            counter("machine.replay.waits"),
+            counter("machine.replay.misses"),
+            counter("machine.replay.bypassed")};
+    };
+    const Machine machine(MachineConfig::ivyBridge());
+    const auto before = snapshot();
+    {
+        ReplayGuard on(true);
+        for (int i = 0; i < 2; ++i) {  // a miss, then a hit
+            workload::ProfileUopSource app(
+                workload::spec2006::byName("456.hmmer"));
+            machine.runSolo(app, 2'053, 3'000);
+        }
+        AnonymousSource anonymous("456.hmmer");
+        machine.runSolo(anonymous, 2'053, 3'000);
+    }
+    {
+        ReplayGuard off(false);
+        workload::ProfileUopSource app(
+            workload::spec2006::byName("456.hmmer"));
+        machine.runSolo(app, 2'053, 3'000);
+    }
+    const auto after = snapshot();
+    std::array<std::uint64_t, 5> delta{};
+    for (std::size_t i = 0; i < delta.size(); ++i)
+        delta[i] = after[i] - before[i];
+    const auto [runs, hits, waits, misses, bypassed] = delta;
+    EXPECT_EQ(runs, 4u);
+    EXPECT_EQ(hits, 1u);
+    EXPECT_EQ(misses, 1u);
+    EXPECT_EQ(bypassed, 2u);
+    EXPECT_EQ(runs, hits + waits + misses + bypassed);
+}
+
 /** Reference-ticking runs bypass the store entirely. */
 TEST(ReplayStore, ReferenceTickingBypasses)
 {

@@ -2,16 +2,17 @@
  * @file
  * Compare two bench run reports and flag regressions.
  *
- *   report_diff [--tol T] [--metrics] <a>.report.json <b>.report.json
+ *   report_diff <a>.report.json <b>.report.json
  *
- * Exits 0 when the reports are equivalent (same name, same results
- * within tolerance, same partial/complete status), 1 with one line
- * per divergence on stdout when they differ, and 2 on usage or parse
- * errors. `--tol` sets the relative tolerance for numeric results
- * (default 1e-9 — simulated measurements are deterministic, so any
- * real drift is a regression); `--metrics` also compares the metrics
- * snapshot (noisy: replay hit counts change whenever the run log is
- * warm, so it is off by default). Timings are never compared.
+ * Exits 0 when the reports are equivalent, 1 with one line per
+ * divergence on stdout when they differ, and 2 on usage or parse
+ * errors or a malformed gate. What "equivalent" means is the first
+ * report's `gate` (obs/diff.h): each committed `BENCH_*.json`
+ * carries the rules its harness declares, so `report_diff BASELINE
+ * FRESH` applies them. Without a gate, `results` compare within a
+ * relative 1e-9 (simulated measurements are deterministic, so any
+ * real drift is a regression); `timings` and `metrics` are then not
+ * compared.
  *
  * Typical CI use: run a harness before and after a change and diff
  * the two reports — a silent numeric drift fails the pipeline with
@@ -19,9 +20,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,8 +37,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: report_diff [--tol T] [--metrics] "
-                 "<a>.report.json <b>.report.json\n");
+                 "usage: report_diff <a>.report.json <b>.report.json\n");
     return 2;
 }
 
@@ -65,36 +65,22 @@ loadJson(const char *path, Value *out)
 int
 main(int argc, char **argv)
 {
-    smite::obs::ReportDiffOptions opts;
-    std::vector<const char *> files;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--tol") {
-            if (i + 1 >= argc)
-                return usage();
-            char *end = nullptr;
-            opts.tolerance = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || opts.tolerance < 0.0)
-                return usage();
-        } else if (arg == "--metrics") {
-            opts.include_metrics = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            files.push_back(argv[i]);
-        }
-    }
-    if (files.size() != 2)
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-')
         return usage();
 
     Value a, b;
-    if (!loadJson(files[0], &a) || !loadJson(files[1], &b))
+    if (!loadJson(argv[1], &a) || !loadJson(argv[2], &b))
         return 2;
 
-    const std::vector<smite::obs::ReportDiffEntry> diffs =
-        smite::obs::diffReports(a, b, opts);
+    std::vector<smite::obs::ReportDiffEntry> diffs;
+    try {
+        diffs = smite::obs::diffReports(a, b);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "report_diff: %s\n", e.what());
+        return 2;
+    }
     if (diffs.empty()) {
-        std::printf("reports match (tolerance %g)\n", opts.tolerance);
+        std::printf("reports match\n");
         return 0;
     }
     for (const auto &d : diffs)
