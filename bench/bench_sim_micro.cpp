@@ -20,7 +20,10 @@
  * own streams — so repeated intervals hit the run-level ReplayStore
  * (sim/replay.h). The `*_nomemo` variants re-run the same shape with
  * replay disabled, timing the full live path; the ratio
- * between the two is the replay win.
+ * between the two is the replay win. `ruler_pair_50k_nomemo` times
+ * the live port-saturated shape of a characterization co-run
+ * (470.lbm next to the FP_ADD Ruler). The report's config records the
+ * pool width (`threads`) and the host's `cores`.
  *
  * The committed BENCH_sim.json at the repository root is the perf
  * baseline: `scripts/tier1.sh` re-runs this harness in Release and
@@ -39,6 +42,7 @@
 #include <cstdio>
 #include <ctime>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
@@ -119,7 +123,7 @@ recordTimes(obs::RunReport &report, const std::string &tag,
 }
 
 /** Co-location shape of a machine-throughput benchmark. */
-enum class Shape { kSolo, kSmtPair, kCmpPair };
+enum class Shape { kSolo, kSmtPair, kCmpPair, kRulerPair };
 
 /** Simulated-cycles/uops throughput of one placement shape. */
 void
@@ -155,6 +159,17 @@ benchMachine(obs::RunReport &report, const std::string &tag,
                      machine.runPairCmp(a, b, 0, cycles))
                     uops += c.uops;
                 break;
+              case Shape::kRulerPair: {
+                // 470.lbm next to the saturating FP_ADD Ruler: the
+                // port-saturated shape of a characterization co-run.
+                const auto ruler =
+                    rulers::Ruler::functionalUnit(rulers::Dimension::kFpAdd)
+                        .makeSource();
+                for (const auto &c :
+                     machine.runPairSmt(b, *ruler, 0, cycles))
+                    uops += c.uops;
+                break;
+              }
             }
         }
     });
@@ -175,6 +190,9 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_sim.json";
     bench::ReportScope scope("bench_sim_micro");
     obs::RunReport &report = scope.report();
+    report.setConfig("cores",
+                     obs::json::Value(static_cast<int>(
+                         std::thread::hardware_concurrency())));
     report.setConfig("machine", obs::json::Value("Ivy Bridge"));
     report.setConfig("repeats", obs::json::Value(kRepeats));
     report.setConfig("replay_enabled",
@@ -210,6 +228,8 @@ main(int argc, char **argv)
                      Shape::kSolo);
         benchMachine(report, "pair_50k_nomemo", 50'000, 2,
                      Shape::kSmtPair);
+        benchMachine(report, "ruler_pair_50k_nomemo", 50'000, 2,
+                     Shape::kRulerPair);
         sim::setReplayEnabled(prev);
     }
 

@@ -178,6 +178,26 @@ Lab::rulerBaseline(std::size_t d, CoLocationMode mode, int threads) const
     return aggregateIpc(counters, 0, counters.size());
 }
 
+std::pair<double, double>
+Lab::rulerCoRun(const workload::WorkloadProfile &profile, std::size_t d,
+                CoLocationMode mode, int threads) const
+{
+    // App threads + Ruler instances, the Rulers where they sat for
+    // the baseline.
+    std::vector<workload::ProfileUopSource> app_sources;
+    std::vector<sim::Placement> placements =
+        placeApp(profile, threads, app_sources);
+    std::vector<std::unique_ptr<sim::UopSource>> co_rulers;
+    for (int t = 0; t < threads; ++t) {
+        co_rulers.push_back(suite_[d].makeSource());
+        placements.push_back(
+            coRunnerPlacement(mode, threads, t, co_rulers.back().get()));
+    }
+    const auto counters = machine_.run(placements, warmup_, measure_);
+    return {aggregateIpc(counters, 0, threads),
+            aggregateIpc(counters, threads, counters.size())};
+}
+
 Characterization
 Lab::characterizeRun(const workload::WorkloadProfile &profile,
                      CoLocationMode mode, int threads) const
@@ -196,30 +216,14 @@ Lab::characterizeRun(const workload::WorkloadProfile &profile,
 
     Characterization result;
     for (std::size_t d = 0; d < suite_.size(); ++d) {
-        const rulers::Ruler &ruler = suite_[d];
         obs::Span dimension_span("characterizer.dimension",
-                                 ruler.name());
+                                 suite_[d].name());
 
         // Ruler baseline: the same ruler instances running alone
         // (application-independent, so a replay after its first run).
         const double ruler_solo = rulerBaseline(d, mode, threads);
-
-        // Co-location: app threads + ruler instances, the rulers
-        // where they sat for the baseline.
-        std::vector<workload::ProfileUopSource> app_sources;
-        std::vector<sim::Placement> placements =
-            placeApp(profile, threads, app_sources);
-        std::vector<std::unique_ptr<sim::UopSource>> co_rulers;
-        for (int t = 0; t < threads; ++t) {
-            co_rulers.push_back(ruler.makeSource());
-            placements.push_back(coRunnerPlacement(
-                mode, threads, t, co_rulers.back().get()));
-        }
-        const auto counters = machine_.run(placements, warmup_, measure_);
-
-        const double app_co = aggregateIpc(counters, 0, threads);
-        const double ruler_co =
-            aggregateIpc(counters, threads, counters.size());
+        const auto [app_co, ruler_co] =
+            rulerCoRun(profile, d, mode, threads);
 
         // Equations 1 and 2.
         result.sensitivity[d] =
@@ -460,13 +464,31 @@ std::vector<Characterization>
 Lab::characterizeAll(const std::vector<workload::WorkloadProfile> &profiles,
                      CoLocationMode mode, int threads)
 {
+    // Warm the store with every raw run of the protocol as one batch
+    // of equal-sized tasks: the Ruler baselines, then per profile its
+    // solo run and one co-run per dimension. A whole characterization
+    // per task would leave workers idle at the end of a short batch.
     const int workers = parallelism();
-    // Warm the store with the per-dimension Ruler baselines first;
-    // otherwise every fanned-out characterization would block on the
-    // single flight of dimension 0's baseline at once.
+    const std::size_t dims = suite_.size();
+    const std::size_t per_profile = 1 + dims;
     parallelFor(
-        suite_.size(),
-        [&](std::size_t d) { rulerBaseline(d, mode, threads); }, workers);
+        dims + profiles.size() * per_profile,
+        [&](std::size_t t) {
+            if (t < dims) {
+                rulerBaseline(t, mode, threads);
+                return;
+            }
+            const std::size_t i = (t - dims) / per_profile;
+            const std::size_t k = (t - dims) % per_profile;
+            if (k == 0)
+                soloRun(profiles[i], threads);
+            else
+                rulerCoRun(profiles[i], k - 1, mode, threads);
+        },
+        workers);
+
+    // The measurements proper, with their fault checks and retries,
+    // then replay those runs (and re-simulate them with replay off).
     std::vector<Characterization> results(profiles.size());
     parallelFor(
         profiles.size(),

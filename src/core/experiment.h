@@ -189,8 +189,10 @@ class Lab
                int threads = 1);
 
     /**
-     * Batch characterization: warms the per-dimension Ruler baselines
-     * in parallel, then characterizes every profile in parallel.
+     * Batch characterization: warms the store with every raw run —
+     * the per-dimension Ruler baselines, each profile's solo run and
+     * its co-run with each Ruler — as one parallel batch, then
+     * characterizes every profile in parallel from those runs.
      * Result i belongs to profiles[i]; values are byte-identical to
      * calling characterization() serially.
      */
@@ -246,12 +248,17 @@ class Lab
      * application alone, rulerBaseline() that of @p threads instances
      * of Ruler @p d alone in their co-location slots — independent of
      * the application, so after its first run every characterization
-     * replays it — and characterizeRun() applies Equations 1 and 2.
+     * replays it — rulerCoRun() returns the aggregate IPCs {app,
+     * Ruler} of the application next to Ruler @p d, and
+     * characterizeRun() applies Equations 1 and 2.
      */
     double soloRun(const workload::WorkloadProfile &profile,
                    int threads) const;
     double rulerBaseline(std::size_t d, CoLocationMode mode,
                          int threads) const;
+    std::pair<double, double>
+    rulerCoRun(const workload::WorkloadProfile &profile, std::size_t d,
+               CoLocationMode mode, int threads) const;
     Characterization
     characterizeRun(const workload::WorkloadProfile &profile,
                     CoLocationMode mode, int threads) const;

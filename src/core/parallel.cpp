@@ -1,5 +1,6 @@
 #include "core/parallel.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -19,14 +20,17 @@ namespace {
 
 /**
  * Pool metrics (docs/OBSERVABILITY.md): batches/tasks executed, the
- * width of the last batch, and — only while SMITE_METRICS is on,
- * because it costs two clock reads per task — a task-latency
- * histogram in microseconds.
+ * width of the last batch, the straggler time of every batch (width x
+ * batch wall - summed task wall, in microseconds: worker time spent
+ * waiting for the last tasks) and — only while SMITE_METRICS is on —
+ * a task-latency histogram in microseconds. The tasks are whole
+ * simulations, so two clock reads per task cost nothing measurable.
  */
 struct PoolMetrics {
     obs::Counter &batches =
         obs::Registry::global().counter("pool.batches");
     obs::Counter &tasks = obs::Registry::global().counter("pool.tasks");
+    obs::Counter &idle_us = obs::Registry::global().counter("pool.idle_us");
     obs::Gauge &width = obs::Registry::global().gauge("pool.width");
     obs::Histogram &task_us =
         obs::Registry::global().histogram("pool.task_us");
@@ -60,20 +64,13 @@ maybeDelayTask(std::size_t i)
     }
 }
 
-/** Run one iteration, timing it into the histogram when enabled. */
-void
-runTimed(const std::function<void(std::size_t)> &body, std::size_t i)
+/** Microseconds from @p since to now. */
+double
+microsSince(std::chrono::steady_clock::time_point since)
 {
-    maybeDelayTask(i);
-    if (!obs::metricsEnabled()) {
-        body(i);
-        return;
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    body(i);
-    const auto t1 = std::chrono::steady_clock::now();
-    PoolMetrics::get().task_us.observe(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now() - since)
+        .count();
 }
 
 } // namespace
@@ -105,23 +102,34 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
                                      std::to_string(threads) +
                                      " workers");
 
+    const auto start = std::chrono::steady_clock::now();
     std::atomic<std::size_t> next{0};  // shared iteration cursor
     std::mutex mu;
     std::exception_ptr error;
+    double busy_us = 0.0;  // summed task wall, under mu
     const auto drain = [&] {
+        double mine = 0.0;
         for (;;) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
-                return;
+                break;
+            maybeDelayTask(i);
+            const auto t0 = std::chrono::steady_clock::now();
             try {
-                runTimed(body, i);
+                body(i);
             } catch (...) {
                 const std::lock_guard<std::mutex> lock(mu);
                 if (!error)
                     error = std::current_exception();
             }
+            const double us = microsSince(t0);
+            mine += us;
+            if (obs::metricsEnabled())
+                metrics.task_us.observe(us);
         }
+        const std::lock_guard<std::mutex> lock(mu);
+        busy_us += mine;
     };
     {
         std::vector<std::jthread> workers;
@@ -130,6 +138,8 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             workers.emplace_back(drain);
         drain();  // the caller is a worker too
     }  // joins the workers
+    metrics.idle_us.add(static_cast<std::uint64_t>(
+        std::max(0.0, threads * microsSince(start) - busy_us)));
     if (error)
         std::rethrow_exception(error);
 }

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace smite::sim {
 
 HardwareContext::HardwareContext(const CoreConfig &core_config,
@@ -19,7 +23,7 @@ HardwareContext::HardwareContext(const CoreConfig &core_config,
     }
     windowCap_ = core_config.windowSize;
     slotType_.assign(windowCap_, 0);
-    slotPort_.assign(windowCap_, 0);
+    slotPort_.assign(64 * ((windowCap_ + 63) / 64), 0);
     slotLat_.assign(windowCap_, 0);
     slotAddr_.assign(windowCap_, 0);
     slotSeq_.assign(windowCap_, 0);
@@ -106,6 +110,41 @@ HardwareContext::pickPort(unsigned mask, unsigned port_busy)
                          : std::countr_zero(available);
     portRotor_ = port + 1 == kNumPorts ? 0 : port + 1;
     return port;
+}
+
+void
+HardwareContext::portBlockedSlots(unsigned port_busy,
+                                  std::uint64_t *out) const
+{
+    const std::uint8_t *const ports = slotPort_.data();
+    const int words = static_cast<int>(slotPort_.size() / 64);
+#if defined(__SSE2__)
+    // SSE2 is the x86-64 baseline: 16 slots per compare.
+    const __m128i busy = _mm_set1_epi8(static_cast<char>(port_busy));
+    const __m128i zero = _mm_setzero_si128();
+    for (int w = 0; w < words; ++w) {
+        std::uint64_t m = 0;
+        for (int k = 0; k < 4; ++k) {
+            const __m128i p = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(ports + 64 * w + 16 * k));
+            const int no_free = _mm_movemask_epi8(
+                _mm_cmpeq_epi8(_mm_andnot_si128(busy, p), zero));
+            const int nop = _mm_movemask_epi8(_mm_cmpeq_epi8(p, zero));
+            m |= static_cast<std::uint64_t>(no_free & ~nop) << (16 * k);
+        }
+        out[w] = m;
+    }
+#else
+    for (int w = 0; w < words; ++w) {
+        std::uint64_t m = 0;
+        for (int i = 0; i < 64; ++i) {
+            const unsigned p = ports[64 * w + i];
+            if (p != 0 && (p & ~port_busy) == 0)
+                m |= std::uint64_t{1} << i;
+        }
+        out[w] = m;
+    }
+#endif
 }
 
 void
@@ -444,9 +483,7 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
             }
             const int pc = std::popcount(m);
             if (pc >= need) {
-                while (--need > 0)
-                    m &= m - 1;
-                const int idx = (ws << 6) + std::countr_zero(m);
+                const int idx = (ws << 6) + selectBit(m, need - 1);
                 cutoff_dist = idx - head_;
                 if (cutoff_dist < 0)
                     cutoff_dist += cap;
@@ -478,6 +515,19 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
     for (int v = 0; v < words; ++v)
         any_ready |= ready_bits[v];
 
+    // Port-saturation filter. A pickPort rejection has no side effect
+    // (the rotor moves only on success) beyond pinning retry to
+    // now + 1, which the scan's first rejection already does; so at
+    // a rejection every candidate whose whole port mask lies inside
+    // port_busy (blocked[]) leaves the rest of the walk unvisited.
+    // port_busy only grows within a scan, so those stay blocked, and
+    // a later rejection means port_busy grew: it rebuilds blocked[].
+    // Skipped candidates also never trip the width or depth stops,
+    // which is exact too: the next visited candidate trips the same
+    // stop, and a width cut only matters to a zero-issue scan, where
+    // the first candidate decides it.
+    std::array<std::uint64_t, kDepRing / 64> blocked{};
+
     int wi = head_word;
     for (int v = 0; any_ready != 0 && v <= words && !stop; ++v) {
         std::uint64_t word;
@@ -489,7 +539,13 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
             if (v == words)
                 word &= ~head_mask;  // wrapped tail of the head word
         }
+        word &= ~blocked[wi];
         const int idx_base = wi << 6;
+        const auto reject_port = [&] {
+            retry = now + 1 < retry ? now + 1 : retry;
+            portBlockedSlots(port_busy, blocked.data());
+            word &= ~blocked[wi];
+        };
         while (word != 0) {
             const int idx = idx_base + std::countr_zero(word);
             word &= word - 1;
@@ -519,7 +575,7 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
               case UopType::kLoad: {
                 port = pickPort(ports[idx], port_busy);
                 if (port < 0) {
-                    retry = now + 1 < retry ? now + 1 : retry;
+                    reject_port();
                     continue;
                 }
                 const int mshr = freeMshr(now);
@@ -552,7 +608,7 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
               case UopType::kStore: {
                 port = pickPort(ports[idx], port_busy);
                 if (port < 0) {
-                    retry = now + 1 < retry ? now + 1 : retry;
+                    reject_port();
                     continue;
                 }
                 const int mshr = freeMshr(now);
@@ -588,7 +644,7 @@ HardwareContext::issue(Cycle now, unsigned &port_busy, int &core_budget,
               default: {
                 port = pickPort(ports[idx], port_busy);
                 if (port < 0) {
-                    retry = now + 1 < retry ? now + 1 : retry;
+                    reject_port();
                     continue;
                 }
                 finish = now + lats[idx];

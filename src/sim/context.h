@@ -20,8 +20,10 @@
  * carries an *exact* operand-ready cycle. Future ready cycles park in
  * a calendar ring that drains into a ready bitmap as time advances;
  * the issue scan enumerates only that bitmap, so its cost tracks the
- * number of issuable uops, not the window size. All of it is
- * behavior-preserving (enforced by test_golden_sim).
+ * number of issuable uops, not the window size, and once a scan has
+ * rejected a uop for want of a free port it also drops every uop
+ * whose ports are all taken. All of it is behavior-preserving
+ * (enforced by test_golden_sim).
  */
 
 #ifndef SMITE_SIM_CONTEXT_H
@@ -39,6 +41,46 @@
 #include "sim/uop.h"
 
 namespace smite::sim {
+
+/**
+ * Position of the set bit of rank @p rank (0-based, counted from the
+ * least significant end) in @p word, which must hold more than
+ * @p rank set bits. Broadword and branch-free: per-byte popcounts and
+ * their prefix sums (one multiply) locate the byte, and the same
+ * compare over that byte's bits, spread one per byte, locates the
+ * bit. It needs neither a popcount instruction nor `pdep`.
+ */
+constexpr int
+selectBit(std::uint64_t word, int rank)
+{
+    constexpr std::uint64_t kOnes = 0x0101'0101'0101'0101ull;
+    constexpr std::uint64_t kHighs = 0x80 * kOnes;
+    // How many bytes of the non-decreasing per-byte sums are <= r:
+    // the index of the first byte whose sum exceeds r. Both fit in
+    // seven bits, so (r | 0x80) - sum never borrows across bytes and
+    // keeps bit 7 exactly where sum <= r.
+    const auto count_at_most = [](std::uint64_t sums, int r) {
+        const std::uint64_t le =
+            ((static_cast<std::uint64_t>(r) * kOnes | kHighs) - sums) &
+            kHighs;
+        return static_cast<int>(((le >> 7) * kOnes) >> 56);
+    };
+    std::uint64_t s = word - ((word >> 1) & 0x5555'5555'5555'5555ull);
+    s = (s & 0x3333'3333'3333'3333ull) +
+        ((s >> 2) & 0x3333'3333'3333'3333ull);
+    s = (s + (s >> 4)) & 0x0f0f'0f0f'0f0f'0f0full;
+    const std::uint64_t byte_sums = s * kOnes;  // byte b: bytes 0..b
+    const int byte = count_at_most(byte_sums, rank);
+    const int below =
+        static_cast<int>(((byte_sums << 8) >> (8 * byte)) & 0xff);
+    // Spread the byte's bits one per byte (0 or 1), then the same
+    // prefix-sum select finds the bit.
+    const std::uint64_t bits = (word >> (8 * byte)) & 0xff;
+    const std::uint64_t spread =
+        (((bits * kOnes) & 0x8040'2010'0804'0201ull) + 0x7f * kOnes) &
+        kHighs;
+    return 8 * byte + count_at_most((spread >> 7) * kOnes, rank - below);
+}
 
 /**
  * One hardware thread of an SMT core.
@@ -171,6 +213,13 @@ class HardwareContext
     int pickPort(unsigned mask, unsigned port_busy);
 
     /**
+     * Fill @p out (one word per 64 window slots) with the slots whose
+     * whole port mask lies inside @p port_busy: pickPort would reject
+     * them. Nop slots (mask 0) never use a port and stay clear.
+     */
+    void portBlockedSlots(unsigned port_busy, std::uint64_t *out) const;
+
+    /**
      * Resolve the forward dependence edges of an issuing producer at
      * window slot @p idx completing at @p finish: every registered
      * waiter folds the completion cycle into its ready time; waiters
@@ -232,6 +281,8 @@ class HardwareContext
      * reads these flat lanes instead of re-deriving both through the
      * per-candidate type switch. Values are identical by construction
      * — pure functions of the type — so issue order is unchanged.
+     * slotPort_ is padded with zero (nop-like) bytes to whole 64-slot
+     * words, so portBlockedSlots() compares whole vectors.
      */
     std::vector<std::uint8_t> slotPort_;
     std::vector<Cycle> slotLat_;

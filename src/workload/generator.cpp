@@ -77,6 +77,9 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
         throw std::invalid_argument("uop mix sums to more than 1");
     if (profile_.hotBytes > profile_.dataFootprint)
         throw std::invalid_argument("hot region exceeds footprint");
+    // Hot draws pick one of hotBytes / 8 elements.
+    if (profile_.hotProb > 0.0 && profile_.hotBytes < 8)
+        throw std::invalid_argument("hot region below one element");
     if (profile_.stackBytes < 8 ||
         profile_.stackBytes > profile_.dataFootprint) {
         throw std::invalid_argument("bad stack region size");

@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +36,9 @@
 #include <vector>
 
 #include "fault/keyed.h"
+#include "rulers/ruler.h"
 #include "sim/cache.h"
+#include "sim/context.h"
 #include "sim/machine.h"
 #include "sim/replay.h"
 #include "sim/tlb.h"
@@ -451,12 +454,19 @@ goldens()
     return kGolden;
 }
 
-TEST(GoldenMachine, CountersMatchSeedBehavior)
+/**
+ * Compare @p count scenarios of @p run against @p golden or, with
+ * SMITE_DUMP_GOLDEN set, print them as golden table source instead.
+ */
+template <typename Run>
+void
+checkGoldens(const std::vector<GoldenScenario> &golden, int count,
+             const Run &run)
 {
     if (std::getenv("SMITE_DUMP_GOLDEN") != nullptr) {
         // Regeneration mode: print the golden table source.
-        for (int s = 0; s < kNumScenarios; ++s) {
-            const auto results = runScenario(s);
+        for (int s = 0; s < count; ++s) {
+            const auto results = run(s);
             std::printf("        {\"scenario_%d\",\n         {", s);
             for (size_t p = 0; p < results.size(); ++p) {
                 const auto flat = flatten(results[p]);
@@ -473,11 +483,10 @@ TEST(GoldenMachine, CountersMatchSeedBehavior)
         GTEST_SKIP() << "golden dump mode; no comparison performed";
     }
 
-    const auto &golden = goldens();
-    ASSERT_EQ(golden.size(), static_cast<size_t>(kNumScenarios));
-    for (int s = 0; s < kNumScenarios; ++s) {
+    ASSERT_EQ(golden.size(), static_cast<size_t>(count));
+    for (int s = 0; s < count; ++s) {
         SCOPED_TRACE(golden[s].name);
-        const auto results = runScenario(s);
+        const auto results = run(s);
         ASSERT_EQ(results.size(), golden[s].expected.size());
         for (size_t p = 0; p < results.size(); ++p) {
             const auto flat = flatten(results[p]);
@@ -489,6 +498,129 @@ TEST(GoldenMachine, CountersMatchSeedBehavior)
             }
         }
     }
+}
+
+TEST(GoldenMachine, CountersMatchSeedBehavior)
+{
+    checkGoldens(goldens(), kNumScenarios, runScenario);
+}
+
+// ===================================================================
+// Port-saturated shapes: Ruler co-runs.
+// ===================================================================
+
+/**
+ * SMT pair of Ruler-or-profile streams for shape @p index on preset
+ * @p sandy. The goldens above run SPEC profiles only; these are the
+ * shapes where a saturating FU Ruler keeps dozens of ready same-port
+ * uops in scheduler depth, which the issue scan's port-saturation
+ * filter skips (docs/PERFORMANCE.md): each FU Ruler at duty 1.0 on
+ * the sibling of a SPEC profile, two same-port Rulers, the INT_ADD
+ * Ruler next to 403.gcc and the L1 Ruler next to 429.mcf.
+ */
+std::vector<CounterBlock>
+runRulerShape(int index, bool sandy)
+{
+    using rulers::Dimension;
+    using rulers::Ruler;
+    constexpr Cycle kWarmup = 3'000;
+    constexpr Cycle kMeasure = 12'000;
+    const MachineConfig config = sandy ? MachineConfig::sandyBridgeEN()
+                                       : MachineConfig::ivyBridge();
+    const Machine machine(config);
+    const auto pair = [&](const char *app, const Ruler &ruler) {
+        workload::ProfileUopSource a(workload::spec2006::byName(app));
+        const auto r = ruler.makeSource();
+        return machine.runPairSmt(a, *r, kWarmup, kMeasure);
+    };
+    switch (index) {
+      case 0:
+        return pair("454.calculix", Ruler::functionalUnit(Dimension::kFpMul));
+      case 1:
+        return pair("470.lbm", Ruler::functionalUnit(Dimension::kFpAdd));
+      case 2:
+        return pair("453.povray", Ruler::functionalUnit(Dimension::kFpShf));
+      case 3:
+        return pair("456.hmmer", Ruler::functionalUnit(Dimension::kIntAdd));
+      case 4: {  // two FP_ADD Rulers: port 1 oversubscribed both ways
+        const Ruler ruler = Ruler::functionalUnit(Dimension::kFpAdd);
+        const auto a = ruler.makeSource();
+        const auto b = ruler.makeSource();
+        return machine.runPairSmt(*a, *b, kWarmup, kMeasure);
+      }
+      case 5:
+        return pair("403.gcc", Ruler::functionalUnit(Dimension::kIntAdd));
+      case 6:
+        return pair("429.mcf",
+                    Ruler::memory(Dimension::kL1, config.l1d.sizeBytes));
+      default:
+        throw std::logic_error("unknown Ruler shape");
+    }
+}
+
+constexpr int kNumRulerShapes = 7;
+
+/**
+ * Counters of runRulerShape(s, false) for s < 7, then of
+ * runRulerShape(s - 7, true): recorded before the port-saturation
+ * filter and the O(1) depth cutoff existed. Apart from goldens(), so
+ * the replay-log version pin covers the seed shapes only.
+ */
+const std::vector<GoldenScenario> &
+rulerGoldens()
+{
+    static const std::vector<GoldenScenario> kGolden = {
+        {"ivy_fpmul_ruler_calculix",
+         {{12000, 20672, 5842, 5460, 3232, 649, 890, 2722, 3881, 890, 806, 9, 4701, 70, 0, 86, 86, 0, 16, 1, 18, 2, 730},
+          {12000, 6158, 6158, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_fpadd_ruler_lbm",
+         {{12000, 8491, 1210, 2711, 1411, 683, 1108, 807, 2094, 1108, 74, 1, 2409, 793, 6, 803, 181, 622, 16, 1, 244, 125, 494},
+          {12000, 9289, 0, 9289, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_fpshf_ruler_povray",
+         {{12000, 32990, 7401, 7211, 5022, 1360, 1993, 5437, 6382, 1993, 2620, 50, 8264, 111, 2, 125, 125, 0, 16, 1, 36, 7, 2318},
+          {12000, 6563, 0, 0, 0, 0, 0, 6563, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_intadd_ruler_hmmer",
+         {{12000, 13864, 1625, 1102, 2134, 821, 1302, 2302, 2955, 1302, 805, 3, 4041, 216, 0, 397, 223, 174, 181, 5, 10, 3, 5406},
+          {12000, 30854, 10344, 10819, 0, 0, 0, 9691, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_two_fpadd_rulers",
+         {{12000, 6000, 0, 6000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {12000, 6000, 0, 6000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_intadd_ruler_gcc",
+         {{12000, 8045, 917, 473, 1258, 535, 705, 1779, 1793, 705, 1226, 34, 1989, 509, 58, 599, 196, 403, 148, 5, 90, 39, 5103},
+          {12000, 32775, 11074, 11483, 0, 0, 0, 10218, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"ivy_l1_ruler_mcf",
+         {{12000, 3660, 276, 68, 556, 366, 241, 824, 922, 241, 428, 15, 149, 1014, 65, 981, 337, 644, 32, 1, 649, 175, 1715},
+          {12000, 7906, 1671, 1234, 1121, 6, 1136, 2738, 1127, 1136, 0, 0, 1630, 633, 297, 336, 0, 336, 0, 0, 0, 0, 0}}},
+        {"sandy_fpmul_ruler_calculix",
+         {{12000, 20672, 5842, 5460, 3232, 649, 890, 2722, 3881, 890, 806, 9, 4701, 70, 0, 86, 86, 0, 16, 1, 18, 2, 730},
+          {12000, 6158, 6158, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_fpadd_ruler_lbm",
+         {{12000, 8856, 1276, 2832, 1485, 701, 1154, 842, 2186, 1154, 82, 1, 2517, 823, 6, 833, 183, 650, 16, 1, 253, 129, 494},
+          {12000, 9168, 0, 9168, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_fpshf_ruler_povray",
+         {{12000, 32990, 7401, 7211, 5022, 1360, 1993, 5437, 6382, 1993, 2620, 50, 8264, 111, 2, 125, 125, 0, 16, 1, 36, 7, 2318},
+          {12000, 6563, 0, 0, 0, 0, 0, 6563, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_intadd_ruler_hmmer",
+         {{12000, 16884, 2180, 1637, 2858, 1165, 1750, 2850, 4023, 1750, 1078, 6, 5636, 137, 0, 351, 351, 0, 214, 5, 14, 3, 6448},
+          {12000, 29228, 9794, 10292, 0, 0, 0, 9142, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_two_fpadd_rulers",
+         {{12000, 6000, 0, 6000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+          {12000, 6000, 0, 6000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_intadd_ruler_gcc",
+         {{12000, 9272, 1061, 509, 1425, 580, 793, 1972, 2005, 793, 1387, 39, 2244, 554, 74, 630, 331, 299, 150, 5, 102, 44, 5226},
+          {12000, 32394, 10925, 11444, 0, 0, 0, 10025, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}},
+        {"sandy_l1_ruler_mcf",
+         {{12000, 5843, 484, 128, 987, 584, 366, 1356, 1571, 366, 743, 37, 235, 1702, 164, 1570, 1138, 432, 32, 1, 1109, 248, 1627},
+          {12000, 10094, 2364, 1657, 1395, 43, 1452, 3183, 1438, 1452, 0, 0, 1995, 895, 588, 307, 0, 307, 0, 0, 0, 0, 0}}},
+    };
+    return kGolden;
+}
+
+TEST(GoldenMachine, PortSaturatedRulerShapesMatchRecordedCounters)
+{
+    checkGoldens(rulerGoldens(), 2 * kNumRulerShapes, [](int s) {
+        return runRulerShape(s % kNumRulerShapes, s >= kNumRulerShapes);
+    });
 }
 
 /**
@@ -598,6 +730,34 @@ TEST(EventDrivenEquivalence, RandomShapesMatchPerTickReference)
             }
         }
     }
+}
+
+/**
+ * The issue scan's depth cutoff selects the need-th unissued slot with
+ * selectBit(); the loop it replaced cleared the lowest set bit
+ * rank times and took the trailing zero count.
+ */
+TEST(SelectBit, MatchesBitClearingLoop)
+{
+    workload::Rng rng(0x5E1EC7ull);
+    for (int t = 0; t < 4'000; ++t) {
+        // Dense, sparse and single-bit words.
+        std::uint64_t word = rng.nextU64();
+        if (t % 3 == 1)
+            word &= rng.nextU64() & rng.nextU64();
+        if (t % 3 == 2)
+            word = std::uint64_t{1} << (t % 64);
+        if (word == 0)
+            continue;
+        std::uint64_t m = word;
+        for (int rank = 0; m != 0; ++rank, m &= m - 1) {
+            ASSERT_EQ(selectBit(word, rank), std::countr_zero(m))
+                << std::hex << "word 0x" << word << std::dec << " rank "
+                << rank;
+        }
+    }
+    EXPECT_EQ(selectBit(~std::uint64_t{0}, 63), 63);
+    EXPECT_EQ(selectBit(std::uint64_t{1} << 63, 0), 63);
 }
 
 /** Two consecutive runs of the same scenario must be bit-identical. */

@@ -243,6 +243,19 @@ TEST(Generator, RejectsMalformedProfiles)
     p = spec2006::byName("403.gcc");
     p.loopBytes = p.codeFootprint * 2;
     EXPECT_THROW(ProfileUopSource{p}, std::invalid_argument);
+
+    // A hot region smaller than one 8-byte element has nothing to
+    // draw from; it is fine only when hot draws never happen.
+    p = spec2006::byName("429.mcf");
+    ASSERT_GT(p.hotProb, 0.0);
+    p.hotBytes = 0;
+    EXPECT_THROW(ProfileUopSource{p}, std::invalid_argument);
+    p.hotBytes = 7;
+    EXPECT_THROW(ProfileUopSource{p}, std::invalid_argument);
+    p.hotProb = 0.0;
+    ProfileUopSource no_hot(p);
+    for (int i = 0; i < 100'000; ++i)
+        no_hot.next();
 }
 
 TEST(Generator, ResidencyWeightOrdersMemoryIntensity)
