@@ -76,7 +76,6 @@ loadgen::SweepConfig
 probeTemplate(const Service &svc)
 {
     loadgen::SweepConfig cfg;
-    cfg.arrival.kind = loadgen::ArrivalKind::kPoisson;
     cfg.arrival.seed = 17;
     cfg.servers.seed = 17;
     cfg.preRequests = 2000;

@@ -273,15 +273,14 @@ echo "perf smoke: ok"
 # (serial) BENCH_pred.json under its gate — every result and every
 # counter but the pool- and timing-dependent ones, so no simulation,
 # trial or prediction is added or dropped; the same run forced serial
-# must print byte-identical stdout; and every predictor.* metric must
-# be in the docs/OBSERVABILITY.md catalog.
+# must print byte-identical stdout; and every metric in its report
+# must be in the docs/OBSERVABILITY.md catalog.
 ZOO="$SMOKE \"\$BIN/bench_predictor_zoo\" fresh_pred.json"
 pair pred.stdout "$ZOO" "SMITE_THREADS=1 $ZOO"
 (
     cd "$PAIR_A"
     "$TOOLS/report_diff" "$REPO/BENCH_pred.json" fresh_pred.json
-    "$TOOLS/obs_check" report fresh_pred.json |
-        grep '^predictor\.' > pred_names.txt || true
+    "$TOOLS/obs_check" report fresh_pred.json > pred_names.txt
     check_catalog pred_names.txt
 )
 echo "predictor zoo smoke: ok"
@@ -292,15 +291,14 @@ echo "predictor zoo smoke: ok"
 # exact); its --determinism mode (no timings in its stdout) must be
 # byte-identical with the default SMITE_THREADS and with
 # SMITE_THREADS=1, so the single-threaded stream cannot start
-# depending on the setting; and every scheduler.* metric must be in
+# depending on the setting; and every metric in its report must be in
 # the catalog.
 SCHED_DIR="$(mktemp -d -p "$RUNS")"
 (
     cd "$SCHED_DIR"
     "$BIN/bench_scaleout_stress" fresh_sched.json > sched.stdout
     "$TOOLS/report_diff" "$REPO/BENCH_sched.json" fresh_sched.json
-    "$TOOLS/obs_check" report fresh_sched.json |
-        grep '^scheduler\.' > sched_names.txt
+    "$TOOLS/obs_check" report fresh_sched.json > sched_names.txt
     check_catalog sched_names.txt
 )
 pair det.stdout '"$BIN/bench_scaleout_stress" --determinism' \
@@ -312,19 +310,18 @@ echo "scheduler scale-out smoke: ok"
 # whole report must equal BENCH_load.json but for the pool.* metrics
 # (they follow the pool's width; a serial run has none). The default
 # pool and forced serial must print byte-identical stdout and write
-# reports that pass the same gate, and every loadgen.* / fault.des.*
-# metric must be in the catalog. Under a pinned three-site des.*
-# chaos plan the harness must still pass its internal monotonicity
-# and shedding assertions, be byte-deterministic across thread
-# counts, and count injections.
+# reports that pass the same gate, and every metric in its report must
+# be in the catalog. Under a pinned three-site des.* chaos plan the
+# harness must still pass its internal monotonicity and shedding
+# assertions, be byte-deterministic across thread counts, and count
+# injections.
 LOAD='"$BIN/bench_latency_vs_load" BENCH_load.json'
 pair load.stdout "$LOAD" "SMITE_THREADS=1 $LOAD"
 (
     cd "$PAIR_A"
     "$TOOLS/report_diff" "$REPO/BENCH_load.json" BENCH_load.json
     "$TOOLS/report_diff" BENCH_load.json "$PAIR_B/BENCH_load.json"
-    "$TOOLS/obs_check" report BENCH_load.json |
-        grep -E '^(loadgen|fault\.des)\.' > load_names.txt || true
+    "$TOOLS/obs_check" report BENCH_load.json > load_names.txt
     check_catalog load_names.txt
 )
 LOAD_CHAOS="SMITE_FAULTS='des.server_stall:p=0.05,sigma=0.5,seed=7;des.drop:p=0.002,seed=13;des.arrival_burst:p=0.02,sigma=1.0,seed=9' $LOAD"

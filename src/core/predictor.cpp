@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "core/parallel.h"
 #include "fault/fault.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
@@ -258,21 +259,7 @@ WorkloadSignature
 signatureOf(Lab &lab, const workload::WorkloadProfile &profile,
             CoLocationMode mode, int threads)
 {
-    WorkloadSignature sig;
-    sig.name = profile.name;
-    try {
-        sig.characterization =
-            lab.characterization(profile, mode, threads);
-        sig.pmu = lab.pmuProfile(profile);
-        sig.soloCounters = lab.soloCounters(profile);
-        sig.soloIpc = lab.soloIpc(profile, threads);
-        sig.valid = sig.characterization.valid;
-    } catch (const fault::MeasurementError &) {
-        // Retry budget spent (already logged by the Lab); the
-        // signature is unusable but the batch survives.
-        sig.valid = false;
-    }
-    return sig;
+    return signaturesOf(lab, {profile}, mode, threads).front();
 }
 
 std::vector<WorkloadSignature>
@@ -280,17 +267,31 @@ signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
              CoLocationMode mode, int threads)
 {
-    // Warm the store through the parallel batch APIs; the serial
-    // signatureOf() assembly below then replays its runs in input
-    // order, byte-identical to the all-serial path.
-    lab.characterizeAll(profiles, mode, threads);
-    lab.pmuProfileAll(profiles);
-    lab.soloIpcAll(profiles, threads);
-
-    std::vector<WorkloadSignature> sigs;
-    sigs.reserve(profiles.size());
-    for (const workload::WorkloadProfile &p : profiles)
-        sigs.push_back(signatureOf(lab, p, mode, threads));
+    // Each measurement is asked once: a failure past its retry budget
+    // is counted and logged once, and leaves the signature invalid.
+    const std::vector<Characterization> chars =
+        lab.characterizeAll(profiles, mode, threads);
+    std::vector<WorkloadSignature> sigs(profiles.size());
+    parallelFor(
+        profiles.size(),
+        [&](std::size_t i) {
+            WorkloadSignature &sig = sigs[i];
+            sig.name = profiles[i].name;
+            sig.characterization = chars[i];
+            sig.valid = chars[i].valid;
+            if (!sig.valid)
+                return;
+            try {
+                sig.soloCounters = lab.soloCounters(profiles[i]);
+                sig.pmu = sig.soloCounters.pmuRates();
+                sig.soloIpc = lab.soloIpc(profiles[i], threads);
+            } catch (const fault::MeasurementError &) {
+                // Retry budget spent (already logged by the Lab); the
+                // signature is unusable but the batch survives.
+                sig.valid = false;
+            }
+        },
+        lab.parallelism());
     return sigs;
 }
 

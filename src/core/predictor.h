@@ -42,7 +42,7 @@ class Lab;
 
 /**
  * Everything any predictor in the zoo may ask about one workload,
- * gathered once (signatureOf) and reused across predictors. The
+ * gathered once (signaturesOf) and reused across predictors. The
  * characterization is the expensive part (one solo run plus one
  * co-run per Ruler dimension); the PMU rates, solo counters and solo
  * IPC all fall out of a single solo run.
@@ -59,25 +59,26 @@ struct WorkloadSignature {
 };
 
 /**
- * Gather one workload's signature through a Lab (repeated runs
- * replay from the store). @p threads instances of the workload, one per core,
- * are characterized together and their solo IPC aggregated — the
- * paper's 6-thread (SMT) and 3-thread (CMP) CloudSuite protocol; the
- * PMU rates and solo counters always come from a single-thread run.
- */
-WorkloadSignature signatureOf(Lab &lab,
-                              const workload::WorkloadProfile &profile,
-                              CoLocationMode mode, int threads = 1);
-
-/**
- * Batch variant: fans the underlying measurements out through the
- * Lab's parallel batch APIs; result i belongs to profiles[i] and is
- * byte-identical to calling signatureOf() serially.
+ * Gather the signatures of @p profiles through a Lab (repeated runs
+ * replay from the store); result i belongs to profiles[i]. @p threads
+ * instances of each workload, one per core, are characterized
+ * together and their solo IPC aggregated — the paper's 6-thread (SMT)
+ * and 3-thread (CMP) CloudSuite protocol; the PMU rates and solo
+ * counters always come from a single-thread run. The
+ * characterizations fan out through Lab::characterizeAll, then one
+ * parallel batch asks each valid profile's solo counters and solo
+ * IPC once; a measurement that fails past its retry budget leaves
+ * its signature invalid.
  */
 std::vector<WorkloadSignature>
 signaturesOf(Lab &lab,
              const std::vector<workload::WorkloadProfile> &profiles,
              CoLocationMode mode, int threads = 1);
+
+/** signaturesOf() of the one workload @p profile. */
+WorkloadSignature signatureOf(Lab &lab,
+                              const workload::WorkloadProfile &profile,
+                              CoLocationMode mode, int threads = 1);
 
 /** One training observation shared by every predictor in the zoo. */
 struct PredictorSample {

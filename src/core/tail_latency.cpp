@@ -62,7 +62,6 @@ TailLatencyPredictor::measurePercentile(double p,
     // sites, and is keyed, so the measurement is byte-identical
     // across repeats and thread counts.
     loadgen::ArrivalConfig arrival;
-    arrival.kind = loadgen::ArrivalKind::kPoisson;
     arrival.rate = queue_.lambda();
     arrival.seed = seed;
     loadgen::ArrivalStream source(arrival);

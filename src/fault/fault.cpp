@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,12 +40,51 @@ standardNormal(std::uint64_t h)
            std::cos(2.0 * std::numbers::pi * u2);
 }
 
+/** Longest `us` delay: 1e15 microseconds still fits the clock's
+    64-bit nanosecond count that std::this_thread::sleep_for takes. */
+constexpr double kMaxMicros = 1e15;
+
+/**
+ * Store one clause's `key=value` in @p site. False for an unknown key
+ * or a value outside its range: `seed` is an unsigned 64-bit integer
+ * (no sign, fraction or exponent), `p` lies in [0, 1], `sigma` is
+ * finite and non-negative, and `us` lies in [0, kMaxMicros].
+ */
+bool
+parseValue(const std::string &key, const std::string &value,
+           SiteSpec &site)
+{
+    if (key == "seed") {
+        const char *end = value.data() + value.size();
+        const auto [stop, error] =
+            std::from_chars(value.data(), end, site.seed);
+        return error == std::errc{} && stop == end;
+    }
+    char *stop = nullptr;
+    const double v = std::strtod(value.c_str(), &stop);
+    if (stop == value.c_str() || *stop != '\0' || !std::isfinite(v) ||
+        v < 0.0)
+        return false;
+    if (key == "p" || key == "prob" || key == "probability") {
+        site.probability = v;
+        return v <= 1.0;
+    }
+    if (key == "sigma") {
+        site.sigma = v;
+        return true;
+    }
+    if (key == "us" || key == "micros") {
+        site.micros = v;
+        return v <= kMaxMicros;
+    }
+    return false;
+}
+
 } // namespace
 
 struct FaultPlan::Site {
     SiteSpec spec;
     std::uint64_t seed = 0;  ///< resolved (never 0)
-    std::atomic<std::uint64_t> checks_seen{0};
     obs::Counter *checks = nullptr;
     obs::Counter *injected = nullptr;
 };
@@ -102,28 +142,7 @@ FaultPlan::configure(const std::string &spec)
                 const std::string key = kv.substr(0, eq);
                 const std::string value =
                     eq == std::string::npos ? "" : kv.substr(eq + 1);
-                char *parse_end = nullptr;
-                const double v =
-                    std::strtod(value.c_str(), &parse_end);
-                const bool numeric = !value.empty() &&
-                                     parse_end != value.c_str() &&
-                                     *parse_end == '\0';
-                if (!numeric) {
-                    ok = false;
-                } else if (key == "p" || key == "prob" ||
-                           key == "probability") {
-                    site.probability = v;
-                } else if (key == "nth") {
-                    site.nth = static_cast<std::uint64_t>(v);
-                } else if (key == "seed") {
-                    site.seed = static_cast<std::uint64_t>(v);
-                } else if (key == "sigma") {
-                    site.sigma = v;
-                } else if (key == "us" || key == "micros") {
-                    site.micros = v;
-                } else {
-                    ok = false;
-                }
+                ok = parseValue(key, value, site);
                 if (!ok) {
                     std::fprintf(
                         stderr,
@@ -206,13 +225,9 @@ bool
 FaultPlan::decide(Site &s, std::uint64_t key_hash)
 {
     s.checks->add();
-    const std::uint64_t index =
-        s.checks_seen.fetch_add(1, std::memory_order_relaxed) + 1;
-    bool fire = false;
-    if (s.spec.nth > 0)
-        fire = index % s.spec.nth == 0;
-    else if (s.spec.probability > 0.0)
-        fire = uniform(mix64(s.seed ^ key_hash)) <= s.spec.probability;
+    const bool fire =
+        s.spec.probability > 0.0 &&
+        uniform(mix64(s.seed ^ key_hash)) <= s.spec.probability;
     if (fire)
         s.injected->add();
     return fire;

@@ -7,9 +7,9 @@
  * machine, so none of that ever happens — and none of the resilience
  * a production predictor needs would ever be exercised. The FaultPlan
  * is a process-wide registry of named *fault sites* (points in the
- * code that ask "should I misbehave here?") with per-site
- * probability, every-Nth triggering and a seed, so chaos runs are
- * reproducible and plain runs are untouched.
+ * code that ask "should I misbehave here?") with a per-site
+ * probability and seed, so chaos runs are reproducible and plain
+ * runs are untouched.
  *
  * Sites wired into the pipeline (see docs/ROBUSTNESS.md):
  *
@@ -32,20 +32,20 @@
  *   SMITE_FAULTS="machine.jitter:p=1,sigma=0.05,seed=7;lab.measure:p=0.2"
  *
  * Clause grammar: `site[:key=value[,key=value...]]` joined by `;`.
- * Keys: `p` (per-check firing probability), `nth` (fire on every Nth
- * check, overrides `p`), `seed`, `sigma` (Gaussian width for jitter
- * sites), `us` (delay in microseconds for delay sites). Malformed
- * clauses are skipped with a warning — a typo must never turn into a
- * silently fault-free chaos run without trace.
+ * Keys: `p` (per-check firing probability, in [0, 1]), `seed` (an
+ * unsigned 64-bit integer), `sigma` (Gaussian width for jitter
+ * sites, finite and non-negative) and `us` (delay in microseconds
+ * for delay sites, in [0, 1e15]). A clause with an unknown key or an
+ * out-of-range value is skipped with a warning — a typo must never
+ * turn into a silently fault-free chaos run without trace.
  *
  * Determinism: every decision and draw hashes (seed, site, key), so
  * whether a given measurement is faulted does not depend on call order
- * or thread interleaving; only the `nth` rule counts checks. Sites deep
- * in the stack (machine.jitter) key on the MeasurementScope active on
- * their thread. With no site armed every query is a single relaxed
- * atomic load and nothing in the pipeline changes — outputs stay
- * byte-identical to a build without faults (enforced by
- * tests/test_fault.cpp and the tier-1 smoke).
+ * or thread interleaving. Sites deep in the stack (machine.jitter) key
+ * on the MeasurementScope active on their thread. With no site armed
+ * every query is a single relaxed atomic load and nothing in the
+ * pipeline changes — outputs stay byte-identical to a build without
+ * faults (enforced by tests/test_fault.cpp and the tier-1 smoke).
  */
 
 #ifndef SMITE_FAULT_FAULT_H
@@ -76,10 +76,8 @@ class MeasurementError : public std::runtime_error
 
 /** Per-site configuration of one armed fault site. */
 struct SiteSpec {
-    /** Probability a check fires (ignored when nth > 0). */
+    /** Probability a check fires. */
     double probability = 0.0;
-    /** Fire on every Nth check of this site; 0 disables the rule. */
-    std::uint64_t nth = 0;
     /** Decision seed; 0 means "derive from the site name". */
     std::uint64_t seed = 0;
     /** Gaussian width for jitter sites (fraction of the value). */
@@ -117,7 +115,7 @@ class FaultPlan
     /** Disarm one site (no-op if not armed). */
     void disarm(const std::string &site);
 
-    /** Disarm everything and reset trigger counters (tests). */
+    /** Disarm everything (tests). */
     void reset();
 
     /** True when at least one site is armed (one relaxed load). */
@@ -136,8 +134,8 @@ class FaultPlan
     /**
      * Keyed decision: should the fault fire for @p key? The outcome
      * is a pure function of (seed, site, key) — independent of call
-     * order and thread interleaving — unless the site uses `nth`,
-     * which counts checks. Always false when the site is not armed.
+     * order and thread interleaving. Always false when the site is
+     * not armed.
      */
     bool shouldInject(const std::string &site, std::string_view key);
 

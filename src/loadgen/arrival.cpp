@@ -10,132 +10,16 @@ namespace smite::loadgen {
 
 namespace keyed = smite::queueing::keyed;
 
-const char *
-arrivalKindName(ArrivalKind kind)
-{
-    switch (kind) {
-    case ArrivalKind::kPoisson:
-        return "poisson";
-    case ArrivalKind::kOnOff:
-        return "onoff";
-    case ArrivalKind::kDiurnal:
-        return "diurnal";
-    }
-    return "unknown";
-}
-
 ArrivalStream::ArrivalStream(const ArrivalConfig &config)
     : config_(config)
 {
     if (config_.rate <= 0.0)
         throw std::invalid_argument("arrival rate must be positive");
-    switch (config_.kind) {
-    case ArrivalKind::kPoisson:
-        break;
-    case ArrivalKind::kOnOff: {
-        if (config_.burstFactor < 1.0)
-            throw std::invalid_argument("burstFactor must be >= 1");
-        if (config_.onFraction <= 0.0 || config_.onFraction >= 1.0)
-            throw std::invalid_argument("onFraction must be in (0, 1)");
-        if (config_.meanPhaseSeconds <= 0.0)
-            throw std::invalid_argument(
-                "meanPhaseSeconds must be positive");
-        // Mean-rate preservation: onFraction of the time at
-        // burstFactor * rate leaves (1 - burstFactor * onFraction)
-        // of the mass for the off phase.
-        const double off_mass =
-            1.0 - config_.burstFactor * config_.onFraction;
-        if (off_mass < 0.0)
-            throw std::invalid_argument(
-                "burstFactor * onFraction exceeds 1: off-phase rate "
-                "would be negative");
-        rate_on_ = config_.burstFactor * config_.rate;
-        rate_off_ =
-            config_.rate * off_mass / (1.0 - config_.onFraction);
-        break;
-    }
-    case ArrivalKind::kDiurnal: {
-        if (config_.profile.empty())
-            throw std::invalid_argument("diurnal profile is empty");
-        if (config_.periodSeconds <= 0.0)
-            throw std::invalid_argument(
-                "periodSeconds must be positive");
-        double sum = 0.0;
-        for (const double w : config_.profile) {
-            if (w < 0.0)
-                throw std::invalid_argument(
-                    "diurnal profile weights must be non-negative");
-            sum += w;
-        }
-        if (sum <= 0.0)
-            throw std::invalid_argument(
-                "diurnal profile must have positive mass");
-        // Normalize so the mean rate over one period equals `rate`.
-        const double bins = static_cast<double>(config_.profile.size());
-        bin_rates_.reserve(config_.profile.size());
-        for (const double w : config_.profile)
-            bin_rates_.push_back(config_.rate * w * bins / sum);
-        break;
-    }
-    }
 
     fault::FaultPlan &faults = fault::FaultPlan::global();
     chaos_burst_ = faults.enabled() && faults.armed("des.arrival_burst");
     fault_prefix_ = "a" + std::to_string(config_.seed) + "#s" +
                     std::to_string(config_.stream) + "#r";
-}
-
-double
-ArrivalStream::rateAt(double t) const
-{
-    // Piecewise-constant diurnal rate, cycled over the period.
-    const double period = config_.periodSeconds;
-    double phase = std::fmod(t, period);
-    if (phase < 0.0)
-        phase = 0.0;
-    auto bin = static_cast<std::size_t>(
-        phase / period * static_cast<double>(bin_rates_.size()));
-    if (bin >= bin_rates_.size())
-        bin = bin_rates_.size() - 1;
-    return bin_rates_[bin];
-}
-
-double
-ArrivalStream::advancePhases(double from, double work)
-{
-    // On-off: spend `work` units of Exp(1) arrival mass starting at
-    // `from`, switching phases at their (keyed-exponential) ends.
-    double t = from;
-    for (;;) {
-        if (t >= phase_end_) {
-            // Enter the next phase; dwell times are keyed by a phase
-            // counter, independent of how many arrivals each phase
-            // produced.
-            on_ = !on_;
-            const double mean_dwell =
-                config_.meanPhaseSeconds *
-                (on_ ? config_.onFraction : 1.0 - config_.onFraction);
-            const double dwell =
-                keyed::exponentialUnit(keyed::draw(
-                    config_.seed, keyed::kSaltPhase,
-                    config_.stream, phase_counter_)) *
-                mean_dwell;
-            ++phase_counter_;
-            phase_end_ = t + dwell;
-            continue;
-        }
-        const double rate = on_ ? rate_on_ : rate_off_;
-        if (rate <= 0.0) {
-            // Silent phase: no arrivals until it ends.
-            t = phase_end_;
-            continue;
-        }
-        const double span = (phase_end_ - t) * rate;
-        if (work <= span)
-            return t + work / rate;
-        work -= span;
-        t = phase_end_;
-    }
 }
 
 double
@@ -160,50 +44,9 @@ ArrivalStream::next()
         }
     }
 
-    double t = now_;
-    switch (config_.kind) {
-    case ArrivalKind::kPoisson:
-        t = now_ + work / config_.rate;
-        break;
-    case ArrivalKind::kOnOff:
-        t = advancePhases(now_, work);
-        break;
-    case ArrivalKind::kDiurnal: {
-        // Integrate the piecewise-constant rate until `work` units of
-        // Exp(1) mass are consumed (thinning-free inversion).
-        const double period = config_.periodSeconds;
-        const double bin_width =
-            period / static_cast<double>(bin_rates_.size());
-        t = now_;
-        for (;;) {
-            const double rate = rateAt(t);
-            // End of the current bin (strictly ahead of t).
-            const double in_period = std::fmod(t, period);
-            const std::size_t bin = static_cast<std::size_t>(
-                in_period / period *
-                static_cast<double>(bin_rates_.size()));
-            const double bin_end =
-                t - in_period +
-                bin_width * static_cast<double>(bin + 1);
-            if (rate <= 0.0) {
-                t = bin_end;
-                continue;
-            }
-            const double span = (bin_end - t) * rate;
-            if (work <= span) {
-                t += work / rate;
-                break;
-            }
-            work -= span;
-            t = bin_end;
-        }
-        break;
-    }
-    }
-
-    now_ = t;
+    now_ += work / config_.rate;
     ++counter_;
-    return t;
+    return now_;
 }
 
 std::vector<double>

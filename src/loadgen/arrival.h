@@ -1,22 +1,13 @@
 /**
  * @file
- * Deterministic open-loop arrival processes.
+ * Deterministic open-loop Poisson arrivals.
  *
  * The load generator is *open-loop* in mutated's sense: arrivals are
  * scheduled by the process, never gated on responses, so an
  * overloaded server sees the queue it would see in production
- * instead of the self-throttling a closed-loop client provides.
- * Three processes cover the production shapes:
- *
- * - kPoisson — memoryless arrivals at a constant mean rate (the
- *   paper's M/M/1 assumption);
- * - kOnOff — a two-state MMPP: bursts at `burstFactor` times the
- *   mean rate for a fraction of the time, quiet (possibly silent)
- *   phases in between, with exponentially distributed dwell times —
- *   mean rate preserved;
- * - kDiurnal — a trace-driven piecewise-constant rate profile cycled
- *   over `periodSeconds` (a compressed day), normalized so the mean
- *   rate equals `rate`.
+ * instead of the self-throttling a closed-loop client provides. The
+ * process is memoryless arrivals at a constant mean rate — the
+ * paper's M/M/1 assumption (Equations 4-6).
  *
  * Every draw is keyed per (seed, stream, occurrence) — see
  * queueing/keyed_stream.h — so a stream is a pure value: the same
@@ -38,43 +29,18 @@
 
 namespace smite::loadgen {
 
-/** The supported open-loop arrival processes. */
-enum class ArrivalKind { kPoisson, kOnOff, kDiurnal };
-
-/** Human-readable process name. */
-const char *arrivalKindName(ArrivalKind kind);
+/**
+ * The open-loop arrival process. Poisson is the only one; the type
+ * stays because perfbench/perfbench.cpp assigns it.
+ */
+enum class ArrivalKind { kPoisson };
 
 /** Configuration of one arrival stream. */
 struct ArrivalConfig {
     ArrivalKind kind = ArrivalKind::kPoisson;
 
-    /** Mean arrival rate (requests/s) — preserved by every kind. */
+    /** Mean arrival rate (requests/s). */
     double rate = 1000.0;
-
-    /**
-     * @name On-off (MMPP-2) shape
-     * The on-state arrival rate is `burstFactor * rate`; the
-     * off-state rate is derived so the long-run mean stays `rate`
-     * (requires burstFactor * onFraction <= 1). Dwell times are
-     * exponential with means `meanPhaseSeconds * onFraction` (on)
-     * and `meanPhaseSeconds * (1 - onFraction)` (off).
-     * @{
-     */
-    double burstFactor = 4.0;
-    double onFraction = 0.25;
-    double meanPhaseSeconds = 0.1;
-    /** @} */
-
-    /**
-     * @name Diurnal shape
-     * Relative load per equal-width bin across one period (e.g. a
-     * 24-entry compressed day); normalized internally, so only the
-     * shape matters. Empty profile throws.
-     * @{
-     */
-    std::vector<double> profile;
-    double periodSeconds = 1.0;
-    /** @} */
 
     /** Keyed randomness root. */
     std::uint64_t seed = 1;
@@ -94,7 +60,7 @@ struct ArrivalConfig {
 class ArrivalStream
 {
   public:
-    /** @throws std::invalid_argument on a non-realizable config */
+    /** @throws std::invalid_argument on a non-positive rate */
     explicit ArrivalStream(const ArrivalConfig &config);
 
     /** The next absolute arrival time, in seconds. */
@@ -103,24 +69,10 @@ class ArrivalStream
     /** The next @p n arrival times (convenience). */
     std::vector<double> generate(std::size_t n);
 
-    /** Arrivals emitted so far. */
-    std::uint64_t emitted() const { return counter_; }
-
   private:
-    double rateAt(double t) const;
-    double advancePhases(double from, double work);
-
     ArrivalConfig config_;
     double now_ = 0.0;          ///< last emitted arrival time
     std::uint64_t counter_ = 0; ///< occurrence index of the next draw
-    // On-off state machine: current phase and its end time.
-    bool on_ = false;
-    double phase_end_ = 0.0;
-    std::uint64_t phase_counter_ = 0;
-    double rate_on_ = 0.0;
-    double rate_off_ = 0.0;
-    // Diurnal: normalized per-bin rates.
-    std::vector<double> bin_rates_;
     bool chaos_burst_ = false;
     std::string fault_prefix_;
 };

@@ -6,21 +6,27 @@
 
 namespace smite::loadgen {
 
+namespace {
+
+/**
+ * Probe @p qps once against @p config 's template and report whether
+ * the tail-latency target holds; the step lands in @p out.
+ */
 bool
-meetsTarget(const KneeConfig &config, double qps, StepResult *out)
+meetsTarget(const KneeConfig &config, double qps, StepResult &out)
 {
     obs::Registry::global().counter("loadgen.knee_probes").add(1);
     // Stream 0 for every probe: common random numbers across rates
     // (see the file comment in knee.h).
-    const StepResult step = runStep(config.probe, qps, 0);
-    if (out != nullptr)
-        *out = step;
-    if (step.completed == 0)
+    out = runStep(config.probe, qps, 0);
+    if (out.completed == 0)
         return false;
-    if (config.failOnDrop && step.dropped > 0)
+    if (config.failOnDrop && out.dropped > 0)
         return false;
-    return step.percentileValue <= config.targetLatency;
+    return out.percentileValue <= config.targetLatency;
 }
+
+} // namespace
 
 KneeResult
 findKnee(const KneeConfig &config)
@@ -30,43 +36,35 @@ findKnee(const KneeConfig &config)
     if (config.tolerance <= 0.0)
         throw std::invalid_argument("tolerance must be positive");
 
-    double hi = config.qpsHi;
-    if (hi <= 0.0) {
-        hi = 0.0;
-        for (const double mu : config.probe.servers.serviceRates)
-            hi += mu;
-    }
+    double hi = 0.0;
+    for (const double mu : config.probe.servers.serviceRates)
+        hi += mu;
     if (config.qpsLo <= 0.0 || hi <= config.qpsLo)
         throw std::invalid_argument("empty or inverted knee bracket");
 
     KneeResult result;
-    StepResult at_lo;
-    if (!meetsTarget(config, config.qpsLo, &at_lo)) {
+    StepResult step;
+    const auto probe = [&](double qps) {
         ++result.probes;
+        return meetsTarget(config, qps, step);
+    };
+    if (!probe(config.qpsLo))
         return result; // knee below the bracket: report 0
-    }
-    ++result.probes;
     double lo = config.qpsLo;
-    double lo_latency = at_lo.percentileValue;
+    double lo_latency = step.percentileValue;
 
-    StepResult at_hi;
-    if (meetsTarget(config, hi, &at_hi)) {
+    if (probe(hi)) {
         // The whole bracket passes — the knee is at (or past) hi.
-        result.probes += 1;
         result.kneeQps = hi;
-        result.latencyAtKnee = at_hi.percentileValue;
+        result.latencyAtKnee = step.percentileValue;
         return result;
     }
-    ++result.probes;
 
     while (hi - lo > config.tolerance) {
         const double mid = 0.5 * (lo + hi);
-        StepResult at_mid;
-        const bool ok = meetsTarget(config, mid, &at_mid);
-        ++result.probes;
-        if (ok) {
+        if (probe(mid)) {
             lo = mid;
-            lo_latency = at_mid.percentileValue;
+            lo_latency = step.percentileValue;
         } else {
             hi = mid;
         }

@@ -8,8 +8,9 @@
  * "meets QoS" at the design load may be one burst away from violating
  * it, and the distance to the knee — where the latency-vs-load curve
  * turns up through the target — is the real headroom. findKnee()
- * bisects the offered rate, probing each candidate with one
- * open-loop step (loadgen/runStep).
+ * bisects the offered rate between a configured lower bracket and
+ * the pool's aggregate service rate (no open queue can sustain more),
+ * probing each candidate with one open-loop step (loadgen/runStep).
  *
  * The search is exact, not statistical: every probe reuses arrival
  * stream 0 and the shared service stream, so a probe at a higher
@@ -33,7 +34,7 @@ namespace smite::loadgen {
 /** One knee search. */
 struct KneeConfig {
     /**
-     * Probe template: arrival process, server pool and
+     * Probe template: arrival seed, server pool and
      * warmup/measure/cooldown windows; the sweep rate fields are
      * ignored (the bisection chooses rates).
      */
@@ -42,14 +43,11 @@ struct KneeConfig {
     /** Tail-latency target (seconds) at probe.percentile. */
     double targetLatency = 0.005;
 
-    /** Lower bracket (QPS); the knee reports 0 if even this fails. */
-    double qpsLo = 1.0;
-
     /**
-     * Upper bracket (QPS); 0 derives it as the pool's aggregate
-     * service rate (no open queue can sustain more).
+     * Lower bracket (QPS); the knee reports 0 if even this fails. The
+     * upper bracket is the pool's aggregate service rate.
      */
-    double qpsHi = 0.0;
+    double qpsLo = 1.0;
 
     /** Bisection resolution (QPS). */
     double tolerance = 1.0;
@@ -74,15 +72,8 @@ struct KneeResult {
 };
 
 /**
- * Probe @p qps once against @p config 's template and report whether
- * the tail-latency target holds (helper shared with the harness).
- */
-bool meetsTarget(const KneeConfig &config, double qps,
-                 StepResult *out = nullptr);
-
-/**
- * Bisect [qpsLo, qpsHi] for the knee. @throws std::invalid_argument
- * on an empty or inverted bracket.
+ * Bisect [qpsLo, aggregate service rate] for the knee.
+ * @throws std::invalid_argument on an empty or inverted bracket.
  */
 KneeResult findKnee(const KneeConfig &config);
 

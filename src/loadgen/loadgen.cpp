@@ -1,6 +1,5 @@
 #include "loadgen/loadgen.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -14,7 +13,6 @@ struct Instruments {
     obs::Counter &requests;
     obs::Counter &completed;
     obs::Counter &dropped;
-    obs::Counter &deadline_misses;
 
     static Instruments &get()
     {
@@ -23,7 +21,6 @@ struct Instruments {
             obs::Registry::global().counter("loadgen.requests"),
             obs::Registry::global().counter("loadgen.completed"),
             obs::Registry::global().counter("loadgen.dropped"),
-            obs::Registry::global().counter("loadgen.deadline_misses"),
         };
         return instance;
     }
@@ -67,7 +64,6 @@ runStep(const SweepConfig &config, double offeredQps,
     step.offered = config.measureRequests;
     step.completed = sim.completedIn(from, to);
     step.dropped = sim.droppedIn(from, to);
-    step.deadlineMisses = sim.deadlineMisses;
     if (step.completed > 0) {
         step.percentileValue = sim.percentile(config.percentile, from, to);
         step.meanResponse = sim.meanResponse(from, to);
@@ -84,7 +80,6 @@ runStep(const SweepConfig &config, double offeredQps,
     m.requests.add(total);
     m.completed.add(step.completed);
     m.dropped.add(step.dropped);
-    m.deadline_misses.add(step.deadlineMisses);
     return step;
 }
 
@@ -108,27 +103,6 @@ runSweep(const SweepConfig &config)
         ++stream;
     }
     return sweep;
-}
-
-std::string
-SweepResult::sampleLog() const
-{
-    std::string log;
-    char line[256];
-    for (const StepResult &s : steps) {
-        std::snprintf(
-            line, sizeof(line),
-            "qps=%.3f p=%.9f mean=%.9f achieved=%.3f offered=%llu "
-            "completed=%llu dropped=%llu deadline_misses=%llu\n",
-            s.offeredQps, s.percentileValue, s.meanResponse,
-            s.achievedQps,
-            static_cast<unsigned long long>(s.offered),
-            static_cast<unsigned long long>(s.completed),
-            static_cast<unsigned long long>(s.dropped),
-            static_cast<unsigned long long>(s.deadlineMisses));
-        log += line;
-    }
-    return log;
 }
 
 } // namespace smite::loadgen

@@ -10,24 +10,23 @@
  * cooldown keeps the window's tail from being censored by the end of
  * the run.
  *
- * Every step draws its arrivals from an independent keyed sub-stream
- * (stream id = step index) of one seed, and service times are keyed
- * per request, so a sweep is a pure function of its config: the
- * sample log is byte-identical across repeats and across
+ * Every step draws its Poisson arrivals from an independent keyed
+ * sub-stream (stream id = step index) of one seed, and service times
+ * are keyed per request, so a sweep is a pure function of its config:
+ * its StepResults are identical across repeats and across
  * SMITE_THREADS settings even when a harness fans steps or whole
  * sweeps across a thread pool.
  *
  * Observability (docs/OBSERVABILITY.md): `loadgen.steps`,
- * `loadgen.requests`, `loadgen.completed`, `loadgen.dropped`,
- * `loadgen.deadline_misses` count work across all sweeps in the
- * process; knee searches (loadgen/knee.h) add `loadgen.knee_probes`.
+ * `loadgen.requests`, `loadgen.completed` and `loadgen.dropped` count
+ * work across all sweeps in the process; knee searches
+ * (loadgen/knee.h) add `loadgen.knee_probes`.
  */
 
 #ifndef SMITE_LOADGEN_LOADGEN_H
 #define SMITE_LOADGEN_LOADGEN_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "loadgen/arrival.h"
@@ -38,16 +37,12 @@ namespace smite::loadgen {
 /** One stepped-rate sweep. */
 struct SweepConfig {
     /**
-     * Arrival-process template; `rate` is overridden per step and
-     * `stream` per step index, everything else (kind, burst shape,
-     * seed) is taken as configured.
+     * Arrival template; `rate` is overridden per step and `stream`
+     * per step index, the seed is taken as configured.
      */
     ArrivalConfig arrival;
 
-    /**
-     * Server pool driven at every step (service rates, queue bound,
-     * deadline, balancing, service-stream seed).
-     */
+    /** Server pool driven at every step (service rates and seed). */
     queueing::OpenLoopConfig servers;
 
     /** First offered rate (QPS). */
@@ -80,26 +75,21 @@ struct StepResult {
     double achievedQps = 0.0;      ///< completions / window span
     std::uint64_t offered = 0;     ///< window arrivals
     std::uint64_t completed = 0;   ///< window completions
-    std::uint64_t dropped = 0;     ///< window drops (queue + fault)
-    std::uint64_t deadlineMisses = 0; ///< whole-run deadline misses
+    std::uint64_t dropped = 0;     ///< window drops (`des.drop`)
+
+    bool operator==(const StepResult &) const = default;
 };
 
 /** All steps of one sweep, in offered-rate order. */
 struct SweepResult {
     std::vector<StepResult> steps;
-
-    /**
-     * Byte-stable text log, one line per step (fixed-precision
-     * printf formatting, no timestamps) — the artifact the tier-1
-     * determinism smoke byte-compares across thread counts.
-     */
-    std::string sampleLog() const;
 };
 
 /**
- * Simulate one step: @p arrival 's process at `offeredQps` driving
- * @p servers, with the configured warmup/measure/cooldown windows.
- * Exposed separately so knee searches can probe single rates.
+ * Simulate one step: Poisson arrivals at @p offeredQps from
+ * sub-stream @p stream driving the configured servers, with the
+ * configured warmup/measure/cooldown windows. Exposed separately so
+ * knee searches can probe single rates.
  */
 StepResult runStep(const SweepConfig &config, double offeredQps,
                    std::uint64_t stream);

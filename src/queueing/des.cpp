@@ -98,7 +98,6 @@ simulateOpenLoop(const std::vector<double> &arrivals,
 
     OpenLoopResult result;
     result.responseTimes.reserve(arrivals.size());
-    result.servedBy.reserve(arrivals.size());
 
     double prev_arrival = 0.0;
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -118,30 +117,15 @@ simulateOpenLoop(const std::vector<double> &arrivals,
             faults.shouldInject("des.drop",
                                 key_prefix + std::to_string(i))) {
             ++result.dropped;
-            ++result.droppedByFault;
             result.responseTimes.push_back(OpenLoopResult::kDropped);
-            result.servedBy.push_back(-1);
             continue;
         }
 
-        // Balance: least-loaded (ties to the lowest index) or
-        // round-robin by request index.
-        std::size_t chosen = i % servers;
-        if (config.leastLoaded) {
-            chosen = 0;
-            for (std::size_t s = 1; s < servers; ++s) {
-                if (in_flight[s].size() < in_flight[chosen].size())
-                    chosen = s;
-            }
-        }
-
-        if (config.queueCapacity > 0 &&
-            in_flight[chosen].size() >= config.queueCapacity) {
-            ++result.dropped;
-            ++result.droppedQueueFull;
-            result.responseTimes.push_back(OpenLoopResult::kDropped);
-            result.servedBy.push_back(-1);
-            continue;
+        // Balance: least-loaded, ties to the lowest index.
+        std::size_t chosen = 0;
+        for (std::size_t s = 1; s < servers; ++s) {
+            if (in_flight[s].size() < in_flight[chosen].size())
+                chosen = s;
         }
 
         // Service time: one keyed unit-exponential per request,
@@ -169,12 +153,8 @@ simulateOpenLoop(const std::vector<double> &arrivals,
         last_departure[chosen] = departure;
         in_flight[chosen].push_back(departure);
 
-        const double response = departure - t;
         ++result.completed;
-        if (config.deadline > 0.0 && response > config.deadline)
-            ++result.deadlineMisses;
-        result.responseTimes.push_back(response);
-        result.servedBy.push_back(static_cast<std::int32_t>(chosen));
+        result.responseTimes.push_back(departure - t);
     }
     return result;
 }

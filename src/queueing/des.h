@@ -3,13 +3,11 @@
  * The discrete-event simulator of the tail-latency pipeline.
  *
  * simulateOpenLoop() is an event-driven multi-server FCFS queue fed
- * by an *arbitrary* open-loop arrival stream (src/loadgen builds
- * Poisson, bursty MMPP and diurnal streams). Requests are balanced
- * least-loaded across the servers (or round-robin), queues can be
- * bounded with drop accounting, per-request deadlines are tracked,
- * and the interference-degraded service rates measured by the Lab
- * plug in per server. One server with an unbounded queue fed a
- * Poisson stream is the M/M/1 queue whose closed form
+ * by an open-loop arrival stream (src/loadgen builds keyed Poisson
+ * streams). Each request goes to the least-loaded server (ties to the
+ * lowest index), queues are unbounded, and the interference-degraded
+ * service rates measured by the Lab plug in per server. One server
+ * fed a Poisson stream is the M/M/1 queue whose closed form
  * (queueing/mm1.h) it validates. This is the "measured" tail-latency
  * path of bench_fig13 and the engine under the knee-finding
  * bench_latency_vs_load harness.
@@ -44,28 +42,6 @@ struct OpenLoopConfig {
      */
     std::vector<double> serviceRates;
 
-    /**
-     * Bound on each server's queue, *including* the request in
-     * service; an arrival finding its chosen server full is dropped.
-     * 0 means unbounded.
-     */
-    std::size_t queueCapacity = 0;
-
-    /**
-     * Per-request deadline in seconds, measured from arrival; a
-     * completed request whose sojourn exceeds it counts as a
-     * deadline miss (it is not aborted — open-loop servers finish
-     * what they started). 0 disables deadline tracking.
-     */
-    double deadline = 0.0;
-
-    /**
-     * Least-loaded balancing: each arrival goes to the server with
-     * the shortest queue (ties to the lowest index). When false,
-     * arrivals round-robin by request index.
-     */
-    bool leastLoaded = true;
-
     /** Seed of the keyed service-time stream. */
     std::uint64_t seed = 1;
 };
@@ -85,15 +61,10 @@ struct OpenLoopResult {
 
     /** Per offered request: sojourn time, or kDropped. */
     std::vector<double> responseTimes;
-    /** Per offered request: serving server, or -1 when dropped. */
-    std::vector<std::int32_t> servedBy;
 
-    std::uint64_t offered = 0;         ///< arrivals presented
-    std::uint64_t completed = 0;       ///< requests served
-    std::uint64_t dropped = 0;         ///< all drops
-    std::uint64_t droppedQueueFull = 0;///< drops on a full bounded queue
-    std::uint64_t droppedByFault = 0;  ///< drops injected by `des.drop`
-    std::uint64_t deadlineMisses = 0;  ///< completions past the deadline
+    std::uint64_t offered = 0;   ///< arrivals presented
+    std::uint64_t completed = 0; ///< requests served
+    std::uint64_t dropped = 0;   ///< requests lost to `des.drop`
 
     /**
      * Empirical p-th percentile of the completed requests whose
@@ -119,7 +90,8 @@ struct OpenLoopResult {
 /**
  * Event-driven open-loop simulation: feed the @p arrivals stream
  * (absolute arrival times, non-decreasing) through the configured
- * server pool. Service times are exponential at each server's rate,
+ * server pool, each arrival to the server with the fewest requests in
+ * flight (ties to the lowest index). Service times are exponential at each server's rate,
  * drawn from a keyed per-request stream, so two configs that differ
  * only in service rates consume identical randomness (common random
  * numbers — the property knee searches rely on).

@@ -30,7 +30,6 @@ inline constexpr std::uint64_t kDomain = 0x9e0c2b7d1f8a5e3bull;
 /** Salts separating the queueing layer's event-kind streams. */
 inline constexpr std::uint64_t kSaltArrival = 0x41525256ull;  // "ARRV"
 inline constexpr std::uint64_t kSaltService = 0x53455256ull;  // "SERV"
-inline constexpr std::uint64_t kSaltPhase = 0x50485345ull;    // "PHSE"
 
 /** One keyed 64-bit draw: a pure function of (seed, salt, a, b). */
 inline std::uint64_t

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -69,8 +70,6 @@ class FaultTest : public ::testing::Test
     static Lab makeLab()
     {
         Lab lab(sim::MachineConfig::ivyBridge(), 2'000, 8'000);
-        // Serial so that nth decisions, which count checks, are
-        // reproducible across runs.
         lab.setParallelism(1);
         return lab;
     }
@@ -87,7 +86,7 @@ TEST_F(FaultTest, SpecStringArmsSites)
     EXPECT_FALSE(plan.enabled());
     const int armed = plan.configure(
         "machine.jitter:p=0.5,sigma=0.1,seed=7;"
-        "lab.measure:nth=3;pool.delay:p=0.01,us=250");
+        "lab.measure:p=0.25;pool.delay:p=0.01,us=250");
     EXPECT_EQ(armed, 3);
     EXPECT_TRUE(plan.enabled());
     EXPECT_TRUE(plan.armed("machine.jitter"));
@@ -99,7 +98,7 @@ TEST_F(FaultTest, SpecStringArmsSites)
     EXPECT_DOUBLE_EQ(jitter.probability, 0.5);
     EXPECT_DOUBLE_EQ(jitter.sigma, 0.1);
     EXPECT_EQ(jitter.seed, 7u);
-    EXPECT_EQ(plan.spec("lab.measure").nth, 3u);
+    EXPECT_DOUBLE_EQ(plan.spec("lab.measure").probability, 0.25);
     EXPECT_DOUBLE_EQ(plan.spec("pool.delay").micros, 250.0);
 
     plan.reset();
@@ -111,12 +110,32 @@ TEST_F(FaultTest, MalformedClausesAreSkippedNotFatal)
 {
     FaultPlan &plan = FaultPlan::global();
     // Bad probability, unknown key, and an empty clause: each is
-    // skipped with a warning; the valid clause still arms.
+    // skipped with a warning; the valid clause still arms. So are
+    // values out of range — a seed with a sign, an exponent, a
+    // fraction or past 64 bits, a probability outside [0, 1] or NaN,
+    // a negative or infinite width or delay — and the retired `nth`
+    // key.
     const int armed = plan.configure(
-        "lab.measure:p=banana;;bogus:q=1;server.fail:p=0.25");
+        "lab.measure:p=banana;;bogus:q=1;server.fail:p=0.25;"
+        "lab.measure:p=0.5,seed=-1;lab.measure:p=0.5,seed=1e30;"
+        "lab.measure:p=0.5,seed=2.5;"
+        "lab.measure:p=0.5,seed=18446744073709551616;"
+        "lab.measure:p=nan;lab.measure:p=1.5;lab.measure:p=-0.1;"
+        "machine.jitter:p=1,sigma=-0.1;machine.jitter:p=1,sigma=inf;"
+        "pool.delay:p=1,us=inf;pool.delay:p=1,us=-5;"
+        "pool.delay:p=1,us=1e300;lab.measure:nth=3");
     EXPECT_EQ(armed, 1);
     EXPECT_TRUE(plan.armed("server.fail"));
     EXPECT_FALSE(plan.armed("lab.measure"));
+    EXPECT_FALSE(plan.armed("machine.jitter"));
+    EXPECT_FALSE(plan.armed("pool.delay"));
+
+    // The edges of each range still arm.
+    EXPECT_EQ(plan.configure("lab.measure:p=0,seed=18446744073709551615;"
+                             "machine.jitter:p=1,sigma=0;"
+                             "pool.delay:p=1,us=1e15"),
+              3);
+    EXPECT_EQ(plan.spec("lab.measure").seed, 18446744073709551615u);
 }
 
 TEST_F(FaultTest, KeyedDecisionsAreDeterministicAndRateAccurate)
@@ -143,20 +162,6 @@ TEST_F(FaultTest, KeyedDecisionsAreDeterministicAndRateAccurate)
     EXPECT_EQ(counter("fault.lab.measure.checks"), 4000u);
     EXPECT_EQ(counter("fault.lab.measure.injected"),
               static_cast<std::uint64_t>(2 * fired));
-}
-
-TEST_F(FaultTest, NthRuleFiresOnEveryNthCheck)
-{
-    FaultPlan &plan = FaultPlan::global();
-    plan.arm("pool.delay", SiteSpec{.nth = 4});
-    int fired = 0;
-    for (int i = 1; i <= 12; ++i) {
-        // nth ignores the key: it counts checks.
-        const bool f = plan.shouldInject("pool.delay", std::to_string(i));
-        EXPECT_EQ(f, i % 4 == 0) << "check " << i;
-        fired += f ? 1 : 0;
-    }
-    EXPECT_EQ(fired, 3);
 }
 
 TEST_F(FaultTest, GaussianDrawsMatchSigma)
@@ -207,10 +212,11 @@ TEST_F(FaultTest, LabRetriesTransientFaultsToTheBaselineValue)
     }
     resetGlobals();
 
-    // nth=2 fires every second check: solo(a) passes on check 1,
-    // solo(b) fails on check 2, its retry passes on check 3. The
-    // retried value is byte-identical to the fault-free baseline.
-    FaultPlan::global().arm("lab.measure", SiteSpec{.nth = 2});
+    // Under this keyed rule solo(a) passes, solo(b)'s first attempt
+    // fails and its retry passes. The retried value is byte-identical
+    // to the fault-free baseline.
+    FaultPlan::global().arm("lab.measure",
+                            SiteSpec{.probability = 0.5, .seed = 12});
     Lab lab = makeLab();
     EXPECT_EQ(lab.soloIpc(a), base_a);
     EXPECT_EQ(lab.soloIpc(b), base_b);
@@ -340,6 +346,33 @@ TEST_F(FaultTest, CharacterizeAllMarksFailedEntriesInvalid)
     // a measurement; and the batch call itself never threw.
     EXPECT_GT(invalid, 0);
     EXPECT_LT(invalid, static_cast<int>(profiles.size()) + 1);
+}
+
+TEST_F(FaultTest, SignaturesCountAndLogEachFailedMeasurementOnce)
+{
+    // No retries: every fired check is a failed measurement. Each
+    // one must be counted and logged once, and void exactly one
+    // signature; asking a measurement twice would count its
+    // (keyed, so identical) failure twice.
+    FaultPlan::global().arm("lab.measure",
+                            SiteSpec{.probability = 0.3, .seed = 5});
+    Lab lab = makeLab();
+    lab.setMaxAttempts(1);
+    const auto sigs =
+        core::signaturesOf(lab, trainingSet(), CoLocationMode::kSmt);
+    std::uint64_t invalid = 0;
+    for (const core::WorkloadSignature &sig : sigs)
+        invalid += sig.valid ? 0 : 1;
+    EXPECT_GT(invalid, 0u);
+    EXPECT_LT(invalid, sigs.size());
+    EXPECT_EQ(counter("lab.failures"), invalid);
+    EXPECT_EQ(counter("fault.lab.measure.injected"), invalid);
+    const std::vector<std::string> incidents =
+        obs::IncidentLog::global().snapshot();
+    EXPECT_EQ(incidents.size(), invalid);
+    EXPECT_EQ(std::set<std::string>(incidents.begin(), incidents.end())
+                  .size(),
+              incidents.size());
 }
 
 TEST_F(FaultTest, MachineJitterPerturbsResultsOnlyWhileArmed)
