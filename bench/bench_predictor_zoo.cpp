@@ -33,6 +33,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <string>
@@ -40,6 +41,7 @@
 
 #include "bench/common.h"
 #include "core/smite.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 
 using namespace smite;
@@ -60,11 +62,24 @@ cpuSeconds()
 #endif
 }
 
-/** Repeats for the latency kernel; the median is recorded. */
+/** Samples for the latency kernel; the median is recorded. */
 constexpr int kRepeats = 5;
+
+/**
+ * CPU time one latency sample spans at least. One sweep over the
+ * held-out pairs takes about 20 us, too short to time on its own.
+ */
+constexpr double kMinSampleSeconds = 2e-3;
 
 /** Defeat dead-code elimination without a compiler intrinsic. */
 volatile double g_sink;
+
+/** Set @p counter back to @p value (unsigned adds wrap modulo 2^64). */
+void
+rewind(obs::Counter &counter, std::uint64_t value)
+{
+    counter.add(value - counter.value());
+}
 
 /** One held-out pair with its measured-oracle degradation. */
 struct OraclePair {
@@ -150,19 +165,43 @@ shootOut(obs::RunReport &report, const char *tag,
                     predictor->signatureRuns());
 
         // Prediction latency: timings only (never diffed, see the
-        // file header). One untimed warmup sweep, then the median of
-        // kRepeats timed sweeps over every held-out pair.
+        // file header). One untimed warmup sweep over every held-out
+        // pair, then the median of kRepeats samples, each repeating
+        // the sweep until it spans kMinSampleSeconds of CPU. How many
+        // repeats that takes depends on the host, so they are taken
+        // back out of the predictor counters, which the gate compares
+        // exactly: those count one sweep per sample.
         if (!oracle.empty()) {
-            std::vector<double> times;
-            for (int r = 0; r <= kRepeats; ++r) {
-                const double t0 = cpuSeconds();
+            obs::Registry &registry = obs::Registry::global();
+            obs::Counter &predictions =
+                registry.counter("predictor.predictions");
+            obs::Counter &clamped = registry.counter("predictor.clamped");
+            const auto sweep = [&] {
                 double sum = 0;
                 for (const OraclePair &p : oracle)
                     sum += predictor->predictDegradation(*p.victim,
                                                          *p.aggressor);
                 g_sink = sum;
-                if (r > 0)
-                    times.push_back(cpuSeconds() - t0);
+            };
+            sweep();
+            std::vector<double> times;
+            for (int r = 0; r < kRepeats; ++r) {
+                const double t0 = cpuSeconds();
+                sweep();
+                const std::uint64_t counted[] = {predictions.value(),
+                                                 clamped.value()};
+                int sweeps = 1;
+                double spent = cpuSeconds() - t0;
+                for (int batch = 1; spent < kMinSampleSeconds;
+                     batch *= 2) {
+                    for (int k = 0; k < batch; ++k)
+                        sweep();
+                    sweeps += batch;
+                    spent = cpuSeconds() - t0;
+                }
+                rewind(predictions, counted[0]);
+                rewind(clamped, counted[1]);
+                times.push_back(spent / sweeps);
             }
             std::sort(times.begin(), times.end());
             const double per_call_ns =

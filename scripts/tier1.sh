@@ -336,10 +336,17 @@ echo "load smoke: ok"
 # The optimized simulator kernels must not change a single output
 # byte across optimization levels: one figure harness from an
 # asserts-on Debug build must print the same stdout as the default
-# build's.
+# build's. The default build defines NDEBUG, so the simulator's
+# asserts (the cache's prefix-fill invariant and insertAbsent's
+# absence precondition among them) run only here: the Debug build
+# also runs the cache, memory-system and golden-simulator tests.
+DEBUG_TESTS="test_golden_sim test_cache test_memory_system"
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j"$JOBS" \
-    --target bench_fig10_spec_smt_prediction
+    --target bench_fig10_spec_smt_prediction $DEBUG_TESTS
+for t in $DEBUG_TESTS; do
+    "./build-debug/tests/$t" --gtest_brief=1
+done
 pair out.txt "$FIG10" \
     "$SMOKE \"\$REPO/build-debug/bench/bench_fig10_spec_smt_prediction\""
 echo "debug/release equivalence: ok"

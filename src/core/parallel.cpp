@@ -94,6 +94,9 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &body,
             body(i);
         return;
     }
+    // A worker beyond the n-th would find no task to claim.
+    if (static_cast<std::size_t>(threads) > n)
+        threads = static_cast<int>(n);
     PoolMetrics &metrics = PoolMetrics::get();
     metrics.batches.add();
     metrics.tasks.add(n);

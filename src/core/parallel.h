@@ -41,11 +41,11 @@ int defaultThreadCount();
 
 /**
  * Parallel loop: run body(i) for every i in [0, n) on @p threads
- * workers (<= 0 = defaultThreadCount()), the calling thread among
- * them, blocking until all iterations finish. The first exception
- * thrown by any iteration is rethrown here once the remaining
- * iterations have run. With one thread or n <= 1 this is a plain
- * serial loop on the calling thread.
+ * workers (<= 0 = defaultThreadCount(); never more than n), the
+ * calling thread among them, blocking until all iterations finish.
+ * The first exception thrown by any iteration is rethrown here once
+ * the remaining iterations have run. With one thread or n <= 1 this
+ * is a plain serial loop on the calling thread.
  */
 void parallelFor(std::size_t n,
                  const std::function<void(std::size_t)> &body,

@@ -3,11 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SMITE_CACHE_SIMD 1
-#include <immintrin.h>
-#endif
-
 namespace smite::sim {
 
 namespace {
@@ -15,14 +10,9 @@ namespace {
 /** File-scope alias of SetAssocCache::kNoTag (private). */
 constexpr Addr kNoTag = ~Addr{0};
 
-/**
- * Index of the first way whose tag equals @p needle, or -1. This scan
- * runs for every cache access (hits included) and for every miss a
- * second time to find an empty way, so it is the single hottest
- * comparison loop in the simulator.
- */
+/** Index of the first way whose tag equals @p needle, or -1. */
 int
-findWayScalar(const Addr *tags, Addr needle, int assoc)
+findWay(const Addr *tags, Addr needle, int assoc)
 {
     for (int w = 0; w < assoc; ++w) {
         if (tags[w] == needle)
@@ -32,9 +22,11 @@ findWayScalar(const Addr *tags, Addr needle, int assoc)
 }
 
 /**
- * Combined lookup: way holding @p line (preferred) or, failing that,
- * the first empty way, in one pass over the tags. Fill-heavy callers
- * (prewarm) would otherwise pay two full scans per insert.
+ * access()'s lookup: way holding @p line (preferred) or, failing that,
+ * the first empty way, in one pass over the tags. It runs for every
+ * access that misses the repeat memo, so it is the hottest comparison
+ * loop in the simulator; a plain loop, since an AVX2 version measured
+ * no faster (docs/PERFORMANCE.md).
  */
 struct WayPair {
     int hit;    ///< way holding the line, or -1
@@ -42,7 +34,7 @@ struct WayPair {
 };
 
 WayPair
-findWaysScalar(const Addr *tags, Addr line, int assoc)
+findWays(const Addr *tags, Addr line, int assoc)
 {
     WayPair r{-1, -1};
     for (int w = 0; w < assoc; ++w) {
@@ -55,99 +47,6 @@ findWaysScalar(const Addr *tags, Addr line, int assoc)
     }
     return r;
 }
-
-#ifdef SMITE_CACHE_SIMD
-#pragma GCC push_options
-#pragma GCC target("avx2")
-int
-findWayAvx2(const Addr *tags, Addr needle, int assoc)
-{
-    const __m256i splat =
-        _mm256_set1_epi64x(static_cast<long long>(needle));
-    int w = 0;
-    for (; w + 4 <= assoc; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const int m = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, splat)));
-        if (m != 0)
-            return w + __builtin_ctz(static_cast<unsigned>(m));
-    }
-    for (; w < assoc; ++w) {
-        if (tags[w] == needle)
-            return w;
-    }
-    return -1;
-}
-
-WayPair
-findWaysAvx2(const Addr *tags, Addr line, int assoc)
-{
-    const __m256i want =
-        _mm256_set1_epi64x(static_cast<long long>(line));
-    const __m256i none =
-        _mm256_set1_epi64x(static_cast<long long>(kNoTag));
-    WayPair r{-1, -1};
-    int w = 0;
-    for (; w + 4 <= assoc; w += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const int hit = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, want)));
-        if (hit != 0) {
-            r.hit = w + __builtin_ctz(static_cast<unsigned>(hit));
-            return r;  // a hit makes any empty way irrelevant
-        }
-        if (r.empty < 0) {
-            const int inv = _mm256_movemask_pd(
-                _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, none)));
-            if (inv != 0)
-                r.empty = w + __builtin_ctz(static_cast<unsigned>(inv));
-        }
-    }
-    for (; w < assoc; ++w) {
-        if (tags[w] == line) {
-            r.hit = w;
-            return r;
-        }
-        if (r.empty < 0 && tags[w] == kNoTag)
-            r.empty = w;
-    }
-    return r;
-}
-#pragma GCC pop_options
-
-int
-findWay(const Addr *tags, Addr needle, int assoc)
-{
-    // Resolved once; a single well-predicted branch afterwards. All
-    // real-machine associativities are multiples of 4, so the vector
-    // loop covers the full set.
-    static const bool have_avx2 = __builtin_cpu_supports("avx2");
-    return have_avx2 ? findWayAvx2(tags, needle, assoc)
-                     : findWayScalar(tags, needle, assoc);
-}
-
-WayPair
-findWays(const Addr *tags, Addr line, int assoc)
-{
-    static const bool have_avx2 = __builtin_cpu_supports("avx2");
-    return have_avx2 ? findWaysAvx2(tags, line, assoc)
-                     : findWaysScalar(tags, line, assoc);
-}
-#else
-int
-findWay(const Addr *tags, Addr needle, int assoc)
-{
-    return findWayScalar(tags, needle, assoc);
-}
-
-WayPair
-findWays(const Addr *tags, Addr line, int assoc)
-{
-    return findWaysScalar(tags, line, assoc);
-}
-#endif
 
 } // namespace
 
@@ -356,24 +255,11 @@ SetAssocCache::invalidate(Addr line)
     dirty_[base + w] = 0;
     lastLine_ = kNoTag;  // the memo may point at the dropped line
     // Dropping the last prefix way just shortens the prefix; a hole
-    // anywhere else breaks it for good (until flush).
+    // anywhere else breaks it for the rest of the run.
     const std::uint8_t fill = fillWays_[set];
     if (fill != kNoPrefix)
         fillWays_[set] = (w == fill - 1) ? fill - 1 : kNoPrefix;
     return true;
-}
-
-void
-SetAssocCache::flush()
-{
-    tags_.assign(tags_.size(), kNoTag);
-    lastUse_.assign(lastUse_.size(), 0);
-    dirty_.assign(dirty_.size(), 0);
-    fillWays_.assign(fillWays_.size(),
-                     assoc_ < kNoPrefix ? std::uint8_t{0} : kNoPrefix);
-    useClock_ = 0;
-    lastLine_ = kNoTag;
-    lastIdx_ = 0;
 }
 
 } // namespace smite::sim

@@ -93,9 +93,6 @@ class SetAssocCache
      */
     bool invalidate(Addr line);
 
-    /** Invalidate all lines and reset LRU state. */
-    void flush();
-
     /** Hit latency of this level. */
     Cycle hitLatency() const { return config_.hitLatency; }
 
@@ -134,7 +131,7 @@ class SetAssocCache
      * the whole lookup collapses to one compare. Spatial locality
      * makes this the common case on the L1 data path — streaming
      * code touches each 64B line ~8 times in a row. Invalidated by
-     * any other line's access, insert, invalidate or flush.
+     * any other line's access, insert or invalidate.
      */
     Addr lastLine_ = kNoTag;
     std::size_t lastIdx_ = 0;
@@ -153,8 +150,7 @@ class SetAssocCache
      * fillWays_[s] directly, no tag scan needed (the dominant cost of
      * prewarming a multi-megabyte L3 line by line). An invalidate in
      * the middle of the prefix breaks the invariant; the set falls
-     * back to scanning forever after (kNoPrefix is sticky until
-     * flush).
+     * back to scanning for the rest of the run (kNoPrefix is sticky).
      */
     std::vector<std::uint8_t> fillWays_;
 };

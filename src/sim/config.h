@@ -16,19 +16,6 @@
 
 namespace smite::sim {
 
-/**
- * SMT fetch arbitration policy.
- *
- * kRoundRobin alternates priority each cycle; kIcount gives priority
- * to the context with fewer uops in flight (Tullsen et al.'s ICOUNT,
- * which starves stalled threads less often than it starves fast
- * ones).
- */
-enum class FetchPolicy {
-    kRoundRobin,
-    kIcount,
-};
-
 /** Pipeline parameters of one SMT core. */
 struct CoreConfig {
     int fetchWidth = 5;       ///< uops fetched per core per cycle
@@ -38,7 +25,6 @@ struct CoreConfig {
     int schedDepth = 48;      ///< unissued uops examined per cycle
     int mshrs = 16;           ///< outstanding L1D misses per context
     Cycle redirectPenalty = 10;  ///< front-end bubble after mispredict
-    FetchPolicy fetchPolicy = FetchPolicy::kRoundRobin;
 };
 
 /** Full machine description (cores + memory hierarchy + DRAM). */

@@ -143,9 +143,6 @@ class HardwareContext
     int issue(Cycle now, unsigned &port_busy, int &core_budget, int core,
               MemorySystem &mem, bool solo_on_core);
 
-    /** Uops currently in the window (ICOUNT fetch arbitration). */
-    int inFlight() const { return count_; }
-
     /**
      * Earliest future cycle at which this context's fetch or issue
      * stage could have any observable effect, given its state now —

@@ -11,8 +11,10 @@
 #define SMITE_SIM_COUNTERS_H
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "sim/types.h"
 #include "sim/uop.h"
@@ -39,7 +41,9 @@ inline constexpr std::array<std::string_view, kNumPmuRates> kPmuRateNames = {
 
 /**
  * Event counts accumulated by one hardware context during a run
- * (deltas over the measurement interval).
+ * (deltas over the measurement interval). The block is its 64-bit
+ * counters and nothing else, in declaration order: CounterWords
+ * below, which is also the order of a run-log record (sim/replay.h).
  */
 struct CounterBlock {
     std::uint64_t cycles = 0;       ///< elapsed core cycles
@@ -106,34 +110,29 @@ struct CounterBlock {
             static_cast<double>(branchMispredicts) / c,
         };
     }
-
-    /** Element-wise difference (this - earlier), used for warmup. */
-    CounterBlock
-    operator-(const CounterBlock &other) const
-    {
-        CounterBlock d;
-        d.cycles = cycles - other.cycles;
-        d.uops = uops - other.uops;
-        for (int p = 0; p < kNumPorts; ++p)
-            d.portIssued[p] = portIssued[p] - other.portIssued[p];
-        d.loads = loads - other.loads;
-        d.stores = stores - other.stores;
-        d.branches = branches - other.branches;
-        d.branchMispredicts = branchMispredicts - other.branchMispredicts;
-        d.l1dHits = l1dHits - other.l1dHits;
-        d.l1dMisses = l1dMisses - other.l1dMisses;
-        d.l2Hits = l2Hits - other.l2Hits;
-        d.l2Misses = l2Misses - other.l2Misses;
-        d.l3Hits = l3Hits - other.l3Hits;
-        d.l3Misses = l3Misses - other.l3Misses;
-        d.icacheMisses = icacheMisses - other.icacheMisses;
-        d.itlbMisses = itlbMisses - other.itlbMisses;
-        d.dtlbLoadMisses = dtlbLoadMisses - other.dtlbLoadMisses;
-        d.dtlbStoreMisses = dtlbStoreMisses - other.dtlbStoreMisses;
-        d.fetchStallCycles = fetchStallCycles - other.fetchStallCycles;
-        return d;
-    }
 };
+
+/**
+ * A CounterBlock as its counters in declaration order; std::bit_cast
+ * converts between the two. A new counter changes this size and with
+ * it the run-log record, so it needs a new sim::kRunLogVersion.
+ */
+using CounterWords = std::array<std::uint64_t, 23>;
+
+static_assert(sizeof(CounterBlock) == sizeof(CounterWords) &&
+                  std::has_unique_object_representations_v<CounterBlock>,
+              "CounterBlock must be exactly its 64-bit counters");
+
+/** Element-wise difference (later - earlier), used for warmup. */
+inline CounterBlock
+operator-(const CounterBlock &later, const CounterBlock &earlier)
+{
+    auto d = std::bit_cast<CounterWords>(later);
+    const auto e = std::bit_cast<CounterWords>(earlier);
+    for (std::size_t i = 0; i < d.size(); ++i)
+        d[i] -= e[i];
+    return std::bit_cast<CounterBlock>(d);
+}
 
 } // namespace smite::sim
 

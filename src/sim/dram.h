@@ -60,15 +60,6 @@ class DramChannel
     /** Total line transfers (demand + write-back) so far. */
     std::uint64_t transfers() const { return transfers_; }
 
-    /**
-     * Next channel response event: the cycle the channel frees up and
-     * a queued transfer could start without waiting. Latencies are
-     * computed in full at access() time (nothing polls the channel
-     * per cycle), so this feeds the machine's wake list only as a
-     * bound on when a bandwidth-blocked core could make progress.
-     */
-    Cycle nextEventAt() const { return nextFree_; }
-
     /** Reset queueing state (e.g. between runs). */
     void
     reset()

@@ -65,19 +65,11 @@ class MemorySystem
     void prewarmData(Addr addr) { l3_.access(lineAddr(addr), false); }
 
     /**
-     * prewarmData for a line the caller knows is not yet resident
-     * (the first prewarm pass over a fresh machine): skips the L3
-     * hit scan, with identical resulting state.
-     */
-    void
-    prewarmDataAbsent(Addr addr)
-    {
-        l3_.insertAbsent(lineAddr(addr));
-    }
-
-    /**
-     * prewarmDataAbsent for @p count consecutive lines starting at
-     * @p addr, batched into one pass over the L3 arrays.
+     * prewarmData for @p count consecutive lines starting at @p addr
+     * that the caller knows are not yet resident (the first prewarm
+     * pass over a fresh machine): skips the L3 hit scans and batches
+     * the inserts into one pass over the L3 arrays, with identical
+     * resulting state.
      */
     void
     prewarmDataAbsentRange(Addr addr, std::uint64_t count)
@@ -93,14 +85,6 @@ class MemorySystem
 
     /** Shared DRAM channel (exposed for bandwidth statistics). */
     const DramChannel &dram() const { return dram_; }
-
-    /**
-     * Next memory-system progress event (currently: the DRAM channel
-     * freeing up). The hierarchy computes full latencies at access
-     * time — nothing in it is polled per cycle — so this exists to
-     * feed the machine wake list, not to drive state transitions.
-     */
-    Cycle nextEventAt() const { return dram_.nextEventAt(); }
 
   private:
     struct CoreCaches {

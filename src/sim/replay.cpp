@@ -3,7 +3,9 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,33 +30,8 @@ enabledFlag()
     return flag;
 }
 
-/** Visit every field of a counter block, in run-log order. */
-template <typename Block, typename Fn>
-constexpr void
-forEachField(Block &block, Fn &&fn)
-{
-    fn(block.cycles);
-    fn(block.uops);
-    for (auto &issued : block.portIssued)
-        fn(issued);
-    for (auto *field :
-         {&block.loads, &block.stores, &block.branches,
-          &block.branchMispredicts, &block.l1dHits, &block.l1dMisses,
-          &block.l2Hits, &block.l2Misses, &block.l3Hits, &block.l3Misses,
-          &block.icacheMisses, &block.itlbMisses, &block.dtlbLoadMisses,
-          &block.dtlbStoreMisses, &block.fetchStallCycles})
-        fn(*field);
-}
-
 /** Words one counter block occupies in a run-log line. */
-constexpr std::size_t kBlockWords = [] {
-    CounterBlock block;
-    std::size_t n = 0;
-    forEachField(block, [&](std::uint64_t &) { ++n; });
-    return n;
-}();
-static_assert(kBlockWords * sizeof(std::uint64_t) == sizeof(CounterBlock),
-              "forEachField must visit every CounterBlock field");
+constexpr std::size_t kBlockWords = std::tuple_size_v<CounterWords>;
 
 /**
  * One run-log line: the key, every counter block and the two tallies
@@ -71,8 +48,10 @@ formatRecord(const ReplayKey &key, const ReplayEntry &entry)
     };
     for (const std::uint64_t word : key)
         put(word);
-    for (const CounterBlock &block : entry.results)
-        forEachField(block, put);
+    for (const CounterBlock &block : entry.results) {
+        for (const std::uint64_t word : std::bit_cast<CounterWords>(block))
+            put(word);
+    }
     put(entry.idleSkipped);
     put(entry.wakeEvents);
     return line + std::to_string(digest.value());
@@ -105,8 +84,12 @@ parseRecord(const std::string &line, ReplayKey &key, ReplayEntry &entry)
     auto next = words.begin() + 4 + 3 * words[3];
     key.assign(words.begin(), next);
     entry.results.assign(words[3], CounterBlock{});
-    for (CounterBlock &block : entry.results)
-        forEachField(block, [&](std::uint64_t &field) { field = *next++; });
+    for (CounterBlock &block : entry.results) {
+        CounterWords fields{};
+        std::copy_n(next, kBlockWords, fields.begin());
+        block = std::bit_cast<CounterBlock>(fields);
+        next += kBlockWords;
+    }
     entry.idleSkipped = *next++;
     entry.wakeEvents = *next;
     return true;
@@ -197,7 +180,9 @@ configDigest(const MachineConfig &config)
     d.u64(static_cast<std::uint64_t>(core.schedDepth));
     d.u64(static_cast<std::uint64_t>(core.mshrs));
     d.u64(core.redirectPenalty);
-    d.u64(static_cast<std::uint64_t>(core.fetchPolicy));
+    // The fetch-policy slot: round-robin, the only policy, was enum
+    // value 0, so folding 0 keeps every existing run-log key valid.
+    d.u64(0);
     d.u64(config.l2NextLinePrefetch ? 1 : 0);
     d.u64(config.inclusiveL3 ? 1 : 0);
     for (const CacheConfig *c :

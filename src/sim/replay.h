@@ -87,8 +87,9 @@ inline constexpr const char *kRunLogFile = "smite_replay_cache.txt";
 /**
  * Crash-safe, append-only file of ReplayStore entries: it preloads the
  * store and records one line per run its machine simulates live — the
- * replay key, every placement's pre-jitter counter block, the
- * event-loop tallies and a digest of all of them, as decimal words.
+ * replay key, every placement's pre-jitter counter block (its
+ * CounterWords), the event-loop tallies and a digest of all of them,
+ * as decimal words.
  * Keyed like the store, a record is never reused for an edited
  * profile, another machine or other intervals; simulator behaviour,
  * which no key sees, is covered by kRunLogVersion.

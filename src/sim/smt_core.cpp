@@ -16,8 +16,8 @@ SmtCore::tick(Cycle now, MemorySystem &mem)
     // Idle contexts no-op through fetch and issue, so arbitration
     // only matters when at least two contexts are live: an idle core
     // returns immediately and a solo context just consumes the full
-    // core bandwidth, skipping rotation and ICOUNT entirely. Both
-    // fast paths are observationally identical to the general loop.
+    // core bandwidth, skipping the rotation. Both fast paths are
+    // observationally identical to the general loop.
     const int n = numContexts();
     int active = 0;
     int solo = -1;
@@ -41,19 +41,9 @@ SmtCore::tick(Cycle now, MemorySystem &mem)
 
     // Rotation seed; contexts-per-core is virtually always a power of
     // two, so avoid the hardware divide on this per-tick path.
-    int first = (n & (n - 1)) == 0
-                    ? static_cast<int>(now & static_cast<Cycle>(n - 1))
-                    : static_cast<int>(now % n);
-    if (coreConfig_.fetchPolicy == FetchPolicy::kIcount) {
-        // ICOUNT: the context with the fewest in-flight uops fetches
-        // first (ties fall back to rotation).
-        for (int k = 0; k < n; ++k) {
-            if (contexts_[k].inFlight() <
-                contexts_[first].inFlight()) {
-                first = k;
-            }
-        }
-    }
+    const int first = (n & (n - 1)) == 0
+                          ? static_cast<int>(now & static_cast<Cycle>(n - 1))
+                          : static_cast<int>(now % n);
 
     // Front end: contexts share the fetch bandwidth.
     int fetch_budget = coreConfig_.fetchWidth;

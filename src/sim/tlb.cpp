@@ -23,22 +23,13 @@ Tlb::Tlb(const TlbConfig &config)
 {
     if (config.entries <= 0)
         throw std::invalid_argument("TLB must have at least one entry");
-    const auto n = static_cast<std::size_t>(config.entries);
-    pages_.resize(n);
-    prev_.resize(n);
-    next_.resize(n);
+    const std::int32_t n = config.entries;
+    pages_.assign(static_cast<std::size_t>(n), kNoPage);
+    prev_.resize(pages_.size());
+    next_.resize(pages_.size());
     // <= 25% load factor keeps linear-probe chains short.
-    table_.resize(nextPow2(4 * n));
+    table_.assign(nextPow2(4 * pages_.size()), kNil);
     tableMask_ = table_.size() - 1;
-    resetState();
-}
-
-void
-Tlb::resetState()
-{
-    const auto n = static_cast<std::int32_t>(pages_.size());
-    pages_.assign(pages_.size(), kNoPage);
-    table_.assign(table_.size(), kNil);
     // Seed the LRU list in entry-index order: the scan model fills
     // empty entries lowest-index first, and a fresh list reproduces
     // exactly that victim sequence.
@@ -48,7 +39,6 @@ Tlb::resetState()
     }
     lruHead_ = 0;
     lruTail_ = n - 1;
-    lastPage_ = kNoPage;
 }
 
 void
@@ -149,12 +139,6 @@ Tlb::access(Addr page)
         pushMru(victim);
     }
     return false;
-}
-
-void
-Tlb::flush()
-{
-    resetState();
 }
 
 } // namespace smite::sim

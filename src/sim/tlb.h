@@ -49,9 +49,6 @@ class Tlb
     /** Latency added to the access on a miss. */
     Cycle walkLatency() const { return config_.walkLatency; }
 
-    /** Drop all translations. */
-    void flush();
-
   private:
     static constexpr Addr kNoPage = ~Addr{0};
     static constexpr std::int32_t kNil = -1;
@@ -84,9 +81,6 @@ class Tlb
     /** Table cell holding @p page; the page must be resident. */
     std::size_t cellOf(Addr page) const;
 
-    /** Rebuild the empty-TLB state (list 0..n-1, clear table). */
-    void resetState();
-
     TlbConfig config_;
 
     std::vector<Addr> pages_;         ///< per-entry resident page
@@ -104,7 +98,7 @@ class Tlb
      * the MRU entry changes nothing, so a back-to-back translation of
      * the same page is a hit needing one compare. Dominant on the
      * data path: a 64B-line stream stays on one 4K page for ~512
-     * consecutive accesses. Reset by flush().
+     * consecutive accesses.
      */
     Addr lastPage_ = kNoPage;
 };

@@ -159,8 +159,8 @@ class UopSource {
      * coordinates, stream digests, interval bounds). That is exactly
      * the key the run-level replay store (sim/replay.h) memoizes on;
      * sources returning 0 opt out of replay entirely. Every production
-     * source (ruler, profile and trace-replay streams) overrides this;
-     * the zero default exists only for ad-hoc test doubles.
+     * source (ruler and profile streams) overrides this; the zero
+     * default exists only for ad-hoc test doubles.
      */
     virtual std::uint64_t streamDigest() const { return 0; }
 };

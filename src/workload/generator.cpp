@@ -56,7 +56,6 @@ ProfileUopSource::ProfileUopSource(const WorkloadProfile &profile,
         if (profile_.mix[t] < 0.0)
             throw std::invalid_argument("negative mix fraction");
         sum += profile_.mix[t];
-        cumulativeMix_[t] = sum;
         cumulativeMixThr_[t] = Rng::mantissaCeil(sum);
     }
     thrStream_ = Rng::mantissaCeil(profile_.streamFraction);

@@ -111,9 +111,6 @@ class ProfileUopSource final : public sim::UopSource
     std::uint64_t seed_;
     Rng rng_;
 
-    /** Cumulative mix distribution, indexed like the mix array. */
-    std::array<double, sim::kNumUopTypes> cumulativeMix_{};
-
     /**
      * Integer-domain thresholds (Rng::mantissaCeil/Floor) for the
      * per-uop Bernoulli draws; exactly equivalent to comparing

@@ -96,16 +96,6 @@ TEST(Cache, WriteMarksDirtyOnHit)
     EXPECT_TRUE(result.evictedDirty);
 }
 
-TEST(Cache, FlushInvalidatesEverything)
-{
-    SetAssocCache cache(smallCache());
-    for (Addr line = 0; line < 32; ++line)
-        cache.access(line, true);
-    cache.flush();
-    for (Addr line = 0; line < 32; ++line)
-        EXPECT_FALSE(cache.probe(line));
-}
-
 TEST(Cache, DistinctSetsDoNotConflict)
 {
     // 4 sets x 2 ways.

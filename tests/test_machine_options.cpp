@@ -141,32 +141,5 @@ TEST(CacheAccessResult, ReportsCleanEvictionsAsValid)
     EXPECT_EQ(result.evictedLine, 1u);
 }
 
-
-TEST(FetchPolicy, IcountFavorsTheLowOccupancyThread)
-{
-    // A memory-bound thread fills its window with stalled uops; under
-    // ICOUNT the compute thread (low occupancy) gets fetch priority,
-    // so combined throughput cannot drop and typically rises.
-    const auto &compute = workload::spec2006::byName("454.calculix");
-    const auto &memory = workload::spec2006::byName("429.mcf");
-
-    MachineConfig rr = MachineConfig::ivyBridge();
-    MachineConfig icount = rr;
-    icount.core.fetchPolicy = FetchPolicy::kIcount;
-
-    workload::ProfileUopSource a1(compute, 1), b1(memory, 2);
-    workload::ProfileUopSource a2(compute, 1), b2(memory, 2);
-    const auto rr_counters =
-        Machine(rr).runPairSmt(a1, b1, 20000, 80000);
-    const auto ic_counters =
-        Machine(icount).runPairSmt(a2, b2, 20000, 80000);
-
-    const double rr_total = rr_counters[0].ipc() + rr_counters[1].ipc();
-    const double ic_total = ic_counters[0].ipc() + ic_counters[1].ipc();
-    EXPECT_GT(ic_total, rr_total * 0.98);
-    // The compute thread specifically must not lose under ICOUNT.
-    EXPECT_GT(ic_counters[0].ipc(), rr_counters[0].ipc() * 0.98);
-}
-
 } // namespace
 } // namespace smite::sim

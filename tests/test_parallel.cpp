@@ -90,6 +90,21 @@ TEST(ParallelFor, RunsEveryIndexExactlyOnce)
         EXPECT_EQ(h.load(), 1);
 }
 
+/** Three tasks at width 16 run on three threads, not sixteen. */
+TEST(ParallelFor, StartsAtMostOneWorkerPerTask)
+{
+    std::vector<std::atomic<int>> hits(3);
+    parallelFor(
+        hits.size(),
+        [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+        },
+        16);
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+    EXPECT_EQ(obs::Registry::global().gauge("pool.width").value(), 3.0);
+}
+
 TEST(ParallelFor, AssembledResultsMatchSerial)
 {
     std::vector<double> serial(100), parallel(100);

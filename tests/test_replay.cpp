@@ -100,8 +100,6 @@ TEST(ReplayEquivalence, RandomShapesMatchLivePath)
             config.inclusiveL3 = true;
         if ((rng.nextU64() & 3) == 0)
             config.l2NextLinePrefetch = true;
-        if ((rng.nextU64() & 3) == 0)
-            config.core.fetchPolicy = FetchPolicy::kIcount;
         // Vary a latency so every trial gets a distinct config digest
         // (fresh replay keys even across repeated shape draws).
         config.dram.accessLatency += t;
@@ -145,6 +143,19 @@ TEST(ReplayEquivalence, RandomShapesMatchLivePath)
         expectSameResults(computed, live);
         expectSameResults(replayed, live);
     }
+}
+
+/**
+ * Run-log keys fold sim::configDigest, so a digest that moves orphans
+ * every existing smite_replay_cache.txt: both Table I presets keep
+ * the digests they have always had.
+ */
+TEST(ReplayKey, TableOnePresetDigestsArePinned)
+{
+    EXPECT_EQ(configDigest(MachineConfig::ivyBridge()),
+              0x2e69261a1b4f5804ull);
+    EXPECT_EQ(configDigest(MachineConfig::sandyBridgeEN()),
+              0xf634243d5f2709f3ull);
 }
 
 /** A repeated run is served out of the store, and bit-identically. */

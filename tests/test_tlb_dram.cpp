@@ -50,14 +50,6 @@ TEST(Tlb, LruOrderTracksHits)
     EXPECT_FALSE(tlb.access(2));
 }
 
-TEST(Tlb, FlushDropsTranslations)
-{
-    Tlb tlb(TlbConfig{4, 25});
-    tlb.access(9);
-    tlb.flush();
-    EXPECT_FALSE(tlb.access(9));
-}
-
 TEST(Tlb, RejectsZeroEntries)
 {
     EXPECT_THROW(Tlb(TlbConfig{0, 25}), std::invalid_argument);
