@@ -83,11 +83,19 @@ wallSeconds()
         .count();
 }
 
+/** Wall-clock scatter of one engine across the repeats. */
+struct Times {
+    double min_s = 0;
+    double median_s = 0;
+    double max_s = 0;
+};
+
+/** Time @p kRepeats runs of @p fn after one untimed warmup run. */
 template <typename Fn>
-double
-medianSeconds(Fn &&fn)
+Times
+timeRepeats(Fn &&fn)
 {
-    fn();  // warmup
+    fn();
     std::vector<double> times;
     times.reserve(kRepeats);
     for (int r = 0; r < kRepeats; ++r) {
@@ -96,7 +104,17 @@ medianSeconds(Fn &&fn)
         times.push_back(wallSeconds() - t0);
     }
     std::sort(times.begin(), times.end());
-    return times[kRepeats / 2];
+    return Times{times.front(), times[kRepeats / 2], times.back()};
+}
+
+/** Record one engine's repeat scatter in the report's timings. */
+void
+recordTimes(obs::RunReport &report, const std::string &tag,
+            const Times &t)
+{
+    report.addTiming(tag + "_s_min", t.min_s);
+    report.addTiming(tag + "_s_median", t.median_s);
+    report.addTiming(tag + "_s_max", t.max_s);
 }
 
 /**
@@ -357,14 +375,14 @@ main(int argc, char **argv)
             continue;
         }
 
-        const double t_reference = medianSeconds([&] {
+        const Times t_reference = timeRepeats([&] {
             reference.runStream(kTiers, churn, scale.epochs);
         });
-        const double t_calendar = medianSeconds([&] {
+        const Times t_calendar = timeRepeats([&] {
             calendar.runStream(kTiers, churn, scale.epochs);
         });
-        const double eps_reference = scale.epochs / t_reference;
-        const double eps_calendar = scale.epochs / t_calendar;
+        const double eps_reference = scale.epochs / t_reference.median_s;
+        const double eps_calendar = scale.epochs / t_calendar.median_s;
 
         std::printf("%-6s %7" PRId64 " servers, %3d epochs: "
                     "reference %9.1f epochs/s, calendar %9.1f epochs/s "
@@ -380,8 +398,8 @@ main(int argc, char **argv)
                          obs::json::Value(scale.servers));
         report.setConfig(tag + "_epochs",
                          obs::json::Value(scale.epochs));
-        report.addTiming(tag + "_reference_s", t_reference);
-        report.addTiming(tag + "_calendar_s", t_calendar);
+        recordTimes(report, tag + "_reference", t_reference);
+        recordTimes(report, tag + "_calendar", t_calendar);
         report.addResult(tag + "_lockstep_epochs_per_sec",
                          obs::json::Value(eps_reference));
         report.addResult(tag + "_sharded_epochs_per_sec",

@@ -23,8 +23,8 @@
 #ifndef SMITE_LOADGEN_ARRIVAL_H
 #define SMITE_LOADGEN_ARRIVAL_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace smite::loadgen {
@@ -53,9 +53,24 @@ struct ArrivalConfig {
 };
 
 /**
- * A deterministic arrival-time generator. Generation is sequential
- * (each instance is cheap and single-owner); determinism across
- * threads comes from the keyed draws, not from sharing instances.
+ * The rate-free draws of the first @p n arrivals of @p config 's
+ * stream: one keyed unit-mean exponential gap per arrival, with
+ * `des.arrival_burst` applied. `config.rate` is not read, so streams
+ * that differ only in rate share these draws.
+ */
+std::vector<double> unitGaps(const ArrivalConfig &config,
+                             std::size_t n);
+
+/**
+ * Absolute arrival times (seconds) at @p rate: arrival i lands at the
+ * running sum of gap / rate over the first i + 1 @p gaps.
+ */
+std::vector<double> arrivalTimes(const std::vector<double> &gaps,
+                                 double rate);
+
+/**
+ * A deterministic arrival-time generator. Determinism across threads
+ * comes from the keyed draws, not from sharing instances.
  */
 class ArrivalStream
 {
@@ -63,18 +78,11 @@ class ArrivalStream
     /** @throws std::invalid_argument on a non-positive rate */
     explicit ArrivalStream(const ArrivalConfig &config);
 
-    /** The next absolute arrival time, in seconds. */
-    double next();
-
-    /** The next @p n arrival times (convenience). */
-    std::vector<double> generate(std::size_t n);
+    /** The first @p n absolute arrival times of the stream. */
+    std::vector<double> generate(std::size_t n) const;
 
   private:
     ArrivalConfig config_;
-    double now_ = 0.0;          ///< last emitted arrival time
-    std::uint64_t counter_ = 0; ///< occurrence index of the next draw
-    bool chaos_burst_ = false;
-    std::string fault_prefix_;
 };
 
 } // namespace smite::loadgen

@@ -9,16 +9,16 @@ namespace smite::loadgen {
 namespace {
 
 /**
- * Probe @p qps once against @p config 's template and report whether
- * the tail-latency target holds; the step lands in @p out.
+ * Probe @p qps once against @p config 's template, over the search's
+ * shared @p draws, and report whether the tail-latency target holds;
+ * the step lands in @p out.
  */
 bool
-meetsTarget(const KneeConfig &config, double qps, StepResult &out)
+meetsTarget(const KneeConfig &config, const StepDraws &draws, double qps,
+            StepResult &out)
 {
     obs::Registry::global().counter("loadgen.knee_probes").add(1);
-    // Stream 0 for every probe: common random numbers across rates
-    // (see the file comment in knee.h).
-    out = runStep(config.probe, qps, 0);
+    out = runStep(config.probe, draws, qps);
     if (out.completed == 0)
         return false;
     if (config.failOnDrop && out.dropped > 0)
@@ -42,11 +42,15 @@ findKnee(const KneeConfig &config)
     if (config.qpsLo <= 0.0 || hi <= config.qpsLo)
         throw std::invalid_argument("empty or inverted knee bracket");
 
+    // Stream 0 for every probe: common random numbers across rates
+    // (see the file comment in knee.h). Its draws are rate-free, so
+    // the search draws them once and every probe rescales them.
+    const StepDraws draws = drawStep(config.probe, 0);
     KneeResult result;
     StepResult step;
     const auto probe = [&](double qps) {
         ++result.probes;
-        return meetsTarget(config, qps, step);
+        return meetsTarget(config, draws, qps, step);
     };
     if (!probe(config.qpsLo))
         return result; // knee below the bracket: report 0

@@ -14,7 +14,9 @@
  *
  * The search is exact, not statistical: every probe reuses arrival
  * stream 0 and the shared service stream, so a probe at a higher
- * rate replays *the same* work sequence with compressed gaps. Under
+ * rate replays *the same* work sequence with compressed gaps (the
+ * search draws those rate-free gaps and service times once, with
+ * drawStep, and each probe rescales them). Under
  * the Lindley recursion that makes every response time monotone
  * nondecreasing in the offered rate (common random numbers), which
  * makes pass/fail monotone and bisection well-posed — and, across

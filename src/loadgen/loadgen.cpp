@@ -28,9 +28,28 @@ struct Instruments {
 
 } // namespace
 
+StepDraws
+drawStep(const SweepConfig &config, std::uint64_t stream)
+{
+    const std::size_t total = static_cast<std::size_t>(
+        config.preRequests + config.measureRequests +
+        config.postRequests);
+    ArrivalConfig arrival = config.arrival;
+    arrival.stream = stream;
+    return {unitGaps(arrival, total),
+            queueing::unitServiceTimes(config.servers.seed, total)};
+}
+
 StepResult
 runStep(const SweepConfig &config, double offeredQps,
         std::uint64_t stream)
+{
+    return runStep(config, drawStep(config, stream), offeredQps);
+}
+
+StepResult
+runStep(const SweepConfig &config, const StepDraws &draws,
+        double offeredQps)
 {
     if (offeredQps <= 0.0)
         throw std::invalid_argument("offered rate must be positive");
@@ -40,19 +59,17 @@ runStep(const SweepConfig &config, double offeredQps,
     if (config.percentile <= 0.0 || config.percentile >= 1.0)
         throw std::invalid_argument("percentile must be in (0, 1)");
 
-    ArrivalConfig arrival = config.arrival;
-    arrival.rate = offeredQps;
-    arrival.stream = stream;
-    ArrivalStream source(arrival);
-
     const std::uint64_t total = config.preRequests +
                                 config.measureRequests +
                                 config.postRequests;
+    if (draws.unitGaps.size() != total)
+        throw std::invalid_argument(
+            "step draws must cover every request of the step");
     const std::vector<double> arrivals =
-        source.generate(static_cast<std::size_t>(total));
+        arrivalTimes(draws.unitGaps, offeredQps);
 
-    const queueing::OpenLoopResult sim =
-        queueing::simulateOpenLoop(arrivals, config.servers);
+    const queueing::OpenLoopResult sim = queueing::simulateOpenLoop(
+        arrivals, draws.unitService, config.servers);
 
     const std::size_t from =
         static_cast<std::size_t>(config.preRequests);

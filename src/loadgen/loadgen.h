@@ -86,6 +86,21 @@ struct SweepResult {
 };
 
 /**
+ * The rate-free randomness of one step, one entry per request
+ * (warmup, window and cooldown): unit-mean inter-arrival gaps with
+ * `des.arrival_burst` applied, and unit-mean service draws. A step at
+ * any rate rescales the same draws, so steps of one stream at
+ * different rates can share them.
+ */
+struct StepDraws {
+    std::vector<double> unitGaps;
+    std::vector<double> unitService;
+};
+
+/** The draws of sub-stream @p stream under @p config 's seeds. */
+StepDraws drawStep(const SweepConfig &config, std::uint64_t stream);
+
+/**
  * Simulate one step: Poisson arrivals at @p offeredQps from
  * sub-stream @p stream driving the configured servers, with the
  * configured warmup/measure/cooldown windows. Exposed separately so
@@ -93,6 +108,13 @@ struct SweepResult {
  */
 StepResult runStep(const SweepConfig &config, double offeredQps,
                    std::uint64_t stream);
+
+/**
+ * runStep() over drawn randomness: runStep(config, qps, stream)
+ * equals runStep(config, drawStep(config, stream), qps) bit for bit.
+ */
+StepResult runStep(const SweepConfig &config, const StepDraws &draws,
+                   double offeredQps);
 
 /** Run the full stepped sweep (serial; steps are independent). */
 SweepResult runSweep(const SweepConfig &config);

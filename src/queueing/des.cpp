@@ -63,8 +63,33 @@ OpenLoopResult::droppedIn(std::size_t from, std::size_t to) const
     return n;
 }
 
+std::vector<double>
+unitServiceTimes(std::uint64_t seed, std::size_t n)
+{
+    // One keyed unit-exponential per request, scaled by the chosen
+    // server's (degraded) rate in the simulation — the same request
+    // re-simulated under a deeper co-location costs proportionally
+    // longer, with no new randomness.
+    std::vector<double> unit;
+    unit.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        unit.push_back(keyed::exponentialUnit(
+            keyed::draw(seed, keyed::kSaltService, i, 0)));
+    }
+    return unit;
+}
+
 OpenLoopResult
 simulateOpenLoop(const std::vector<double> &arrivals,
+                 const OpenLoopConfig &config)
+{
+    return simulateOpenLoop(
+        arrivals, unitServiceTimes(config.seed, arrivals.size()), config);
+}
+
+OpenLoopResult
+simulateOpenLoop(const std::vector<double> &arrivals,
+                 const std::vector<double> &unitService,
                  const OpenLoopConfig &config)
 {
     if (config.serviceRates.empty())
@@ -74,6 +99,9 @@ simulateOpenLoop(const std::vector<double> &arrivals,
             throw std::invalid_argument(
                 "service rates must be positive");
     }
+    if (unitService.size() < arrivals.size())
+        throw std::invalid_argument(
+            "need one unit service draw per arrival");
 
     const std::size_t servers = config.serviceRates.size();
 
@@ -128,15 +156,7 @@ simulateOpenLoop(const std::vector<double> &arrivals,
                 chosen = s;
         }
 
-        // Service time: one keyed unit-exponential per request,
-        // scaled by the chosen server's (degraded) rate — the same
-        // request re-simulated under a deeper co-location costs
-        // proportionally longer, with no new randomness.
-        double service =
-            keyed::exponentialUnit(keyed::draw(config.seed,
-                                               keyed::kSaltService, i,
-                                               0)) /
-            config.serviceRates[chosen];
+        double service = unitService[i] / config.serviceRates[chosen];
         if (chaos_stall &&
             faults.shouldInject("des.server_stall",
                                 key_prefix + std::to_string(i) + "#s" +

@@ -88,19 +88,34 @@ struct OpenLoopResult {
 };
 
 /**
+ * The unit-mean service draws of requests [0, @p n) of the keyed
+ * stream @p seed: request i served at rate mu takes unit[i] / mu.
+ */
+std::vector<double> unitServiceTimes(std::uint64_t seed, std::size_t n);
+
+/**
  * Event-driven open-loop simulation: feed the @p arrivals stream
  * (absolute arrival times, non-decreasing) through the configured
  * server pool, each arrival to the server with the fewest requests in
- * flight (ties to the lowest index). Service times are exponential at each server's rate,
- * drawn from a keyed per-request stream, so two configs that differ
- * only in service rates consume identical randomness (common random
- * numbers — the property knee searches rely on).
+ * flight (ties to the lowest index). Request i's service time is
+ * @p unitService[i] over the chosen server's rate; drawn by
+ * unitServiceTimes(config.seed, ...), two configs that differ only in
+ * service rates consume identical randomness (common random numbers —
+ * the property knee searches rely on).
  *
  * Fault sites (active only under an armed SMITE_FAULTS plan):
  * `des.drop` loses the request at admission; `des.server_stall`
  * stretches the sampled service time by 1 + max(0, ε),
  * ε ~ N(0, sigma).
+ *
+ * @throws std::invalid_argument on an empty pool, a non-positive
+ *         rate, or fewer unit service draws than arrivals
  */
+OpenLoopResult simulateOpenLoop(const std::vector<double> &arrivals,
+                                const std::vector<double> &unitService,
+                                const OpenLoopConfig &config);
+
+/** simulateOpenLoop() over unitServiceTimes(config.seed, ...). */
 OpenLoopResult simulateOpenLoop(const std::vector<double> &arrivals,
                                 const OpenLoopConfig &config);
 

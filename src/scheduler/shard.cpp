@@ -69,34 +69,39 @@ ShardedCluster::ShardedCluster(std::vector<MachineClass> classes,
     if (shards > n)
         throw std::invalid_argument("more shards than servers");
 
-    // Per-class pairing-table base offsets, class-major — the same
-    // order buildTabs() emits, so tabIdx_ stays valid per run.
-    std::vector<std::uint32_t> tab_base(classes_.size());
-    std::uint32_t tabs = 0;
-    for (std::size_t c = 0; c < classes_.size(); ++c) {
-        tab_base[c] = tabs;
-        tabs += static_cast<std::uint32_t>(classes_[c].pairings.size());
-    }
-
-    classIdx_.reserve(static_cast<std::size_t>(n));
-    tabIdx_.reserve(static_cast<std::size_t>(n));
+    // Pairing-table indices are class-major — the same order
+    // buildTabs() emits, so each server's `tab` stays valid per run.
+    servers_.reserve(static_cast<std::size_t>(n));
+    std::uint32_t tab_base = 0;
     std::int64_t s = 0;
     for (std::size_t c = 0; c < classes_.size(); ++c) {
         const std::uint64_t choices = classes_[c].pairings.size();
         for (std::int64_t i = 0; i < serversPerClass[c]; ++i, ++s) {
-            classIdx_.push_back(static_cast<std::uint16_t>(c));
             // The pairing assignment is keyed per server id — not
             // drawn in placement/scan order — so it is identical for
             // both engines.
-            tabIdx_.push_back(
-                tab_base[c] +
-                static_cast<std::uint32_t>(
-                    keyed::draw(assignSeed, kSaltAssign,
-                                static_cast<std::uint64_t>(s), 0) %
-                    choices));
+            Server sv;
+            sv.tab = tab_base +
+                     static_cast<std::uint32_t>(
+                         keyed::draw(assignSeed, kSaltAssign,
+                                     static_cast<std::uint64_t>(s), 0) %
+                         choices);
+            servers_.push_back(sv);
             totalContexts_ += classes_[c].contextsPerServer;
         }
+        tab_base += static_cast<std::uint32_t>(choices);
     }
+}
+
+const MachineClass &
+ShardedCluster::machineClassOf(std::int64_t s) const
+{
+    // Tables are class-major: walk the classes' blocks of tables.
+    std::size_t tab = servers_[static_cast<std::size_t>(s)].tab;
+    std::size_t c = 0;
+    while (tab >= classes_[c].pairings.size())
+        tab -= classes_[c++].pairings.size();
+    return classes_[c];
 }
 
 void
@@ -107,15 +112,17 @@ ShardedCluster::buildTabs(const TierPolicy &tiers)
     for (const MachineClass &mc : classes_) {
         for (const Pairing &p : mc.pairings) {
             PairTab t;
-            t.src = &p;
             t.cap = mc.maxInstances();
+            t.latencyThreads = mc.latencyThreads;
+            t.predicted.resize(static_cast<std::size_t>(t.cap));
             t.admit.resize(static_cast<std::size_t>(t.cap));
             for (int k = 0; k < t.cap; ++k) {
-                t.admit[static_cast<std::size_t>(k)] =
+                const double q =
                     p.byInstances[static_cast<std::size_t>(k)]
-                            .predictedQos >= tiers.qosTarget
-                        ? 1
-                        : 0;
+                        .predictedQos;
+                t.predicted[static_cast<std::size_t>(k)] = q;
+                t.admit[static_cast<std::size_t>(k)] =
+                    q >= tiers.qosTarget ? 1 : 0;
             }
             // chainTo[j]: the largest total instance count reachable
             // from j by single steps whose predicted QoS stays at or
@@ -154,14 +161,14 @@ ShardedCluster::Agg
 ShardedCluster::contributionOf(std::size_t s) const
 {
     Agg a;
-    if (up_[s] == 0)
+    const Server &sv = servers_[s];
+    if (sv.up == 0)
         return a;
-    const MachineClass &mc = classes_[classIdx_[s]];
-    const PairTab &tab = tabs_[tabIdx_[s]];
-    const int g = g_[s];
-    const int b = b_[s];
+    const PairTab &tab = tabs_[sv.tab];
+    const int g = sv.g;
+    const int b = sv.b;
     a.upServers = 1;
-    a.latencyContexts = mc.latencyThreads;
+    a.latencyContexts = tab.latencyThreads;
     a.guaranteed = g;
     a.bestEffort = b;
     if (g > 0) {
@@ -201,17 +208,16 @@ ShardedCluster::scheduleEvent(std::int64_t epoch, std::uint32_t s)
 void
 ShardedCluster::rebalanceFillers(std::size_t s, StreamEpochStats &stats)
 {
+    Server &sv = servers_[s];
     int target = 0;
-    if (up_[s] != 0) {
-        const PairTab &tab = tabs_[tabIdx_[s]];
-        target = tab.chainTo[static_cast<std::size_t>(g_[s])] - g_[s];
-    }
-    const int cur = b_[s];
+    if (sv.up != 0)
+        target = tabs_[sv.tab].chainTo[sv.g] - sv.g;
+    const int cur = sv.b;
     if (target > cur)
         stats.fillerPlaced += target - cur;
     else if (cur > target)
         stats.fillerEvicted += cur - target;
-    b_[s] = static_cast<std::uint8_t>(target);
+    sv.b = static_cast<std::uint8_t>(target);
 }
 
 void
@@ -219,13 +225,14 @@ ShardedCluster::processServerEvents(std::uint32_t s, std::int64_t epoch,
                                     StreamEpochStats &stats)
 {
     const std::size_t i = s;
-    if (up_[i] == 0) {
+    Server &sv = servers_[i];
+    if (sv.up == 0) {
         if (recoverAt_[i] != epoch)
             return;  // stale calendar entry / nothing due
         ++stats.events;
         ++stats.recoveries;
         aggSub(i);
-        up_[i] = 1;
+        sv.up = 1;
         // The server rejoins empty; its next failure is drawn now,
         // keyed by (server, failure sequence) — never by scan order.
         const std::int64_t gap = keyed::geometricSteps(
@@ -244,11 +251,11 @@ ShardedCluster::processServerEvents(std::uint32_t s, std::int64_t epoch,
         aggSub(i);
         // Evicted guaranteed jobs re-enter placement after the event
         // pass (runStream); only their count matters there.
-        stats.evictions += g_[i];
-        g_[i] = 0;
-        stats.fillerEvicted += b_[i];
-        b_[i] = 0;
-        up_[i] = 0;
+        stats.evictions += sv.g;
+        sv.g = 0;
+        stats.fillerEvicted += sv.b;
+        sv.b = 0;
+        sv.up = 0;
         const std::int64_t gap = keyed::geometricSteps(
             churn_.recoverProb,
             keyed::draw(churn_.seed, kSaltRecover, s, failSeq_[i]));
@@ -261,7 +268,7 @@ ShardedCluster::processServerEvents(std::uint32_t s, std::int64_t epoch,
     }
     // Guaranteed departures due this epoch (swap-remove, scanning
     // down so the slot swapped in was already examined).
-    int g = g_[i];
+    int g = sv.g;
     const std::size_t base = i * static_cast<std::size_t>(maxSlots_);
     int departed = 0;
     for (int j = g - 1; j >= 0; --j) {
@@ -275,7 +282,7 @@ ShardedCluster::processServerEvents(std::uint32_t s, std::int64_t epoch,
         ++departed;
     }
     if (departed > 0) {
-        g_[i] = static_cast<std::uint8_t>(g);
+        sv.g = static_cast<std::uint8_t>(g);
         stats.departures += departed;
         ++stats.events;
         rebalanceFillers(i, stats);
@@ -300,19 +307,17 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
             keyed::draw(churn_.seed, salt,
                         static_cast<std::uint64_t>(epoch), key) %
             n);
-        const std::size_t i = static_cast<std::size_t>(s);
-        if (up_[i] == 0)
+        const Server &sv = servers_[static_cast<std::size_t>(s)];
+        if (sv.up == 0)
             continue;
-        const PairTab &tab = tabs_[tabIdx_[i]];
-        const int g = g_[i];
+        const PairTab &tab = tabs_[sv.tab];
+        const int g = sv.g;
         if (g >= tab.cap || tab.admit[static_cast<std::size_t>(g)] == 0)
             continue;
-        // Predicted QoS *after* the placement: byInstances[g] is the
+        // Predicted QoS *after* the placement: predicted[g] is the
         // table row for g+1 instances. Best wins; ties go to the
         // lower server id so the choice is total-ordered.
-        const double q =
-            tab.src->byInstances[static_cast<std::size_t>(g)]
-                .predictedQos;
+        const double q = tab.predicted[static_cast<std::size_t>(g)];
         if (best < 0 || q > best_qos || (q == best_qos && s < best)) {
             best = s;
             best_qos = q;
@@ -322,7 +327,7 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
         return false;
     const std::size_t i = static_cast<std::size_t>(best);
     aggSub(i);
-    const int g = g_[i];
+    const int g = servers_[i].g;
     // The job's lifetime is keyed by (server, placement sequence):
     // a pure per-server stream, independent of who placed it when.
     const std::int64_t gap = keyed::geometricSteps(
@@ -334,7 +339,7 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
         gap == keyed::kNever ? keyed::kNever : epoch + gap;
     depEpoch_[i * static_cast<std::size_t>(maxSlots_) +
               static_cast<std::size_t>(g)] = dep_at;
-    g_[i] = static_cast<std::uint8_t>(g + 1);
+    servers_[i].g = static_cast<std::uint8_t>(g + 1);
     scheduleEvent(dep_at, static_cast<std::uint32_t>(best));
     rebalanceFillers(i, stats);
     aggAdd(i);
@@ -344,10 +349,12 @@ ShardedCluster::placeGuaranteedJob(std::uint64_t salt,
 void
 ShardedCluster::resetRunState()
 {
-    const std::size_t n = classIdx_.size();
-    up_.assign(n, 1);
-    g_.assign(n, 0);
-    b_.assign(n, 0);
+    const std::size_t n = servers_.size();
+    for (Server &sv : servers_) {
+        sv.up = 1;
+        sv.g = 0;
+        sv.b = 0;
+    }
     nextFail_.assign(n, keyed::kNever);
     recoverAt_.assign(n, keyed::kNever);
     failSeq_.assign(n, 0);
@@ -361,13 +368,14 @@ ShardedCluster::resetRunState()
 std::uint64_t
 ShardedCluster::stateDigest() const
 {
-    const std::size_t n = classIdx_.size();
+    const std::size_t n = servers_.size();
     std::uint64_t h = keyed::mix64(0x534d695465ull ^ n);
     for (std::size_t s = 0; s < n; ++s) {
+        const Server &sv = servers_[s];
         const std::uint64_t packed =
-            (static_cast<std::uint64_t>(up_[s]) << 48) |
-            (static_cast<std::uint64_t>(g_[s]) << 40) |
-            (static_cast<std::uint64_t>(b_[s]) << 32) |
+            (static_cast<std::uint64_t>(sv.up) << 48) |
+            (static_cast<std::uint64_t>(sv.g) << 40) |
+            (static_cast<std::uint64_t>(sv.b) << 32) |
             static_cast<std::uint64_t>(s);
         h = keyed::mix64(h ^ packed);
     }
@@ -410,7 +418,7 @@ ShardedCluster::runStream(const TierPolicy &tiers,
     // draw every server's first failure epoch and fill the
     // best-effort tier into the empty fleet.
     StreamEpochStats bootstrap;
-    for (std::uint32_t s = 0; s < classIdx_.size(); ++s) {
+    for (std::uint32_t s = 0; s < servers_.size(); ++s) {
         const std::size_t i = s;
         const std::int64_t gap = keyed::geometricSteps(
             churn_.failProb,
@@ -434,21 +442,23 @@ ShardedCluster::runStream(const TierPolicy &tiers,
         StreamEpochStats stats;
         stats.epoch = epoch;
 
-        // Phase A — the churn event pass, in ascending server id.
+        // Phase A — the churn event pass.
         if (fullScan_) {
-            // Lockstep reference engine: scan every server, the same
-            // O(n) per epoch the 4k-server Cluster pays. Identical
-            // keyed streams, identical results — only the work
-            // differs.
-            for (std::uint32_t s = 0; s < classIdx_.size(); ++s)
+            // Lockstep reference engine: scan every server in
+            // ascending id, the same O(n) per epoch the 4k-server
+            // Cluster pays. Identical keyed streams, identical
+            // results — only the work differs.
+            for (std::uint32_t s = 0; s < servers_.size(); ++s)
                 processServerEvents(s, epoch, stats);
         } else {
-            std::vector<std::uint32_t> due =
+            // The due servers in filing order, duplicates included.
+            // A visit touches only its server's state and integer
+            // sums and files events only in later buckets (every gap
+            // is at least 1), and a repeated visit finds nothing due,
+            // so this equals the ascending full scan
+            // (docs/SCHEDULING.md, determinism contract item 2).
+            const std::vector<std::uint32_t> due =
                 std::move(calendar_[static_cast<std::size_t>(epoch)]);
-            // Duplicates dropped: each server acts at most once per
-            // epoch, exactly as in the lockstep scan.
-            std::sort(due.begin(), due.end());
-            due.erase(std::unique(due.begin(), due.end()), due.end());
             for (const std::uint32_t s : due)
                 processServerEvents(s, epoch, stats);
         }
@@ -544,10 +554,10 @@ ShardedCluster::runStream(const TierPolicy &tiers,
 bool
 ShardedCluster::verifyAggregates() const
 {
-    if (up_.empty())
-        return false;
+    if (tabs_.empty())
+        return false;  // no run yet
     Agg want;
-    for (std::size_t s = 0; s < up_.size(); ++s)
+    for (std::size_t s = 0; s < servers_.size(); ++s)
         want.add(contributionOf(s), +1);
     return want == agg_;
 }

@@ -19,9 +19,12 @@
  * - **One serial calendar engine.** Per-server placement state, one
  *   churn *event calendar* (epoch -> servers with something due) and
  *   one incrementally-maintained integer aggregate (live contexts,
- *   instances, violations). Each epoch processes its due servers in
- *   ascending id on the calling thread; the per-epoch work is
- *   O(churn), too little for a thread fan-out to pay for.
+ *   instances, violations). Each epoch walks its due servers in the
+ *   order they were filed, on the calling thread: a server's events
+ *   touch only its own state plus integer sums and file follow-ups
+ *   only in later epochs, and a repeated entry finds nothing left
+ *   due, so the walk order cannot change a result. The per-epoch
+ *   work is O(churn), too little for a thread fan-out to pay for.
  *
  * - **Streaming epochs.** Churn randomness is drawn from per-server
  *   keyed streams (keyed.h): instead of flipping a failure /
@@ -228,18 +231,20 @@ class ShardedCluster
     /**
      * Run @p epochs streaming decision epochs from an empty
      * placement: bootstrap the best-effort fill, then per epoch
-     * process due churn events in ascending server id, re-place
-     * failure-evicted guaranteed jobs, place the epoch's arrivals
-     * (both by keyed power-of-d-choices probing), and snapshot the
-     * integer aggregate into the timeline. Runs on the calling
-     * thread.
+     * process due churn events (the full scan in ascending server
+     * id, the calendar in filing order; the two agree because each
+     * server's events are independent of every other server's),
+     * re-place failure-evicted guaranteed jobs, place the epoch's
+     * arrivals (both by keyed power-of-d-choices probing), and
+     * snapshot the integer aggregate into the timeline. Runs on the
+     * calling thread.
      */
     StreamResult runStream(const TierPolicy &tiers,
                            const ChurnConfig &churn, int epochs);
 
     std::int64_t servers() const
     {
-        return static_cast<std::int64_t>(classIdx_.size());
+        return static_cast<std::int64_t>(servers_.size());
     }
 
     /**
@@ -249,23 +254,20 @@ class ShardedCluster
     void setThreads(int /*threads*/) {}
 
     /** Machine class of server @p s. */
-    const MachineClass &machineClassOf(std::int64_t s) const
-    {
-        return classes_[classIdx_[static_cast<std::size_t>(s)]];
-    }
+    const MachineClass &machineClassOf(std::int64_t s) const;
 
     // Post-run introspection (state of the last runStream call).
     bool upAt(std::int64_t s) const
     {
-        return up_[static_cast<std::size_t>(s)] != 0;
+        return servers_[static_cast<std::size_t>(s)].up != 0;
     }
     int guaranteedAt(std::int64_t s) const
     {
-        return g_[static_cast<std::size_t>(s)];
+        return servers_[static_cast<std::size_t>(s)].g;
     }
     int bestEffortAt(std::int64_t s) const
     {
-        return b_[static_cast<std::size_t>(s)];
+        return servers_[static_cast<std::size_t>(s)].b;
     }
 
     /**
@@ -278,8 +280,10 @@ class ShardedCluster
   private:
     /** Precomputed per-pairing admission/violation tables. */
     struct PairTab {
-        const Pairing *src = nullptr;
         int cap = 0;
+        int latencyThreads = 0;  ///< of the table's machine class
+        /** predicted QoS at k+1 instances (the probe's ranking). */
+        std::vector<double> predicted;        // index k in [0, cap)
         /** predicted QoS at k+1 meets qosTarget (guaranteed admit). */
         std::vector<std::uint8_t> admit;      // index k in [0, cap)
         /** largest total reachable from count j by floor-admissible
@@ -290,6 +294,19 @@ class ShardedCluster
         /** actual QoS at total k still meets the best-effort floor. */
         std::vector<std::uint8_t> goodFill;   // index k in [0, cap]
     };
+
+    /**
+     * What a probe or an aggregate update reads of one server, in
+     * one 8-byte record. The table index also names the machine
+     * class: tables are numbered class-major.
+     */
+    struct Server {
+        std::uint32_t tab = 0;  ///< pairing table, index into tabs_
+        std::uint8_t up = 1;
+        std::uint8_t g = 0;     ///< guaranteed instances
+        std::uint8_t b = 0;     ///< best-effort instances
+    };
+    static_assert(sizeof(Server) == 8);
 
     /** Integer aggregate of the fleet's live state. */
     struct Agg {
@@ -326,8 +343,6 @@ class ShardedCluster
 
     // Fleet (fixed at construction).
     std::vector<MachineClass> classes_;
-    std::vector<std::uint16_t> classIdx_;  ///< per server
-    std::vector<std::uint32_t> tabIdx_;    ///< per server, into tabs_
     std::int64_t totalContexts_ = 0;
     bool fullScan_ = false;  ///< shards == 1: the lockstep reference
     int maxSlots_ = 0;  ///< max maxInstances() over classes
@@ -336,7 +351,8 @@ class ShardedCluster
     std::vector<PairTab> tabs_;
     ChurnConfig churn_;
     std::int64_t epochsLimit_ = 0;  ///< events at/after this are moot
-    std::vector<std::uint8_t> up_, g_, b_;
+    /** Per server; `tab` is fixed at construction. */
+    std::vector<Server> servers_;
     std::vector<std::int64_t> nextFail_, recoverAt_;
     std::vector<std::uint32_t> failSeq_, placeSeq_;
     std::vector<std::int64_t> depEpoch_;  ///< n * maxSlots_

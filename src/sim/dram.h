@@ -60,14 +60,6 @@ class DramChannel
     /** Total line transfers (demand + write-back) so far. */
     std::uint64_t transfers() const { return transfers_; }
 
-    /** Reset queueing state (e.g. between runs). */
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        transfers_ = 0;
-    }
-
   private:
     DramConfig config_;
     Cycle nextFree_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 
 namespace smite::stats {
@@ -24,12 +25,18 @@ quantile(std::vector<double> xs, double p)
         throw std::invalid_argument("quantile of empty sample");
     if (p < 0.0 || p > 1.0)
         throw std::invalid_argument("quantile p outside [0, 1]");
-    std::sort(xs.begin(), xs.end());
     const double pos = p * static_cast<double>(xs.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(pos));
     const size_t hi = static_cast<size_t>(std::ceil(pos));
     const double frac = pos - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    // The two order statistics a full sort would put at lo and hi:
+    // after the selection everything past lo is >= xs[lo], so the
+    // hi-th (hi is lo or lo + 1) is the least of the rest.
+    const auto nth = xs.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(xs.begin(), nth, xs.end());
+    const double x_hi =
+        hi == lo ? *nth : *std::min_element(nth + 1, xs.end());
+    return *nth * (1.0 - frac) + x_hi * frac;
 }
 
 double

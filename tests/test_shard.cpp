@@ -197,6 +197,43 @@ TEST(ShardedCluster, CalendarMatchesFullScanReference)
     EXPECT_TRUE(sharded16.verifyAggregates());
 }
 
+TEST(ShardedCluster, EventPassIsOrderFree)
+{
+    // The calendar walks each bucket in filing order and files a
+    // server once per event, so a server with several events due in
+    // one epoch is visited several times. Churn this heavy makes that
+    // common: two departures in one epoch, failures and recoveries
+    // landing on departure epochs. The repeated visits must find
+    // nothing left to do, and the unsorted walk must equal the full
+    // scan's ascending one.
+    const std::vector<MachineClass> classes = {
+        uniformClass("big", 6, 12, 3),
+        uniformClass("small", 4, 8, 3, 0.03)};
+    const std::vector<std::int64_t> mix = {150, 100};
+    const TierPolicy tiers{0.90, 0.60};
+    ChurnConfig churn;
+    churn.arrivalsPerEpoch = 100;
+    churn.departProb = 0.5;
+    churn.failProb = 0.2;
+    churn.recoverProb = 0.5;
+    churn.probesPerJob = 4;
+    churn.seed = 17;
+
+    ShardedCluster scan(classes, mix, 1);
+    ShardedCluster calendar(classes, mix, 2);
+    const StreamResult a = scan.runStream(tiers, churn, 60);
+    const StreamResult b = calendar.runStream(tiers, churn, 60);
+
+    EXPECT_TRUE(sameRun(a, b));
+    EXPECT_TRUE(scan.verifyAggregates());
+    EXPECT_TRUE(calendar.verifyAggregates());
+    // An event is one server acting in one epoch, so more departures
+    // than departure events means some server saw two in one epoch.
+    EXPECT_GT(b.departures, b.events - b.failures - b.recoveries);
+    EXPECT_GT(b.failures, 0);
+    EXPECT_GT(b.recoveries, 0);
+}
+
 TEST(ShardedCluster, RunStreamIssuesNoPoolBatches)
 {
     // The stream runs on the calling thread whatever the thread

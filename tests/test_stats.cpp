@@ -3,7 +3,9 @@
  * Unit and property tests for the statistics substrate.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <vector>
 
@@ -148,6 +150,34 @@ TEST(Summary, QuantileInterpolates)
     EXPECT_NEAR(quantile(xs, 1.0), 30.0, 1e-12);
     EXPECT_NEAR(quantile(xs, 0.5), 15.0, 1e-12);
     EXPECT_THROW(quantile(xs, 1.5), std::invalid_argument);
+}
+
+TEST(Summary, QuantileEqualsTheSortedArrayFormula)
+{
+    // quantile() selects its two order statistics instead of sorting;
+    // it must return the very double the sorted formula gives, ties
+    // included (values drawn from 12 levels plus a fractional part
+    // that is zero half the time).
+    workload::Rng rng(7);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> xs(1 + rng.nextBelow(300));
+        for (double &x : xs) {
+            x = static_cast<double>(rng.nextBelow(12)) +
+                (rng.nextBelow(2) == 0 ? 0.0 : rng.nextDouble());
+        }
+        std::vector<double> sorted = xs;
+        std::sort(sorted.begin(), sorted.end());
+        for (const double p : {0.0, 0.05, 0.5, 0.95, 1.0}) {
+            const double pos = p * static_cast<double>(xs.size() - 1);
+            const auto lo = static_cast<std::size_t>(std::floor(pos));
+            const auto hi = static_cast<std::size_t>(std::ceil(pos));
+            const double frac = pos - static_cast<double>(lo);
+            const double want =
+                sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            EXPECT_EQ(quantile(xs, p), want)
+                << "n=" << xs.size() << " p=" << p;
+        }
+    }
 }
 
 TEST(Summary, EmpiricalCdfIsMonotone)

@@ -104,15 +104,6 @@ TEST(Dram, WritebackConsumesBandwidthOnly)
     EXPECT_EQ(dram.transfers(), 2u);
 }
 
-TEST(Dram, ResetClearsState)
-{
-    DramChannel dram(DramConfig{100, 4});
-    dram.access(0);
-    dram.reset();
-    EXPECT_EQ(dram.transfers(), 0u);
-    EXPECT_EQ(dram.access(0), 100u);
-}
-
 /** Sustained throughput is bounded by 1/occupancy lines per cycle. */
 TEST(Dram, SustainedBandwidthBound)
 {
